@@ -189,21 +189,10 @@ def voronoi_features(cells: VoronoiCells | None) -> np.ndarray:
     """
     if cells is None or len(cells.polygons) == 0:
         return np.zeros(12)
-    areas = cells.areas()
-    perims = cells.perimeters()
-    chords = []
-    for poly in cells.polygons:
-        k = len(poly)
-        if k < 2:
-            continue
-        iu, ju = np.triu_indices(k, k=1)
-        d = poly[iu] - poly[ju]
-        chords.append(np.hypot(d[:, 0], d[:, 1]))
-    chord_arr = np.concatenate(chords) if chords else np.zeros(0)
     return np.concatenate([
-        stat_summary(areas).as_array(),
-        stat_summary(chord_arr).as_array(),
-        stat_summary(perims).as_array(),
+        stat_summary(cells.areas()).as_array(),
+        stat_summary(cells.chord_lengths()).as_array(),
+        stat_summary(cells.perimeters()).as_array(),
     ])
 
 

@@ -274,6 +274,8 @@ def build_slide_graph(slide: SlideRecord, theta: float,
     background; if that would drop everything, the single densest patch is
     kept so the slide still has a node.
     """
+    if not slide.patches:
+        raise ValidationError(f"slide {slide.slide_id} has no patches")
     feats = []
     for patch in slide.patches:
         if patch.features is None:

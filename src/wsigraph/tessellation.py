@@ -1,12 +1,25 @@
 """Delaunay triangulation and rectangle-bounded Voronoi cells of nuclei points.
 
-The triangulation builds a valid sweep triangulation over lexicographically
-sorted points (orientation predicates only, so no large auxiliary
-coordinates ever enter the float math) and then legalizes it with Lawson
-flips until every interior edge satisfies the empty-circumcircle predicate.
-Voronoi cells are computed independently by clipping half-planes against the
-patch rectangle, which yields bounded convex cells without infinite-edge
-bookkeeping.
+Both come from Qhull (Barber, Dobkin and Huhdanpaa, "The Quickhull algorithm
+for convex hulls", ACM TOMS 1996) through scipy.spatial.Delaunay, one call per
+tessellation.
+
+Cocircular ties follow one fixed rule, a symbolic perturbation in the spirit
+of Edelsbrunner and Muecke's "Simulation of Simplicity" (1990): every interior
+edge whose normalized incircle excess lies within PREDICATE_EPS is flipped
+until the diagonal of its quadrilateral avoids the lexicographically smallest
+of the quadrilateral's four points.  That is the Delaunay triangulation after
+lifting each point by an infinitesimal amount that shrinks with its
+lexicographic rank, so the triangle set depends only on the point set, not
+on input order or on Qhull's insertion history.
+
+Voronoi cells are bounded by reflecting the generators across the four sides
+of the patch rectangle: the bisector of a generator and its image is that
+side, so a generator's cell among generators and images is exactly its cell
+clipped to the rectangle.  Its vertices are the circumcentres of the Delaunay
+triangles around it, in angular order.  A generator lying on a side coincides
+with its own image, so its cell is instead clipped from the rectangle by the
+bisectors of its Delaunay neighbours.
 """
 
 from __future__ import annotations
@@ -14,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Delaunay, cKDTree
 
 from .points import PointSet
 
 MERGE_EPS = 1e-6        # points closer than this are merged before tessellating
 PREDICATE_EPS = 1e-9    # tie band on the normalized circumcircle determinant
-_FLIP_EPS = 1e-12       # stricter flip threshold so ties stay untouched
 
 
 class DegenerateGeometryError(ValueError):
@@ -29,58 +42,49 @@ class DegenerateGeometryError(ValueError):
 # ---------------------------------------------------------------------------
 # shared predicates
 
-def _orient(a, b, c) -> float:
-    """Twice the signed area of triangle (a, b, c); positive when CCW."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def incircle_excess(a, b, c, p) -> float:
+def incircle_excess(a, b, c, p):
     """Normalized in-circumcircle determinant for CCW triangle (a, b, c).
 
     Positive when p lies strictly inside the circumcircle; magnitudes at or
-    below PREDICATE_EPS are treated as cocircular ties by the callers.
+    below PREDICATE_EPS are treated as cocircular ties by the callers.  All
+    arguments may be (..., 2) arrays of points.
     """
-    adx, ady = a[0] - p[0], a[1] - p[1]
-    bdx, bdy = b[0] - p[0], b[1] - p[1]
-    cdx, cdy = c[0] - p[0], c[1] - p[1]
-    al = adx * adx + ady * ady
-    bl = bdx * bdx + bdy * bdy
-    cl = cdx * cdx + cdy * cdy
+    a, b, c, p = (np.asarray(v, dtype=np.float64) for v in (a, b, c, p))
+    ad, bd, cd = a - p, b - p, c - p
+    al = ad[..., 0] * ad[..., 0] + ad[..., 1] * ad[..., 1]
+    bl = bd[..., 0] * bd[..., 0] + bd[..., 1] * bd[..., 1]
+    cl = cd[..., 0] * cd[..., 0] + cd[..., 1] * cd[..., 1]
     det = (
-        adx * (bdy * cl - cdy * bl)
-        - ady * (bdx * cl - cdx * bl)
-        + al * (bdx * cdy - cdx * bdy)
+        ad[..., 0] * (bd[..., 1] * cl - cd[..., 1] * bl)
+        - ad[..., 1] * (bd[..., 0] * cl - cd[..., 0] * bl)
+        + al * (bd[..., 0] * cd[..., 1] - cd[..., 0] * bd[..., 1])
     )
-    ext = max(abs(adx), abs(ady), abs(bdx), abs(bdy), abs(cdx), abs(cdy), 1e-300)
+    ext = np.maximum(np.abs(np.concatenate([ad, bd, cd], axis=-1)).max(axis=-1), 1e-300)
     return det / ext**4
 
 
-def _tol(a, b, c) -> float:
-    """Orientation rounding tolerance, scaled like the cross product terms."""
-    return 1e-12 * (abs(b[0] - a[0]) + abs(b[1] - a[1])) * (
-        abs(c[0] - a[0]) + abs(c[1] - a[1])
-    )
-
-
 def _merge_close(coords: np.ndarray, eps: float = MERGE_EPS) -> np.ndarray:
-    """Indices of merge representatives (first occurrence wins)."""
+    """Indices of merge representatives (first occurrence wins).
+
+    Scanning points in index order, each point not yet taken becomes a
+    representative and takes every point strictly closer than eps to it.
+    """
     n = len(coords)
-    if n < 2:
+    pairs = cKDTree(coords).query_pairs(eps, output_type="ndarray") if n > 1 else []
+    if len(pairs):
+        d = coords[pairs[:, 0]] - coords[pairs[:, 1]]
+        pairs = pairs[(d * d).sum(-1) < eps * eps]
+    if not len(pairs):
         return np.arange(n)
-    diff = coords[:, None, :] - coords[None, :, :]
-    close = (diff * diff).sum(-1) < eps * eps
-    np.fill_diagonal(close, False)
-    if not close.any():
-        return np.arange(n)
+    close: dict[int, list[int]] = {}
+    for i, j in pairs.tolist():
+        close.setdefault(i, []).append(j)
+        close.setdefault(j, []).append(i)
     taken = np.zeros(n, dtype=bool)
-    reps = []
-    for i in range(n):
-        if taken[i]:
-            continue
-        reps.append(i)
-        taken |= close[i]
-        taken[i] = True
-    return np.asarray(reps, dtype=np.int64)
+    for i in sorted(close):
+        if not taken[i]:
+            taken[close[i]] = True
+    return np.flatnonzero(~taken)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +96,6 @@ class Triangulation:
 
     triangles: list
     points: PointSet
-
-    def triangle_coords(self, t: tuple[int, int, int]) -> np.ndarray:
-        return self.points.coords[list(t)]
 
     def edge_set(self) -> list[tuple[int, int]]:
         """Unique undirected edges (u < v), sorted."""
@@ -126,128 +127,59 @@ class Triangulation:
         ])
 
 
-def _scan_triangulation(pts: np.ndarray) -> list[tuple[int, int, int]]:
-    """Valid (covering, non-overlapping) triangulation by lexicographic sweep.
+def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Twice the signed areas of triangles (o, a, b); positive when CCW."""
+    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
+        a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])
 
-    `pts` must be merged and lexicographically sorted, with at least one
-    point off the initial line.  Every new point lies outside the hull of
-    its predecessors, so insertion is a fan over the strictly visible hull
-    edges; only orientation predicates are used.  The result is generally
-    not Delaunay and is legalized afterwards.
+
+def _interior_edges(tris: np.ndarray):
+    """Each edge shared by two triangles, as (t1, k1, t2, k2).
+
+    Edge k of a triangle is the one opposite its vertex k.
     """
-    n = len(pts)
-    triangles: list[tuple[int, int, int]] = []
-
-    # maximal collinear prefix, measured against the chain extremes
-    k = 2
-    while k < n and abs(_orient(pts[0], pts[k - 1], pts[k])) <= _tol(pts[0], pts[k - 1], pts[k]):
-        k += 1
-    if k >= n:
-        raise DegenerateGeometryError("points are collinear")
-    o = _orient(pts[0], pts[k - 1], pts[k])
-    for i in range(k - 1):
-        triangles.append((i, i + 1, k) if o > 0 else (i + 1, i, k))
-    hull = (list(range(k)) if o > 0 else list(range(k - 1, -1, -1))) + [k]
-
-    for pid in range(k + 1, n):
-        p = pts[pid]
-        h = len(hull)
-        visible = set()
-        for i in range(h):
-            a, b = hull[i], hull[(i + 1) % h]
-            if _orient(pts[a], pts[b], p) < -_tol(pts[a], pts[b], p):
-                visible.add(i)
-        if not visible or len(visible) == h:
-            raise RuntimeError("sweep insertion found no valid visible hull chain")
-        start = next(i for i in sorted(visible) if (i - 1) % h not in visible)
-        run = [start]
-        while (run[-1] + 1) % h in visible:
-            run.append((run[-1] + 1) % h)
-        if len(run) != len(visible):
-            raise RuntimeError("visible hull edges are not contiguous")
-        for i in run:
-            a, b = hull[i], hull[(i + 1) % h]
-            triangles.append((b, a, pid))
-        new_hull = []
-        i = (run[-1] + 1) % h
-        while True:
-            new_hull.append(hull[i])
-            if i == run[0]:
-                break
-            i = (i + 1) % h
-        new_hull.append(pid)
-        hull = new_hull
-    return triangles
+    u = tris[:, [1, 2, 0]].ravel()
+    v = tris[:, [2, 0, 1]].ravel()
+    key = np.minimum(u, v).astype(np.int64) * (tris.max() + 1) + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    first, second = order[pair], order[pair + 1]
+    return first // 3, first % 3, second // 3, second % 3
 
 
-def _legalize(pts: np.ndarray, triangles: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Lawson flips until every interior edge is locally Delaunay (within eps)."""
-    tris: dict[int, tuple[int, int, int]] = {i: t for i, t in enumerate(triangles)}
-    edge_map: dict[tuple[int, int], set[int]] = {}
+def _canonical_ties(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Flip cocircular ties until each quad's diagonal avoids its smallest point.
 
-    def key(u, v):
-        return (u, v) if u < v else (v, u)
-
-    def register(tid, tri):
-        tris[tid] = tri
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edge_map.setdefault(key(u, v), set()).add(tid)
-
-    def unregister(tid):
-        tri = tris.pop(tid)
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edge_map[key(u, v)].discard(tid)
-
-    next_id = len(triangles)
-    for tid, tri in list(tris.items()):
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edge_map.setdefault(key(u, v), set()).add(tid)
-
-    queue = sorted(e for e, ts in edge_map.items() if len(ts) == 2)
-    budget = 200 * max(len(triangles), 1) + 10000
-    while queue:
-        if budget <= 0:
-            raise RuntimeError("edge legalization did not converge")
-        budget -= 1
-        a, b = queue.pop()
-        owners = sorted(edge_map.get((a, b), ()))
-        if len(owners) != 2:
-            continue
-        t1, t2 = owners
-        tri1, tri2 = tris[t1], tris[t2]
-        c = next(x for x in tri1 if x not in (a, b))
-        d = next(x for x in tri2 if x not in (a, b))
+    `pts` are lexicographically sorted, so the smallest point of a quad is its
+    smallest index.  `tris` are CCW.  Each round flips a set of candidate
+    edges that share no triangle; the rule is a symbolic perturbation of the
+    lifted points, so the flips converge to one triangulation.
+    """
+    tris = tris.copy()
+    for _ in range(2 * len(tris) + 1):
+        t1, k1, t2, k2 = _interior_edges(tris)
+        a = tris[t1, (k1 + 1) % 3]
+        b = tris[t1, (k1 + 2) % 3]
+        c = tris[t1, k1]
+        d = tris[t2, k2]
         pa, pb, pc, pd = pts[a], pts[b], pts[c], pts[d]
-        # orient (a, b, c) CCW for the predicate
-        if _orient(pa, pb, pc) < 0:
-            pa, pb = pb, pa
-            a, b = b, a
-        if incircle_excess(pa, pb, pc, pd) <= _FLIP_EPS:
-            continue
+        smallest = np.minimum(np.minimum(a, b), np.minimum(c, d))
+        want = ((a == smallest) | (b == smallest)) & (
+            np.abs(incircle_excess(pa, pb, pc, pd)) <= PREDICATE_EPS)
         # flip only across a strictly convex quadrilateral
-        m2 = max(
-            ((pc - pd) ** 2).sum(),
-            ((pa - pb) ** 2).sum(),
-        )
-        guard = 1e-12 * m2
-        o_a = _orient(pc, pd, pa)
-        o_b = _orient(pc, pd, pb)
-        opposite = (o_a > guard and o_b < -guard) or (o_a < -guard and o_b > guard)
-        if not (
-            opposite
-            and _orient(pa, pb, pc) > guard
-            and _orient(pa, pb, pd) < -guard
-        ):
-            continue
-        unregister(t1)
-        unregister(t2)
-        n1, n2 = next_id, next_id + 1
-        next_id += 2
-        register(n1, (a, d, c))
-        register(n2, (d, b, c))
-        for e in (key(a, c), key(a, d), key(b, c), key(b, d)):
-            queue.append(e)
-    return [tris[t] for t in sorted(tris)]
+        guard = 1e-12 * np.maximum(((pc - pd) ** 2).sum(-1), ((pa - pb) ** 2).sum(-1))
+        want &= (_cross(pc, pd, pa) < -guard) & (_cross(pc, pd, pb) > guard)
+        cand = np.flatnonzero(want)
+        if not len(cand):
+            return tris
+        used = np.zeros(len(tris), dtype=bool)
+        for e in cand.tolist():
+            if used[t1[e]] or used[t2[e]]:
+                continue
+            used[t1[e]] = used[t2[e]] = True
+            tris[t1[e]] = (a[e], d[e], c[e])
+            tris[t2[e]] = (d[e], b[e], c[e])
+    raise RuntimeError("cocircular tie flips did not converge")
 
 
 def delaunay_triangulation(points: PointSet) -> Triangulation:
@@ -256,8 +188,8 @@ def delaunay_triangulation(points: PointSet) -> Triangulation:
     Points within MERGE_EPS of an earlier point are merged away first.
     Raises DegenerateGeometryError when fewer than 3 distinct points remain
     or all points are collinear; callers substitute zeroed features.
-    Cocircular ties are broken by lexicographic insertion order, which also
-    makes the triangle set invariant under input permutation.
+    Cocircular ties are broken by the lexicographic rule of the module
+    docstring, which makes the triangle set invariant under input permutation.
     """
     reps = _merge_close(points.coords)
     if len(reps) < 3:
@@ -275,12 +207,15 @@ def delaunay_triangulation(points: PointSet) -> Triangulation:
     if cross.max() <= 1e-9 * span * span:
         raise DegenerateGeometryError("points are collinear")
 
-    raw = _scan_triangulation(sorted_pts)
-    raw = _legalize(sorted_pts, raw)
+    raw = Delaunay(sorted_pts).simplices.astype(np.int64)
+    cw = _cross(*(sorted_pts[raw[:, i]] for i in range(3))) < 0
+    raw[cw] = raw[cw][:, [0, 2, 1]]
+    raw = _canonical_ties(sorted_pts, raw)
 
     back = reps[order]
-    triangles = sorted(tuple(sorted((int(back[i]), int(back[j]), int(back[k])))) for i, j, k in raw)
-    tri = Triangulation(triangles=triangles, points=points)
+    t = np.sort(back[raw], axis=1)
+    t = t[np.lexsort(t.T[::-1])]
+    tri = Triangulation(triangles=list(map(tuple, t.tolist())), points=points)
     if len(tri.triangles) and tri.triangle_areas().min() <= 0.0:
         raise RuntimeError("triangulation produced a degenerate triangle")
     return tri
@@ -302,28 +237,49 @@ class VoronoiCells:
     cell_of: np.ndarray            # polygon index per original point
     points: PointSet
 
+    def _rings(self):
+        """All vertices, their polygon index, and the index of the next vertex."""
+        sizes = np.array([len(p) for p in self.polygons], dtype=np.int64)
+        verts = np.concatenate(self.polygons).reshape(-1, 2)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        nxt, starts = _ring_next(sizes)
+        return verts, owner, nxt, sizes, starts
+
     def areas(self) -> np.ndarray:
-        return np.array([_poly_area(p) for p in self.polygons])
+        verts, owner, nxt, sizes, _ = self._rings()
+        cross = verts[:, 0] * verts[nxt, 1] - verts[:, 1] * verts[nxt, 0]
+        return 0.5 * np.abs(np.bincount(owner, weights=cross, minlength=len(sizes)))
 
     def perimeters(self) -> np.ndarray:
-        return np.array([_poly_perimeter(p) for p in self.polygons])
+        verts, owner, nxt, sizes, _ = self._rings()
+        d = verts[nxt] - verts
+        return np.bincount(owner, weights=np.hypot(d[:, 0], d[:, 1]), minlength=len(sizes))
+
+    def chord_lengths(self) -> np.ndarray:
+        """All pairwise vertex distances within each polygon, pooled.
+
+        Computed per group of polygons with the same vertex count.
+        """
+        verts, _, _, sizes, starts = self._rings()
+        chords = []
+        for k in np.unique(sizes[sizes >= 2]).tolist():
+            ring = verts[starts[sizes == k][:, None] + np.arange(k)]
+            iu, ju = np.triu_indices(k, k=1)
+            d = ring[:, iu] - ring[:, ju]
+            chords.append(np.hypot(d[..., 0], d[..., 1]).ravel())
+        return np.concatenate(chords) if chords else np.zeros(0)
 
     def total_area(self) -> float:
         return float(self.areas().sum())
 
 
-def _poly_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def _poly_perimeter(poly: np.ndarray) -> float:
-    if len(poly) < 2:
-        return 0.0
-    d = poly - np.roll(poly, -1, axis=0)
-    return float(np.hypot(d[:, 0], d[:, 1]).sum())
+def _ring_next(sizes: np.ndarray):
+    """For rings stored back to back: each vertex's successor, and ring starts."""
+    starts = np.cumsum(sizes) - sizes
+    nxt = np.arange(1, int(sizes.sum()) + 1)
+    full = sizes > 0
+    nxt[(starts + sizes - 1)[full]] = starts[full]
+    return nxt, starts
 
 
 def _clip_halfplane(poly: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
@@ -356,49 +312,79 @@ def _clip_halfplane(poly: np.ndarray, normal: np.ndarray, offset: float) -> np.n
     return res
 
 
+def _circumcentres(tri_pts: np.ndarray):
+    """Circumcentres of (k, 3, 2) triangles, and which triangles are not flat."""
+    a = tri_pts[:, 0]
+    b = tri_pts[:, 1] - a
+    c = tri_pts[:, 2] - a
+    bl = (b * b).sum(-1)
+    cl = (c * c).sum(-1)
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    ok = np.abs(d) > 1e-12 * np.sqrt(bl * cl)
+    num = np.stack([c[:, 1] * bl - b[:, 1] * cl, b[:, 0] * cl - c[:, 0] * bl], axis=1)
+    off = np.divide(num, d[:, None], out=np.zeros_like(num), where=ok[:, None])
+    return a + off, ok
+
+
+def _rectangle_cells(gen: np.ndarray, w: float, h: float) -> list:
+    """Voronoi cells of distinct generators clipped to [0, w] x [0, h]."""
+    m = len(gen)
+    x, y = gen[:, 0], gen[:, 1]
+    images = [(-x, y, 2 * x), (2 * w - x, y, 2 * (w - x)),
+              (x, -y, 2 * y), (x, 2 * h - y, 2 * (h - y))]
+    # an image closer than MERGE_EPS to its generator would merge with it
+    kept = [gap >= MERGE_EPS for _, _, gap in images]
+    on_side = ~np.logical_and.reduce(kept)
+    pts = np.vstack([gen] + [np.column_stack([ix, iy])[k]
+                             for (ix, iy, _), k in zip(images, kept)])
+    dl = Delaunay(pts)
+    simp = dl.simplices
+    centres, ok = _circumcentres(pts[simp])
+
+    vert = simp.ravel()
+    tri = np.repeat(np.arange(len(simp)), 3)
+    own = vert < m
+    # flat triangles have no circumcentre; cells next to one are clipped instead
+    clip = on_side.copy()
+    clip[vert[own & ~ok[tri]]] = True
+    sel = own & ~clip[np.minimum(vert, m - 1)]
+    v, cc = vert[sel], centres[tri[sel]]
+    rel = cc - gen[v]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), v))
+    v, cc = v[order], cc[order]
+    # cocircular generators give one vertex several times in a row
+    nxt, _ = _ring_next(np.bincount(v, minlength=m))
+    keep = np.abs(cc[nxt] - cc).max(axis=1) >= 1e-9 * max(w, h)
+    v, cc = v[keep], cc[keep]
+    polygons = np.split(cc, np.cumsum(np.bincount(v, minlength=m))[:-1])
+
+    rect = np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]])
+    indptr, nbrs = dl.vertex_neighbor_vertices
+    for i in np.flatnonzero(clip).tolist():
+        poly = rect
+        for j in nbrs[indptr[i]:indptr[i + 1]].tolist():
+            normal = pts[j] - gen[i]
+            poly = _clip_halfplane(poly, normal, normal @ (gen[i] + pts[j]) / 2.0)
+        polygons[i] = poly
+    return polygons
+
+
 def voronoi_cells(points: PointSet) -> VoronoiCells:
     """Voronoi cells of all points, clipped to the patch rectangle.
 
     Cell of p is every location in the rectangle at least as close to p as to
-    any other point.  Implemented as half-plane clipping against bisectors in
-    order of generator distance, with an early exit once no farther generator
-    can cut the current polygon.
+    any other point.  Computed from one Delaunay triangulation of the
+    generators and their reflections across the rectangle sides.
     """
     n = len(points)
     if n < 1:
         raise ValueError("voronoi_cells needs at least one point")
     coords = points.coords
-    w, h = float(points.patch_width), float(points.patch_height)
-    rect = np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]])
-
     reps = _merge_close(coords)
     rc = coords[reps]
-    m = len(rc)
-    if m == n:
-        cell_of = np.arange(n)
-    else:
-        d = coords[:, None, :] - rc[None, :, :]
-        cell_of = np.argmin((d * d).sum(-1), axis=1)
-    polygons = []
-    for i in range(m):
-        p = rc[i]
-        poly = rect
-        if m > 1:
-            others = np.delete(np.arange(m), i)
-            d2 = ((rc[others] - p) ** 2).sum(axis=1)
-            for j in others[np.argsort(d2, kind="stable")]:
-                q = rc[j]
-                vmax = ((poly - p) ** 2).sum(axis=1).max() if len(poly) else 0.0
-                if ((q - p) ** 2).sum() > 4.0 * vmax:
-                    break
-                normal = q - p
-                offset = normal @ (p + q) / 2.0
-                poly = _clip_halfplane(poly, normal, offset)
-                if len(poly) < 3:
-                    break
-        polygons.append(poly)
+    cell_of = np.arange(n) if len(rc) == n else cKDTree(rc).query(coords)[1]
     return VoronoiCells(
-        polygons=polygons,
+        polygons=_rectangle_cells(rc, float(points.patch_width), float(points.patch_height)),
         generator_index=reps,
         cell_of=cell_of,
         points=points,

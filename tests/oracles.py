@@ -136,6 +136,41 @@ def circumcircle_violations(coords: np.ndarray, triangles, eps: float = 1e-9) ->
     return bad
 
 
+def cocircular_diagonal_violations(coords: np.ndarray, triangles, eps: float = 1e-9) -> int:
+    """Count cocircular quads whose diagonal touches the quad's smallest point.
+
+    A quad is two triangles sharing an edge, the edge being its diagonal.  It
+    counts as cocircular when the normalized determinant test puts the far
+    point within eps of the circumcircle of the other triangle.  "Smallest" is
+    lexicographic in (x, y).
+    """
+    pts = np.asarray(coords, dtype=np.float64)
+    owners: dict = {}
+    for tri in triangles:
+        for edge in itertools.combinations(sorted(tri), 2):
+            owners.setdefault(edge, []).append(set(tri))
+    bad = 0
+    for (i, j), tris in owners.items():
+        if len(tris) != 2:
+            continue
+        (k,) = tris[0] - {i, j}
+        (l,) = tris[1] - {i, j}
+        a, b, c, p = pts[i], pts[j], pts[k], pts[l]
+        if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0:
+            b, c = c, b
+        ad, bd, cd = a - p, b - p, c - p
+        det = np.linalg.det(np.array([
+            [ad[0], ad[1], ad @ ad],
+            [bd[0], bd[1], bd @ bd],
+            [cd[0], cd[1], cd @ cd],
+        ]))
+        ext = max(np.abs(np.concatenate([ad, bd, cd])).max(), 1e-300)
+        if abs(det) / ext**4 <= eps:
+            smallest = min((tuple(pts[x]), x) for x in (i, j, k, l))[1]
+            bad += smallest in (i, j)
+    return bad
+
+
 def convex_hull_area(coords: np.ndarray) -> float:
     """Monotone-chain hull area."""
     pts = np.asarray(coords, dtype=np.float64)

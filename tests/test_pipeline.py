@@ -6,6 +6,7 @@ import pytest
 from wsigraph import pipeline
 from wsigraph.pipeline import (
     ExperimentConfig,
+    SlideRecord,
     SynthParams,
     ValidationError,
     build_slide_graph,
@@ -212,6 +213,11 @@ class TestSlideGraph:
         slide = featurize_slides([slide], d_p=64.0, workers=1)[0]
         g = build_slide_graph(slide, theta=0.8, min_nuclei=20)
         assert g.num_nodes == 1
+
+    def test_slide_without_patches_rejected_by_name(self):
+        slide = SlideRecord(slide_id="empty-slide", label=0)
+        with pytest.raises(ValidationError, match="slide empty-slide has no patches"):
+            build_slide_graph(slide, theta=0.8)
 
 
 class TestConfig:
