@@ -15,11 +15,11 @@ from .features import (
 )
 from .graph import (
     UndirectedGraph,
-    bfs_distances,
     build_radius_graph,
+    canonical_edges,
     clustering_coefficients,
     connected_components,
-    eccentricities,
+    hop_distance_matrix,
     minimum_spanning_tree,
     symmetric_eigenvalues,
 )
@@ -46,10 +46,10 @@ __all__ = [
     "Triangulation",
     "UndirectedGraph",
     "VoronoiCells",
-    "bfs_distances",
     "build_glog_bank",
     "build_image_graph",
     "build_radius_graph",
+    "canonical_edges",
     "cell_graph_features",
     "clustering_coefficients",
     "connected_components",
@@ -58,7 +58,7 @@ __all__ = [
     "delaunay_triangulation",
     "density_features",
     "detect_nuclei",
-    "eccentricities",
+    "hop_distance_matrix",
     "minimum_spanning_tree",
     "mst_features",
     "patch_feature_vector",

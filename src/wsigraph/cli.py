@@ -16,9 +16,19 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import detection, gcn, pipeline
-from .pipeline import ExperimentConfig, ValidationError, load_experiment_config
+from .pipeline import (
+    DetectionParams,
+    ExperimentConfig,
+    ValidationError,
+    load_experiment_config,
+)
 
 log = logging.getLogger("wsigraph")
+
+# flag defaults come from the config dataclasses, their one source of truth
+_DETECTION = DetectionParams()
+_EXPERIMENT = ExperimentConfig()
+_TRAIN = gcn.TrainConfig()
 
 
 def _add_synth(sub):
@@ -38,12 +48,13 @@ def _add_detect(sub):
     p.add_argument("--images", required=True,
                    help="a .pgm file or a directory of .pgm files")
     p.add_argument("--out", required=True, help="output point-set CSV")
-    p.add_argument("--sigma-x", type=float, default=8.0)
-    p.add_argument("--sigma-y", type=float, default=4.0)
-    p.add_argument("--orientations", type=int, default=9)
-    p.add_argument("--bandwidth", type=int, default=7)
-    p.add_argument("--response-threshold", type=float, default=None)
-    p.add_argument("--merge-radius", type=float, default=8.0)
+    p.add_argument("--sigma-x", type=float, default=_DETECTION.sigma_x)
+    p.add_argument("--sigma-y", type=float, default=_DETECTION.sigma_y)
+    p.add_argument("--orientations", type=int, default=_DETECTION.orientations)
+    p.add_argument("--bandwidth", type=int, default=_DETECTION.bandwidth)
+    p.add_argument("--response-threshold", type=float,
+                   default=_DETECTION.response_threshold)
+    p.add_argument("--merge-radius", type=float, default=_DETECTION.merge_radius)
     p.add_argument("--patch-size", type=int, default=768)
     p.add_argument("--stride", type=int, default=None)
 
@@ -53,7 +64,7 @@ def _add_featurize(sub):
     p.add_argument("--points", required=True, help="point-set CSV")
     p.add_argument("--out", required=True, help="output feature CSV")
     p.add_argument("--patch-size", type=int, default=768)
-    p.add_argument("--d-p", type=float, default=64.0)
+    p.add_argument("--d-p", type=float, default=_EXPERIMENT.d_p)
     p.add_argument("--workers", type=int, default=0)
 
 
@@ -62,8 +73,8 @@ def _add_build_graph(sub):
     p.add_argument("--features", required=True, help="feature CSV")
     p.add_argument("--labels", default=None, help="labels CSV (slide_id,label)")
     p.add_argument("--out", required=True, help="output JSON-lines graph file")
-    p.add_argument("--theta", type=float, default=0.8)
-    p.add_argument("--min-nuclei", type=int, default=20)
+    p.add_argument("--theta", type=float, default=_EXPERIMENT.theta)
+    p.add_argument("--min-nuclei", type=int, default=_EXPERIMENT.min_nuclei_per_patch)
 
 
 def _add_train(sub):
@@ -71,11 +82,11 @@ def _add_train(sub):
     p.add_argument("--graphs", required=True, help="JSON-lines graph file")
     p.add_argument("--model", required=True, help="output checkpoint path")
     p.add_argument("--history", default=None, help="optional history JSON path")
-    p.add_argument("--learning-rate", type=float, default=2e-4)
-    p.add_argument("--batch-size", type=int, default=20)
-    p.add_argument("--epochs", type=int, default=600)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--learning-rate", type=float, default=_TRAIN.learning_rate)
+    p.add_argument("--batch-size", type=int, default=_TRAIN.batch_size)
+    p.add_argument("--epochs", type=int, default=_TRAIN.epochs)
+    p.add_argument("--dropout", type=float, default=_TRAIN.dropout_p)
+    p.add_argument("--seed", type=int, default=_TRAIN.seed)
 
 
 def _add_eval(sub):
@@ -243,8 +254,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsigraph",
         description="cell-graph featurization, slide graphs and GCN grading",
@@ -253,14 +263,19 @@ def main(argv=None) -> int:
     for add in (_add_synth, _add_detect, _add_featurize, _add_build_graph,
                 _add_train, _add_eval, _add_run):
         add(sub)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, FileNotFoundError) as e:
         log.error("%s", e)
         return 1
     except Exception as e:      # runtime failure
-        log.error("runtime failure: %s", e)
+        log.exception("runtime failure: %s", e)
         return 2
 
 

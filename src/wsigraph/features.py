@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .graph import (
     UndirectedGraph,
@@ -214,7 +215,7 @@ def mst_features(tree: UndirectedGraph) -> np.ndarray:
     """4 MST statistics: stat_summary of the tree edge lengths."""
     if tree.edge_count == 0:
         return np.zeros(4)
-    return stat_summary([w for _, _, w in tree.edges]).as_array()
+    return stat_summary(tree.w).as_array()
 
 
 def density_features(points: PointSet, cells: VoronoiCells | None = None) -> np.ndarray:
@@ -236,17 +237,18 @@ def density_features(points: PointSet, cells: VoronoiCells | None = None) -> np.
     out[1] = n
     out[2] = n / points.area
 
-    dm = points.distance_matrix()
     pos = 3
     if n >= 2:
-        sorted_d = np.sort(dm, axis=1)  # column 0 is the self-distance 0
+        tree = cKDTree(points.coords)
+        knn, _ = tree.query(points.coords, k=min(max(KNN_KS) + 1, n))  # column 0: self
         for k in KNN_KS:
             if n > k:
-                s = stat_summary(sorted_d[:, k])
+                s = stat_summary(knn[:, k])
                 out[pos:pos + 3] = (s.mean, s.sd, s.disorder)
             pos += 3
         for r in RADII:
-            counts = (dm <= r).sum(axis=1) - 1  # drop self
+            # distances <= r, minus the point itself
+            counts = tree.query_ball_point(points.coords, r, return_length=True) - 1
             s = stat_summary(counts.astype(np.float64))
             out[pos:pos + 3] = (s.mean, s.sd, s.disorder)
             pos += 3

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ValidationError
 from .image_graph import ImageGraph
 
 FORMAT_VERSION = 1
@@ -91,10 +92,6 @@ class ModelGrads:
             [np.zeros_like(w) for w in model.linear_weights],
             [np.zeros_like(b) for b in model.linear_biases],
         )
-
-    def add_scaled(self, other: "ModelGrads", scale: float) -> None:
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            mine += scale * theirs
 
 
 @dataclass
@@ -302,10 +299,17 @@ def cross_entropy_loss(probs, labels) -> float:
     return float(-np.log(np.clip(picked, 1e-12, None)).mean())
 
 
-def backward(cache, label: int):
+def _accumulate(dst: np.ndarray, term: np.ndarray, scale: float) -> None:
+    """dst += scale * term, scaling the freshly computed `term` in place."""
+    term *= scale
+    dst += term
+
+
+def backward(cache, label: int, grads: ModelGrads | None = None, scale: float = 1.0):
     """Gradients of the cross-entropy loss for one graph.
 
-    Returns (ModelGrads, input feature gradient).  Dropout masks are
+    Adds `scale` times this graph's gradients into `grads` (fresh zeros when
+    None) and returns (grads, input feature gradient).  Dropout masks are
     replayed from the forward cache.
     """
     model: GcnModel = cache["model"]
@@ -316,22 +320,23 @@ def backward(cache, label: int):
     if not (0 <= label < num_classes):
         raise ValueError("label out of range")
 
-    grads = ModelGrads.zeros_like(model)
+    if grads is None:
+        grads = ModelGrads.zeros_like(model)
 
     dlogits = probs.copy()
     dlogits[label] -= 1.0
 
     z_last = cache["last_head_in"]
-    grads.linear_weights[-1][:] = np.outer(z_last, dlogits)
-    grads.linear_biases[-1][:] = dlogits
+    _accumulate(grads.linear_weights[-1], np.outer(z_last, dlogits), scale)
+    grads.linear_biases[-1] += scale * dlogits
     dz = model.linear_weights[-1] @ dlogits
 
     for j in range(len(cache["head"]) - 1, -1, -1):
         z_in, a, mask = cache["head"][j]
         dr = dz if mask is None else dz * mask
         da = dr * (a > 0)
-        grads.linear_weights[j][:] = np.outer(z_in, da)
-        grads.linear_biases[j][:] = da
+        _accumulate(grads.linear_weights[j], np.outer(z_in, da), scale)
+        grads.linear_biases[j] += scale * da
         dz = model.linear_weights[j] @ da
 
     # split the concatenated pooled gradient back into per-layer chunks
@@ -348,7 +353,7 @@ def backward(cache, label: int):
         if dx_next is not None:
             dr += dx_next * mask if mask is not None else dx_next
         dzl = dr * (z > 0)
-        grads.gcn_weights[l][:] = s.T @ dzl
+        _accumulate(grads.gcn_weights[l], s.T @ dzl, scale)
         ds = dzl @ model.gcn_weights[l].T
         dx_next = a_hat.T @ ds
     return grads, dx_next
@@ -418,16 +423,15 @@ def train(dataset, config: TrainConfig):
         correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            acc_grads = ModelGrads.zeros_like(model)
+            batch_grads = ModelGrads.zeros_like(model)
             for gi in batch:
                 feats, a_hat, label = prepared[gi]
                 probs, cache = gcn_forward(feats, a_hat, model, train=True,
                                            rng=dropout_rng)
                 losses[gi] = cross_entropy_loss(probs, label)
                 correct += int(np.argmax(probs) == label)
-                g, _ = backward(cache, label)
-                acc_grads.add_scaled(g, 1.0 / len(batch))
-            adam_step(model, acc_grads, state, config.learning_rate)
+                backward(cache, label, batch_grads, 1.0 / len(batch))
+            adam_step(model, batch_grads, state, config.learning_rate)
         history.append({
             "epoch": epoch,
             "loss": float(losses.mean()),
@@ -500,19 +504,31 @@ def save_model(model: GcnModel, path, config: TrainConfig | None = None) -> None
 
 
 def load_model(path) -> GcnModel:
-    rec = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a checkpoint written by save_model; malformed files raise ValidationError."""
+    try:
+        rec = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{path}: checkpoint must be a JSON object")
     if rec.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {rec.get('format_version')}")
-    scaler = None
-    if rec.get("standardization"):
-        scaler = FeatureScaler(
-            mean=np.asarray(rec["standardization"]["mean"], dtype=np.float64),
-            std=np.asarray(rec["standardization"]["std"], dtype=np.float64),
+        raise ValidationError(
+            f"{path}: unsupported checkpoint format_version {rec.get('format_version')}")
+    try:
+        scaler = None
+        if rec.get("standardization"):
+            scaler = FeatureScaler(
+                mean=np.asarray(rec["standardization"]["mean"], dtype=np.float64),
+                std=np.asarray(rec["standardization"]["std"], dtype=np.float64),
+            )
+        return GcnModel(
+            gcn_weights=[np.asarray(w, dtype=np.float64) for w in rec["gcn_weights"]],
+            linear_weights=[np.asarray(w, dtype=np.float64) for w in rec["linear_weights"]],
+            linear_biases=[np.asarray(b, dtype=np.float64) for b in rec["linear_biases"]],
+            dropout_p=float(rec["dropout_p"]),
+            scaler=scaler,
         )
-    return GcnModel(
-        gcn_weights=[np.asarray(w, dtype=np.float64) for w in rec["gcn_weights"]],
-        linear_weights=[np.asarray(w, dtype=np.float64) for w in rec["linear_weights"]],
-        linear_biases=[np.asarray(b, dtype=np.float64) for b in rec["linear_biases"]],
-        dropout_p=float(rec["dropout_p"]),
-        scaler=scaler,
-    )
+    except KeyError as e:
+        raise ValidationError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError, IndexError) as e:
+        raise ValidationError(f"{path}: {e}") from e

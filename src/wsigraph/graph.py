@@ -1,67 +1,93 @@
-"""Undirected graphs over nuclei point sets and the measures patch features need."""
+"""Undirected graphs over nuclei point sets and the measures patch features need.
+
+Edges live in one vectorised store: `canonical_edges` turns (u, v, weight)
+triples into arrays with u < v, sorted by (u, v).  Both the cell graph here
+and the slide graph in `image_graph` use it.  Components, hop distances and
+spanning trees come from `scipy.sparse.csgraph`, neighbourhoods from
+`scipy.spatial.cKDTree`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist, squareform
 
 from .points import PointSet
 
 
-@dataclass
-class UndirectedGraph:
-    """Simple undirected weighted graph.
+def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, w) arrays with u < v, sorted by (u, v), from triples on n nodes.
 
-    Edges are held canonically as (u, v, weight) with u < v, no self-loops and
-    no duplicates.  Node indices refer to whatever object produced the graph
-    (for cell graphs, the point order of the PointSet).
+    `edges` is a sequence of (u, v, weight) triples or an (m, 3) array.
+    Self-loops, nodes outside 0..n-1 and repeated pairs (in either
+    orientation) are rejected.
+    """
+    e = np.asarray(edges, dtype=np.float64)
+    if e.size == 0:
+        e = e.reshape(0, 3)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError("edges must be (u, v, weight) triples")
+    a, b = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    loop = a == b
+    if loop.any():
+        raise ValueError(f"self-loop at node {a[loop.argmax()]}")
+    u, v = np.minimum(a, b), np.maximum(a, b)
+    bad = (u < 0) | (v >= n)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"edge ({a[i]}, {b[i]}) out of range for {n} nodes")
+    order = np.lexsort((v, u))
+    u, v, w = u[order], v[order], e[order, 2]
+    dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    if dup.any():
+        i = dup.argmax()
+        raise ValueError(f"duplicate edge ({u[i]}, {v[i]})")
+    return u, v, w
+
+
+class UndirectedGraph:
+    """Simple undirected graph with nonnegative edge weights.
+
+    Edges are held canonically as arrays `u`, `v`, `w` (see
+    `canonical_edges`), next to `csr`, the symmetric binary adjacency.  Node
+    indices refer to whatever object produced the graph (for cell graphs,
+    the point order of the PointSet).
     """
 
-    node_count: int
-    edges: list = field(default_factory=list)
+    def __init__(self, node_count: int, edges=()):
+        self.node_count = int(node_count)
+        self.u, self.v, self.w = canonical_edges(self.node_count, edges)
+        neg = self.w < 0
+        if neg.any():
+            i = neg.argmax()
+            raise ValueError(f"negative weight on edge ({self.u[i]}, {self.v[i]})")
+        n = self.node_count
+        self.csr = csr_matrix((np.ones(2 * self.edge_count),
+                               (np.r_[self.u, self.v], np.r_[self.v, self.u])), shape=(n, n))
 
-    def __post_init__(self):
-        canon: dict[tuple[int, int], float] = {}
-        for u, v, w in self.edges:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for {self.node_count} nodes")
-            if w < 0:
-                raise ValueError(f"negative weight on edge ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            if key in canon:
-                raise ValueError(f"duplicate edge {key}")
-            canon[key] = w
-        self.edges = [(u, v, w) for (u, v), w in sorted(canon.items())]
-        self._adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
-        for u, v, w in self.edges:
-            self._adj[u].append((v, w))
-            self._adj[v].append((u, w))
+    @property
+    def edges(self) -> list:
+        """The edges as (u, v, weight) tuples, sorted by (u, v)."""
+        return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def neighbors(self, u: int) -> list[int]:
-        return [v for v, _ in self._adj[u]]
+        return len(self.u)
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self._adj], dtype=np.int64)
+        return np.diff(self.csr.indptr).astype(np.int64)
 
     def adjacency_matrix(self, weighted: bool = False) -> np.ndarray:
         """Dense symmetric adjacency; binary 0/1 unless weighted=True."""
         a = np.zeros((self.node_count, self.node_count))
-        for u, v, w in self.edges:
-            a[u, v] = a[v, u] = w if weighted else 1.0
+        a[self.u, self.v] = a[self.v, self.u] = self.w if weighted else 1.0
         return a
 
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        return float(self.w.sum())
 
 
 def build_radius_graph(points: PointSet, d_p: float) -> UndirectedGraph:
@@ -71,125 +97,38 @@ def build_radius_graph(points: PointSet, d_p: float) -> UndirectedGraph:
     """
     if d_p <= 0:
         raise ValueError("d_p must be positive")
-    n = len(points)
-    if n == 0:
-        return UndirectedGraph(0, [])
-    dm = points.distance_matrix()
-    iu, ju = np.triu_indices(n, k=1)
-    w = dm[iu, ju]
-    keep = w < d_p
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist(), w[keep].tolist()))
-    return UndirectedGraph(n, edges)
+    c = points.coords
+    pairs = cKDTree(c).query_pairs(d_p, output_type="ndarray")
+    d = c[pairs[:, 0]] - c[pairs[:, 1]]
+    w = np.sqrt((d * d).sum(axis=1))
+    keep = w < d_p      # query_pairs also returns pairs at exactly d_p
+    return UndirectedGraph(len(points), np.column_stack([pairs[keep], w[keep]]))
 
 
 def connected_components(g: UndirectedGraph) -> np.ndarray:
     """Component label per node, labels 0..C-1 in order of first appearance."""
-    labels = np.full(g.node_count, -1, dtype=np.int64)
-    nxt = 0
-    for start in range(g.node_count):
-        if labels[start] >= 0:
-            continue
-        labels[start] = nxt
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if labels[v] < 0:
-                    labels[v] = nxt
-                    stack.append(v)
-        nxt += 1
-    return labels
-
-
-def bfs_distances(g: UndirectedGraph, source: int) -> np.ndarray:
-    """Unweighted shortest-path hop counts from source; unreachable nodes are inf."""
-    if not (0 <= source < g.node_count):
-        raise ValueError(f"source {source} out of range for {g.node_count} nodes")
-    dist = np.full(g.node_count, np.inf)
-    dist[source] = 0.0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if not np.isfinite(dist[v]):
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    _, labels = csgraph.connected_components(g.csr, directed=False)
+    return labels.astype(np.int64)
 
 
 def hop_distance_matrix(g: UndirectedGraph) -> np.ndarray:
     """All-pairs unweighted hop distances (inf across components)."""
-    n = g.node_count
-    if n == 0:
-        return np.zeros((0, 0))
-    if not g.edges:
-        d = np.full((n, n), np.inf)
-        np.fill_diagonal(d, 0.0)
-        return d
-    rows = [u for u, v, _ in g.edges] + [v for u, v, _ in g.edges]
-    cols = [v for u, v, _ in g.edges] + [u for u, v, _ in g.edges]
-    data = np.ones(2 * len(g.edges))
-    a = csr_matrix((data, (rows, cols)), shape=(n, n))
-    return shortest_path(a, method="D", directed=False, unweighted=True)
-
-
-def eccentricities(g: UndirectedGraph) -> np.ndarray:
-    """Per-node eccentricity within its own component; isolated nodes get 0."""
-    d = hop_distance_matrix(g)
-    if d.size == 0:
-        return np.zeros(0)
-    masked = np.where(np.isfinite(d), d, 0.0)
-    return masked.max(axis=1)
+    return csgraph.shortest_path(g.csr, method="D", directed=False, unweighted=True)
 
 
 def clustering_coefficients(g: UndirectedGraph) -> np.ndarray:
-    """Local clustering coefficient 2*t(v) / (deg(v)*(deg(v)-1)); deg < 2 gives 0."""
+    """Local clustering coefficient 2*t(v) / (deg(v)*(deg(v)-1)); deg < 2 gives 0.
+
+    Row v of (A @ A) * A sums to 2*t(v): each neighbourhood edge is reached
+    from both of its ends.
+    """
+    a = g.csr
+    links = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
+    deg = g.degrees()
     out = np.zeros(g.node_count)
-    nbrs = [set(g.neighbors(u)) for u in range(g.node_count)]
-    for u in range(g.node_count):
-        deg = len(nbrs[u])
-        if deg < 2:
-            continue
-        links = 0
-        for v in nbrs[u]:
-            links += len(nbrs[u] & nbrs[v])
-        # each edge inside the neighborhood counted twice in the loop above
-        out[u] = links / (deg * (deg - 1))
+    ok = deg >= 2
+    out[ok] = links[ok] / (deg[ok] * (deg[ok] - 1))
     return out
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _kruskal(n: int, cand: list[tuple[int, int, float]]) -> list[tuple[int, int, float]]:
-    uf = _UnionFind(n)
-    tree = []
-    for u, v, w in sorted(cand, key=lambda e: (e[2], e[0], e[1])):
-        if uf.union(u, v):
-            tree.append((u, v, w))
-            if len(tree) == n - 1:
-                break
-    return tree
 
 
 def minimum_spanning_tree(points: PointSet, triangulation=None) -> UndirectedGraph:
@@ -198,13 +137,14 @@ def minimum_spanning_tree(points: PointSet, triangulation=None) -> UndirectedGra
     Candidate edges come from the Delaunay triangulation when available (the
     Euclidean MST is a subset of Delaunay edges); degenerate inputs fall back
     to the complete graph.  A precomputed `triangulation` of the same points
-    avoids re-tessellating.
+    avoids re-tessellating.  Among tied trees the choice is scipy's; every
+    minimum spanning tree has the same multiset of edge weights.
     """
     n = len(points)
     if n <= 1:
-        return UndirectedGraph(n, [])
+        return UndirectedGraph(n)
     coords = points.coords
-    cand: list[tuple[int, int, float]] | None = None
+    cand = None
     if n >= 3:
         if triangulation is None:
             from .tessellation import DegenerateGeometryError, delaunay_triangulation
@@ -214,18 +154,15 @@ def minimum_spanning_tree(points: PointSet, triangulation=None) -> UndirectedGra
             except DegenerateGeometryError:
                 triangulation = None
         if triangulation is not None:
-            pairs = triangulation.edge_set()
-            used = {i for e in pairs for i in e}
-            if len(used) == n:    # near-duplicate merges leave points uncovered
-                ii = np.array([e[0] for e in pairs])
-                jj = np.array([e[1] for e in pairs])
+            ii, jj = np.asarray(triangulation.edge_set(), dtype=np.int64).T
+            # near-duplicate merges leave points uncovered
+            if np.unique(np.r_[ii, jj]).size == n:
                 w = np.hypot(*(coords[ii] - coords[jj]).T)
-                cand = list(zip(ii.tolist(), jj.tolist(), w.tolist()))
+                cand = csr_matrix((w, (ii, jj)), shape=(n, n))
     if cand is None:
-        dm = points.distance_matrix()
-        iu, ju = np.triu_indices(n, k=1)
-        cand = list(zip(iu.tolist(), ju.tolist(), dm[iu, ju].tolist()))
-    return UndirectedGraph(n, _kruskal(n, cand))
+        cand = squareform(pdist(coords))
+    tree = csgraph.minimum_spanning_tree(cand).tocoo()
+    return UndirectedGraph(n, np.column_stack([tree.row, tree.col, tree.data]))
 
 
 def symmetric_eigenvalues(m) -> np.ndarray:

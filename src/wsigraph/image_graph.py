@@ -1,49 +1,45 @@
-"""Slide-level graph: patches as nodes, cosine-similarity-thresholded edges."""
+"""Slide-level graph: patches as nodes, cosine-similarity-thresholded edges.
+
+Edges use the same array store as the cell graph (`graph.canonical_edges`);
+graphs travel between stages as JSON lines.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ValidationError
+from .graph import canonical_edges
+
 FORMAT_VERSION = 1
 
 
-@dataclass
 class ImageGraph:
     """Weighted graph over the patches of one slide.
 
-    node_features is a (num_patches, d) matrix; edges hold (i, j, weight)
-    with i < j and weight the cosine similarity that exceeded the build
-    threshold.  Isolated patches are kept as nodes without edges.
+    node_features is a (num_patches, d) matrix.  Edges are held once, as
+    the arrays `u`, `v`, `w` of `graph.canonical_edges` (u < v, sorted);
+    `w` is the cosine similarity that exceeded the build threshold, so
+    unlike cell-graph weights it may be negative.  Isolated patches are kept
+    as nodes without edges.
     """
 
-    node_features: np.ndarray
-    edges: list = field(default_factory=list)
-    label: int = -1
-    slide_id: str = ""
-
-    def __post_init__(self):
-        f = np.asarray(self.node_features, dtype=np.float64)
+    def __init__(self, node_features, edges=(), label: int = -1, slide_id: str = ""):
+        f = np.asarray(node_features, dtype=np.float64)
         if f.ndim != 2:
             raise ValueError("node_features must be a 2-D matrix")
         self.node_features = f
-        seen = set()
-        canon = []
-        for i, j, w in self.edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < len(f) and 0 <= j < len(f)):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canon.append((key[0], key[1], float(w)))
-        self.edges = sorted(canon)
+        self.u, self.v, self.w = canonical_edges(len(f), edges)
+        self.label = label
+        self.slide_id = slide_id
+
+    @property
+    def edges(self) -> list:
+        """The edges as (i, j, weight) tuples, sorted by (i, j)."""
+        return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def num_nodes(self) -> int:
@@ -51,10 +47,8 @@ class ImageGraph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric weighted adjacency (zero diagonal)."""
-        n = self.num_nodes
-        a = np.zeros((n, n))
-        for i, j, w in self.edges:
-            a[i, j] = a[j, i] = w
+        a = np.zeros((self.num_nodes, self.num_nodes))
+        a[self.u, self.v] = a[self.v, self.u] = self.w
         return a
 
 
@@ -90,8 +84,8 @@ def build_image_graph(features, theta: float, slide_id: str = "",
     iu, ju = np.triu_indices(len(f), k=1)
     w = sim[iu, ju]
     keep = w > theta
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist(), w[keep].tolist()))
-    return ImageGraph(node_features=f, edges=edges, label=label, slide_id=slide_id)
+    return ImageGraph(node_features=f, edges=np.column_stack([iu[keep], ju[keep], w[keep]]),
+                      label=label, slide_id=slide_id)
 
 
 def save_image_graphs(graphs, path) -> None:
@@ -112,7 +106,10 @@ def save_image_graphs(graphs, path) -> None:
 
 
 def load_image_graphs(path) -> list[ImageGraph]:
-    """Read a JSON-lines ImageGraph file written by save_image_graphs."""
+    """Read a JSON-lines ImageGraph file written by save_image_graphs.
+
+    Malformed records raise ValidationError naming `path:line`.
+    """
     out = []
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -123,17 +120,24 @@ def load_image_graphs(path) -> list[ImageGraph]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({e})") from e
+                raise ValidationError(f"{path}:{lineno}: invalid JSON ({e})") from e
+            if not isinstance(rec, dict):
+                raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
             version = rec.get("format_version")
             if version != FORMAT_VERSION:
-                raise ValueError(f"{path}:{lineno}: unsupported format_version {version}")
-            feats = np.asarray(rec["features"], dtype=np.float64)
-            if feats.size == 0:
-                feats = feats.reshape(0, rec.get("feature_dim", 0))
-            out.append(ImageGraph(
-                node_features=feats,
-                edges=[(int(i), int(j), float(w)) for i, j, w in rec["edges"]],
-                label=int(rec["label"]),
-                slide_id=str(rec["slide_id"]),
-            ))
+                raise ValidationError(f"{path}:{lineno}: unsupported format_version {version}")
+            try:
+                feats = np.asarray(rec["features"], dtype=np.float64)
+                if feats.size == 0:
+                    feats = feats.reshape(0, rec.get("feature_dim", 0))
+                out.append(ImageGraph(
+                    node_features=feats,
+                    edges=rec["edges"],
+                    label=int(rec["label"]),
+                    slide_id=str(rec["slide_id"]),
+                ))
+            except KeyError as e:
+                raise ValidationError(f"{path}:{lineno}: missing key {e}") from e
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"{path}:{lineno}: {e}") from e
     return out

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ValidationError
 from .features import FEATURE_NAMES, patch_feature_vector
 from .gcn import TrainConfig, evaluate, train
 from .image_graph import ImageGraph, build_image_graph, load_image_graphs, save_image_graphs
@@ -28,10 +29,6 @@ from .points import PointSet
 log = logging.getLogger("wsigraph")
 
 NUCLEI_COUNT_FEATURE = FEATURE_NAMES.index("nn_nuclei_count")
-
-
-class ValidationError(ValueError):
-    """Bad inputs or configuration, reported before any heavy work starts."""
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +334,8 @@ def import_pointsets(path, patch_size: int = 768, stride: int | None = None,
     """
     stride = stride or patch_size
     path = Path(path)
-    per_patch: dict[tuple[str, int, int], list] = {}
-    slide_order: list[str] = []
+    # slide_id -> (row, col) -> points; dicts keep first-appearance slide order
+    per_slide: dict[str, dict[tuple[int, int], list]] = {}
     with path.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -365,15 +362,12 @@ def import_pointsets(path, patch_size: int = 768, stride: int | None = None,
                 )
             if prow < 0 or pcol < 0:
                 raise ValidationError(f"{path}:{lineno}: negative patch index")
-            if slide_id not in slide_order:
-                slide_order.append(slide_id)
-            per_patch.setdefault((slide_id, prow, pcol), []).append((x, y))
-    if not per_patch:
+            per_slide.setdefault(slide_id, {}).setdefault((prow, pcol), []).append((x, y))
+    if not per_slide:
         log.warning("%s: no data rows", path)
         return []
     slides = []
-    for slide_id in slide_order:
-        keys = sorted(k for k in per_patch if k[0] == slide_id)
+    for slide_id, per_patch in per_slide.items():
         patches = [
             PatchRecord(
                 row=prow,
@@ -381,9 +375,9 @@ def import_pointsets(path, patch_size: int = 768, stride: int | None = None,
                 origin_x=pcol * stride,
                 origin_y=prow * stride,
                 size=patch_size,
-                points=PointSet(np.array(per_patch[(sid, prow, pcol)]), patch_size, patch_size),
+                points=PointSet(np.array(per_patch[prow, pcol]), patch_size, patch_size),
             )
-            for sid, prow, pcol in keys
+            for prow, pcol in sorted(per_patch)
         ]
         label = -1 if labels is None else int(labels.get(slide_id, -1))
         slides.append(SlideRecord(slide_id=slide_id, label=label, patches=patches,

@@ -51,17 +51,3 @@ class PointSet:
     @property
     def area(self) -> float:
         return float(self.patch_width) * float(self.patch_height)
-
-    def distance_matrix(self) -> np.ndarray:
-        """Pairwise Euclidean distance matrix, shape (n, n)."""
-        d = self.coords[:, None, :] - self.coords[None, :, :]
-        return np.sqrt((d * d).sum(axis=2))
-
-    def translated(self, dx: float, dy: float, width: float | None = None,
-                   height: float | None = None) -> "PointSet":
-        """Copy with all points shifted by (dx, dy), optionally into a new patch box."""
-        return PointSet(
-            self.coords + np.array([dx, dy]),
-            self.patch_width if width is None else width,
-            self.patch_height if height is None else height,
-        )

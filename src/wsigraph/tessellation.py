@@ -99,12 +99,9 @@ class Triangulation:
 
     def edge_set(self) -> list[tuple[int, int]]:
         """Unique undirected edges (u < v), sorted."""
-        edges = set()
-        for i, j, k in self.triangles:
-            edges.add((min(i, j), max(i, j)))
-            edges.add((min(j, k), max(j, k)))
-            edges.add((min(i, k), max(i, k)))
-        return sorted(edges)
+        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        pairs = np.sort(t[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+        return [tuple(e) for e in np.unique(pairs, axis=0).tolist()]
 
     def triangle_areas(self) -> np.ndarray:
         c = self.points.coords

@@ -2,9 +2,25 @@ import json
 
 import pytest
 
-from wsigraph.cli import main
+from wsigraph import cli
+from wsigraph.cli import build_parser, main
 from wsigraph.detection import render_nuclei_image, write_pgm
-from wsigraph.pipeline import SynthParams, import_pointsets, synth_slide
+from wsigraph.gcn import TrainConfig, init_model, save_model
+from wsigraph.pipeline import (
+    DetectionParams,
+    ExperimentConfig,
+    SynthParams,
+    import_pointsets,
+    synth_slide,
+)
+
+
+def graph_record(**changes):
+    rec = {"format_version": 1, "slide_id": "s", "label": 0, "num_nodes": 2,
+           "feature_dim": 2, "features": [[1.0, 0.0], [0.0, 1.0]],
+           "edges": [[0, 1, 0.5]]}
+    rec.update(changes)
+    return json.dumps(rec)
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +148,74 @@ class TestExitCodes:
         rc = main(["featurize", "--points", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "f.csv")])
         assert rc == 1
+
+
+class TestMalformedInterchange:
+    """Bad graph files and checkpoints are input errors: exit 1, named location."""
+
+    def _train(self, tmp_path, text):
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(text)
+        return main(["train", "--graphs", str(graphs), "--model",
+                     str(tmp_path / "m.json"), "--epochs", "1"]), graphs
+
+    def test_bad_json_line(self, tmp_path, caplog):
+        rc, graphs = self._train(tmp_path, graph_record() + "\n{not json\n")
+        assert rc == 1
+        assert f"{graphs}:2: invalid JSON" in caplog.text
+
+    def test_record_missing_features(self, tmp_path, caplog):
+        rec = json.loads(graph_record())
+        del rec["features"]
+        rc, graphs = self._train(tmp_path, json.dumps(rec) + "\n")
+        assert rc == 1
+        assert f"{graphs}:1: missing key 'features'" in caplog.text
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[1, 1, 0.5]], "self-loop at node 1"),
+        ([[0, 2, 0.5]], "out of range"),
+        ([[0, 1, 0.5], [1, 0, 0.5]], "duplicate edge (0, 1)"),
+        ([[0, 1]], "triples"),
+    ])
+    def test_bad_edges(self, tmp_path, caplog, edges, message):
+        rc, graphs = self._train(tmp_path, graph_record(edges=edges) + "\n")
+        assert rc == 1
+        assert f"{graphs}:1: " in caplog.text and message in caplog.text
+
+    def test_checkpoint_missing_gcn_weights(self, tmp_path, caplog):
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(graph_record() + "\n")
+        model = tmp_path / "model.json"
+        save_model(init_model(2, (4,), (3,), num_classes=2), model)
+        rec = json.loads(model.read_text())
+        del rec["gcn_weights"]
+        model.write_text(json.dumps(rec))
+        rc = main(["eval", "--graphs", str(graphs), "--model", str(model)])
+        assert rc == 1
+        assert f"{model}: missing key 'gcn_weights'" in caplog.text
+
+    def test_runtime_failure_logs_traceback(self, monkeypatch, caplog):
+        def boom(args):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", boom)
+        assert main(["eval", "--graphs", "g", "--model", "m"]) == 2
+        assert "runtime failure: disk on fire" in caplog.text
+        assert "Traceback" in caplog.text
+
+
+def test_flag_defaults_come_from_the_config_dataclasses():
+    parser = build_parser()
+    detection, experiment, train = DetectionParams(), ExperimentConfig(), TrainConfig()
+    args = parser.parse_args(["detect", "--images", "i", "--out", "o"])
+    for name in ("sigma_x", "sigma_y", "orientations", "bandwidth",
+                 "response_threshold", "merge_radius"):
+        assert getattr(args, name) == getattr(detection, name)
+    args = parser.parse_args(["featurize", "--points", "p", "--out", "o"])
+    assert args.d_p == experiment.d_p
+    args = parser.parse_args(["build-graph", "--features", "f", "--out", "o"])
+    assert (args.theta, args.min_nuclei) == (experiment.theta,
+                                             experiment.min_nuclei_per_patch)
+    args = parser.parse_args(["train", "--graphs", "g", "--model", "m"])
+    assert (args.learning_rate, args.batch_size, args.epochs, args.dropout, args.seed) == (
+        train.learning_rate, train.batch_size, train.epochs, train.dropout_p, train.seed)

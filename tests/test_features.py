@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,33 @@ from wsigraph.tessellation import delaunay_triangulation, voronoi_cells
 from oracles import floyd_warshall_hops, jacobi_eigenvalues, triangle_counts
 
 
+GOLDEN = Path(__file__).parent / "data" / "graph_features_golden.npz"
+
+
 def pset(points, w=768, h=768):
     return PointSet(np.asarray(points, dtype=float), w, h)
+
+
+def test_golden_corpus_matches_the_tuple_list_graph_layer():
+    """Features 0-17 and 38-68 of a fixed corpus.
+
+    The stored values come from the earlier graph layer (Python edge tuples,
+    BFS/DFS loops, union-find Kruskal, dense distance matrices).  The corpus
+    is the 12 patches of synth_dataset(ExperimentConfig(seed=7,
+    slides_per_class=1)), a 3-4-5 integer set with pairs at exactly d_p = 64
+    and at exactly each density radius, three random integer-pixel sets
+    with many tied distances, a collinear set (complete-graph MST fallback)
+    and sets of 1, 2 and 3 points.
+    """
+    g = np.load(GOLDEN)
+    offsets = np.concatenate([[0], np.cumsum(g["counts"])])
+    size = float(g["patch_size"])
+    for i in range(len(g["counts"])):
+        ps = PointSet(g["coords"][offsets[i]:offsets[i + 1]], size, size)
+        np.testing.assert_allclose(
+            patch_feature_vector(ps)[g["feature_indices"]], g["features"][i],
+            rtol=1e-12, atol=0,
+        )
 
 
 class TestStatSummary:

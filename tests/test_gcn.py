@@ -258,6 +258,27 @@ class TestBackward:
         grads, _ = backward(cache, 1)
         assert all(np.all(np.isfinite(p)) for p in grads.parameters())
 
+    def test_accumulating_into_batch_grads_equals_scaled_sum(self):
+        """backward(cache, label, grads, scale) adds scale times the fresh
+        per-graph gradients, with the same float operations."""
+        rng = np.random.default_rng(23)
+        model = init_model(8, (6, 6), (5,), num_classes=3, dropout_p=0.0, rng=rng)
+        caches = []
+        for label in (0, 2, 1):
+            g = toy_graph(rng, nodes=int(rng.integers(2, 7)))
+            caches.append((gcn_forward(g.node_features, normalize_adjacency(g), model)[1],
+                           label))
+        scale = 1.0 / len(caches)
+        batch = ModelGrads.zeros_like(model)
+        expected = [np.zeros_like(p) for p in model.parameters()]
+        for cache, label in caches:
+            fresh, _ = backward(cache, label)
+            for e, f in zip(expected, fresh.parameters()):
+                e += scale * f
+            assert backward(cache, label, batch, scale)[0] is batch
+        for e, got in zip(expected, batch.parameters()):
+            assert np.array_equal(e, got)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):

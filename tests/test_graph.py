@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from wsigraph.features import cell_graph_features
 from wsigraph.graph import (
     UndirectedGraph,
-    bfs_distances,
     build_radius_graph,
+    canonical_edges,
     clustering_coefficients,
     connected_components,
-    eccentricities,
     hop_distance_matrix,
     minimum_spanning_tree,
     symmetric_eigenvalues,
@@ -96,6 +96,44 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             UndirectedGraph(2, [(0, 2, 1.0)])
 
+    def test_rejects_negative_weight(self):
+        with pytest.raises(ValueError, match="negative weight on edge \\(0, 1\\)"):
+            UndirectedGraph(2, [(1, 0, -1.0)])
+
+
+class TestCanonicalEdges:
+    def test_orients_and_sorts(self):
+        u, v, w = canonical_edges(4, [(3, 1, 0.5), (0, 2, 1.5), (1, 0, 2.5)])
+        assert (u.tolist(), v.tolist(), w.tolist()) == (
+            [0, 0, 1], [1, 2, 3], [2.5, 1.5, 0.5])
+
+    def test_array_and_triples_agree(self):
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, 20, p=0.3)
+        triples = g.edges[::-1]
+        for a, b in zip(canonical_edges(20, triples), canonical_edges(20, np.array(triples))):
+            assert np.array_equal(a, b)
+
+    def test_empty(self):
+        for edges in ([], np.zeros((0, 3))):
+            u, v, w = canonical_edges(3, edges)
+            assert len(u) == len(v) == len(w) == 0
+            assert u.dtype == np.int64 and w.dtype == np.float64
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 1.0), (2, 2, 1.0)], "self-loop at node 2"),
+        ([(0, 3, 1.0)], r"edge \(0, 3\) out of range for 3 nodes"),
+        ([(-1, 1, 1.0)], r"edge \(-1, 1\) out of range for 3 nodes"),
+        ([(0, 1, 1.0), (2, 1, 1.0), (1, 0, 2.0)], r"duplicate edge \(0, 1\)"),
+        ([(0, 1)], "triples"),
+    ])
+    def test_rejections_name_the_edge(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            canonical_edges(3, edges)
+
+    def test_negative_weights_pass_through(self):
+        assert canonical_edges(2, [(0, 1, -0.5)])[2].tolist() == [-0.5]
+
 
 class TestComponentsAndDistances:
     def test_single_edge_one_component(self):
@@ -109,29 +147,33 @@ class TestComponentsAndDistances:
         labels = connected_components(g)
         assert len(set(labels.tolist())) == 3
 
+    def test_labels_in_order_of_first_appearance(self):
+        g = UndirectedGraph(7, [(1, 4, 1), (0, 5, 1), (3, 2, 1), (5, 6, 1)])
+        assert connected_components(g).tolist() == [0, 1, 2, 2, 1, 0, 0]
+
+    # hop distances from one source are a row of hop_distance_matrix
     def test_bfs_path(self):
         g = UndirectedGraph(3, [(0, 1, 1), (1, 2, 1)])
-        assert bfs_distances(g, 0).tolist() == [0, 1, 2]
+        assert hop_distance_matrix(g)[0].tolist() == [0, 1, 2]
 
     def test_bfs_unreachable_is_inf(self):
-        d = bfs_distances(UndirectedGraph(2, []), 0)
+        d = hop_distance_matrix(UndirectedGraph(2, []))[0]
         assert d[0] == 0 and np.isinf(d[1])
 
     def test_bfs_cycle(self):
         g = UndirectedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
-        assert bfs_distances(g, 0).tolist() == [0, 1, 2, 1]
+        assert hop_distance_matrix(g)[0].tolist() == [0, 1, 2, 1]
 
-    def test_bfs_source_out_of_range(self):
-        with pytest.raises(ValueError):
-            bfs_distances(UndirectedGraph(2, []), 2)
-
+    # eccentricities reach the features as their mean, max (diameter) and
+    # min over non-isolated nodes (radius): features 4, 5 and 6
     def test_eccentricities_path(self):
         g = UndirectedGraph(3, [(0, 1, 1), (1, 2, 1)])
-        ecc = eccentricities(g)
-        assert ecc.tolist() == [2, 1, 2]
+        f = cell_graph_features(g)
+        assert (f[4], f[5], f[6]) == (5 / 3, 2, 1)
 
     def test_eccentricity_single_node(self):
-        assert eccentricities(UndirectedGraph(1, [])).tolist() == [0]
+        f = cell_graph_features(UndirectedGraph(1, []))
+        assert (f[4], f[5], f[6]) == (0, 0, 0)
 
     def test_random_graphs_match_floyd_warshall(self):
         rng = np.random.default_rng(7)
@@ -141,16 +183,17 @@ class TestComponentsAndDistances:
             d = hop_distance_matrix(g)
             ref = floyd_warshall_hops(g.adjacency_matrix().astype(bool))
             assert np.array_equal(d, ref)
-            ecc = eccentricities(g)
+            f = cell_graph_features(g)
             ecc_ref = np.where(np.isfinite(ref), ref, 0.0).max(axis=1)
-            assert np.array_equal(ecc, ecc_ref)
+            assert f[4] == ecc_ref.mean() and f[5] == ecc_ref.max()
 
     def test_radius_diameter_bound_within_components(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             g = random_graph(rng, int(rng.integers(2, 30)), p=0.3)
             labels = connected_components(g)
-            ecc = eccentricities(g)
+            d = hop_distance_matrix(g)
+            ecc = np.where(np.isfinite(d), d, 0.0).max(axis=1)
             for c in set(labels.tolist()):
                 comp = np.nonzero(labels == c)[0]
                 if len(comp) < 2:
@@ -190,6 +233,23 @@ class TestClustering:
             got = clustering_coefficients(g)
             assert np.allclose(got, expected, atol=0)
             assert np.all((got >= 0) & (got <= 1))
+
+
+    def test_equals_single_division_of_triangle_counts(self):
+        """The sparse (A @ A) * A row sums are exact, so the result is bitwise
+        the one division 2 t(v) / (deg(v) (deg(v) - 1))."""
+        from oracles import triangle_counts
+
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            n = int(rng.integers(3, 40))
+            g = random_graph(rng, n, p=0.4)
+            es = {(u, v) for u, v, _ in g.edges} | {(v, u) for u, v, _ in g.edges}
+            links = 2 * triangle_counts(n, es)
+            deg = g.degrees()
+            expected = [links[i] / (deg[i] * (deg[i] - 1)) if deg[i] >= 2 else 0.0
+                        for i in range(n)]
+            assert clustering_coefficients(g).tolist() == expected
 
 
 class TestMinimumSpanningTree:

@@ -87,6 +87,19 @@ class TestBuildImageGraph:
         with pytest.raises(ValueError):
             ImageGraph(f, edges=[(0, 1, 0.9), (1, 0, 0.9)])
 
+    def test_negative_weights_allowed(self):
+        g = ImageGraph(np.ones((3, 2)), edges=[(2, 0, -0.25)])
+        assert g.edges == [(0, 2, -0.25)]
+
+    def test_adjacency_from_array_edges(self):
+        g = ImageGraph(np.ones((4, 2)), edges=np.array([[3, 1, 0.5], [0, 2, 0.75]]))
+        a = g.adjacency_matrix()
+        expected = np.zeros((4, 4))
+        expected[1, 3] = expected[3, 1] = 0.5
+        expected[0, 2] = expected[2, 0] = 0.75
+        assert np.array_equal(a, expected)
+        assert g.edges == [(0, 2, 0.75), (1, 3, 0.5)]
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from wsigraph import pipeline
 from wsigraph.pipeline import (
@@ -94,9 +95,8 @@ class TestSynth:
             d = {}
             for c in (0, 2):
                 pts = synth_slide(c, p, seed=[s, c]).patches[0].points
-                dm = pts.distance_matrix()
-                np.fill_diagonal(dm, np.inf)
-                d[c] = dm.min(axis=1).mean()
+                nn, _ = cKDTree(pts.coords).query(pts.coords, k=2)  # column 0: self
+                d[c] = nn[:, 1].mean()
             wins += d[2] < d[0]
         assert wins >= 38       # 95% of seeds
 
@@ -146,6 +146,23 @@ class TestCsvRoundTrips:
             for pa, pb in zip(a.patches, b.patches):
                 assert (pa.row, pa.col) == (pb.row, pb.col)
                 assert np.array_equal(pa.points.coords, pb.points.coords)
+
+    def test_interleaved_rows_group_by_slide_in_first_appearance_order(self, tmp_path):
+        rows = [("b", 1, 0, 1.0, 1.0), ("a", 0, 1, 2.0, 2.0), ("b", 0, 0, 3.0, 3.0),
+                ("c", 0, 0, 4.0, 4.0), ("a", 0, 0, 5.0, 5.0), ("b", 1, 0, 6.0, 6.0),
+                ("a", 0, 1, 7.0, 7.0), ("c", 0, 0, 8.0, 8.0)]
+        path = tmp_path / "points.csv"
+        path.write_text("slide_id,patch_row,patch_col,x,y\n"
+                        + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        back = import_pointsets(path, patch_size=16)
+        assert [s.slide_id for s in back] == ["b", "a", "c"]
+        got = {s.slide_id: [((p.row, p.col), p.points.coords[:, 0].tolist())
+                            for p in s.patches] for s in back}
+        assert got == {
+            "b": [((0, 0), [3.0]), ((1, 0), [1.0, 6.0])],
+            "a": [((0, 0), [5.0]), ((0, 1), [2.0, 7.0])],
+            "c": [((0, 0), [4.0, 8.0])],
+        }
 
     def test_empty_file_warns_and_returns_nothing(self, tmp_path, caplog):
         path = tmp_path / "empty.csv"
