@@ -19,7 +19,7 @@ from .graph import (
     canonical_edges,
     clustering_coefficients,
     connected_components,
-    hop_distance_matrix,
+    hop_statistics,
     minimum_spanning_tree,
     symmetric_eigenvalues,
 )
@@ -58,7 +58,7 @@ __all__ = [
     "delaunay_triangulation",
     "density_features",
     "detect_nuclei",
-    "hop_distance_matrix",
+    "hop_statistics",
     "minimum_spanning_tree",
     "mst_features",
     "patch_feature_vector",

@@ -215,6 +215,12 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     graphs = pipeline.import_graphs(args.graphs)
     model = gcn.load_model(args.model)
+    for g in graphs:
+        width = g.node_features.shape[1]
+        if width != model.input_dim:
+            raise ValidationError(
+                f"{args.graphs}: slide {g.slide_id} has {width} features per node, "
+                f"but {args.model} expects {model.input_dim}")
     result = gcn.evaluate(model, graphs)
     metrics = {"accuracy": result.accuracy, "confusion": result.confusion.tolist(),
                "predictions": result.predictions.tolist()}

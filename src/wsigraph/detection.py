@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import maximum_filter
 from scipy.signal import fftconvolve
+from scipy.spatial import cKDTree
 
 from .points import PointSet
 
@@ -129,8 +130,10 @@ def detect_nuclei(img: GrayImage, bank: GLoGBank,
 
     response_threshold defaults to 0.1 * the maximum response of this image;
     a blank image (max response below 1e-6) yields an empty PointSet.  Maxima
-    closer than merge_radius are merged, keeping the strongest (ties resolve
-    by row, then column).
+    closer than merge_radius are merged greedily: going down the maxima from
+    the strongest (ties resolve by row, then column), each is kept unless a
+    kept maximum lies strictly closer than merge_radius.  A dropped maximum
+    suppresses nothing.  Points come out in that strength order.
     """
     resp = bank_response(img, bank)
     if response_threshold is None:
@@ -140,18 +143,32 @@ def detect_nuclei(img: GrayImage, bank: GLoGBank,
         response_threshold = 0.1 * peak
     local_max = maximum_filter(resp, size=3, mode="nearest")
     rows, cols = np.nonzero((resp >= local_max) & (resp > response_threshold))
-    if len(rows) == 0:
-        return PointSet(np.zeros((0, 2)), img.width, img.height)
-    values = resp[rows, cols]
+    xy = _merge_maxima(rows, cols, resp[rows, cols], merge_radius)
+    return PointSet(xy, img.width, img.height)
+
+
+def _merge_maxima(rows, cols, values, merge_radius: float) -> np.ndarray:
+    """(x, y) of the maxima kept by the greedy merge, strongest first.
+
+    Going down the maxima by decreasing value (ties by row, then column), a
+    maximum is kept unless a kept one lies strictly closer than
+    merge_radius; a dropped maximum suppresses nothing.  Only the pairs
+    within merge_radius (one `cKDTree.query_pairs`) are visited, and only a
+    maximum that heads such a pair takes a Python step.
+    """
     order = np.lexsort((cols, rows, -values))
-    kept: list[tuple[float, float]] = []
-    r2 = merge_radius * merge_radius
-    for idx in order:
-        x, y = float(cols[idx]), float(rows[idx])
-        if any((x - kx) ** 2 + (y - ky) ** 2 < r2 for kx, ky in kept):
-            continue
-        kept.append((x, y))
-    return PointSet(np.asarray(kept, dtype=np.float64), img.width, img.height)
+    xy = np.column_stack([cols[order], rows[order]]).astype(np.float64)
+    pairs = cKDTree(xy).query_pairs(merge_radius, output_type="ndarray")
+    d = xy[pairs[:, 0]] - xy[pairs[:, 1]]
+    pairs = pairs[(d * d).sum(axis=1) < merge_radius * merge_radius]
+    pairs = pairs[np.argsort(pairs[:, 0])]      # (i, j), i < j: i is the stronger
+    heads, starts = np.unique(pairs[:, 0], return_index=True)
+    ends = np.r_[starts[1:], len(pairs)]
+    dropped = np.zeros(len(xy), dtype=bool)
+    for i, a, b in zip(heads.tolist(), starts.tolist(), ends.tolist()):
+        if not dropped[i]:
+            dropped[pairs[a:b, 1]] = True
+    return xy[~dropped]
 
 
 # ---------------------------------------------------------------------------

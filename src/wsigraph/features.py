@@ -23,7 +23,7 @@ from .graph import (
     build_radius_graph,
     clustering_coefficients,
     connected_components,
-    hop_distance_matrix,
+    hop_statistics,
     minimum_spanning_tree,
     symmetric_eigenvalues,
 )
@@ -147,14 +147,12 @@ def cell_graph_features(g: UndirectedGraph) -> np.ndarray:
     labels = connected_components(g)
     sizes = np.bincount(labels)
 
-    d = hop_distance_matrix(g)
-    finite = np.isfinite(d)
-    ecc = np.where(finite, d, 0.0).max(axis=1)
+    ecc, dist_sum, reached = hop_statistics(g)
     diameter = float(ecc.max())
     non_isolated = deg > 0
     radius = float(ecc[non_isolated].min()) if non_isolated.any() else 0.0
-    off = finite & ~np.eye(n, dtype=bool)
-    apl = float(d[off].mean()) if off.any() else 0.0
+    pairs = int(reached.sum()) - n     # ordered connected pairs u != v
+    apl = int(dist_sum.sum()) / pairs if pairs else 0.0
     central = ecc == radius
 
     a = g.adjacency_matrix()

@@ -2,9 +2,10 @@
 
 Edges live in one vectorised store: `canonical_edges` turns (u, v, weight)
 triples into arrays with u < v, sorted by (u, v).  Both the cell graph here
-and the slide graph in `image_graph` use it.  Components, hop distances and
-spanning trees come from `scipy.sparse.csgraph`, neighbourhoods from
-`scipy.spatial.cKDTree`.
+and the slide graph in `image_graph` use it.  Components and spanning trees
+come from `scipy.sparse.csgraph`, neighbourhoods from `scipy.spatial.cKDTree`.
+Hop measures come from a bit-parallel BFS over all sources at once
+(`hop_statistics`), so no n x n distance matrix is ever built.
 """
 
 from __future__ import annotations
@@ -111,9 +112,46 @@ def connected_components(g: UndirectedGraph) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def hop_distance_matrix(g: UndirectedGraph) -> np.ndarray:
-    """All-pairs unweighted hop distances (inf across components)."""
-    return csgraph.shortest_path(g.csr, method="D", directed=False, unweighted=True)
+def hop_statistics(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node hop eccentricity, hop-distance sum and reach count.
+
+    Returns int64 arrays (ecc, dist_sum, reached): over the nodes s in v's
+    component, ecc[v] is the largest hop distance d(v, s), dist_sum[v] the
+    sum of d(v, s), and reached[v] their number (v itself included).
+
+    All n breadth-first searches run at once (multi-source BFS after Then et
+    al., "The More the Merrier", PVLDB 2014).  Row v of `seen` is a bitset
+    of the sources whose search has reached v, n x ceil(n/64) uint64 words
+    in all.  Each level ORs the frontier rows of every node's neighbours in
+    one `reduceat` and keeps the bits not seen before.  Hop distance is
+    symmetric, so a bit that row v gains at level L is a source at distance
+    L from v.
+    """
+    n = g.node_count
+    ecc = np.zeros(n, dtype=np.int64)
+    dist_sum = np.zeros(n, dtype=np.int64)
+    node = np.arange(n)
+    seen = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    seen[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
+    indptr, indices = g.csr.indptr, g.csr.indices
+    rows = np.flatnonzero(np.diff(indptr))
+    front = seen
+    level = 0
+    while rows.size:
+        level += 1
+        nxt = np.zeros_like(seen)
+        nxt[rows] = np.bitwise_or.reduceat(front[indices], indptr[rows], axis=0)
+        nxt &= ~seen
+        new = np.bitwise_count(nxt).sum(axis=1, dtype=np.int64)
+        gained = new > 0
+        if not gained.any():
+            break
+        ecc[gained] = level
+        dist_sum += level * new
+        seen |= nxt
+        front = nxt
+    reached = np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
+    return ecc, dist_sum, reached
 
 
 def clustering_coefficients(g: UndirectedGraph) -> np.ndarray:

@@ -397,7 +397,12 @@ def export_features(slides, path) -> None:
 
 
 def import_features(path, labels: dict | None = None) -> list:
-    """Read a feature CSV back into SlideRecords (features only, no points)."""
+    """Read a feature CSV back into SlideRecords (features only, no points).
+
+    With `labels`, every labelled slide must have feature rows: a slide
+    whose patches were all empty writes none, and would otherwise drop out
+    with its label.
+    """
     path = Path(path)
     slides: dict[str, SlideRecord] = {}
     with path.open("r", newline="", encoding="utf-8") as fh:
@@ -423,6 +428,10 @@ def import_features(path, labels: dict | None = None) -> list:
             ))
             rec.patches.append(PatchRecord(row=prow, col=pcol, origin_x=0, origin_y=0,
                                            size=0, features=vec))
+    missing = [sid for sid in labels or () if sid not in slides]
+    if missing:
+        raise ValidationError(
+            f"{path}: no feature rows for labelled slides {', '.join(missing)}")
     for rec in slides.values():
         rec.patches.sort(key=lambda p: (p.row, p.col))
     return list(slides.values())

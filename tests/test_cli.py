@@ -5,6 +5,7 @@ import pytest
 from wsigraph import cli
 from wsigraph.cli import build_parser, main
 from wsigraph.detection import render_nuclei_image, write_pgm
+from wsigraph.features import FEATURE_NAMES
 from wsigraph.gcn import TrainConfig, init_model, save_model
 from wsigraph.pipeline import (
     DetectionParams,
@@ -193,6 +194,30 @@ class TestMalformedInterchange:
         rc = main(["eval", "--graphs", str(graphs), "--model", str(model)])
         assert rc == 1
         assert f"{model}: missing key 'gcn_weights'" in caplog.text
+
+    def test_eval_with_wrong_feature_width(self, tmp_path, caplog):
+        rc, _ = self._train(tmp_path, graph_record() + "\n")
+        assert rc == 0
+        graphs = tmp_path / "wide.jsonl"
+        graphs.write_text(graph_record(slide_id="wide", feature_dim=3,
+                                       features=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) + "\n")
+        model = tmp_path / "m.json"
+        rc = main(["eval", "--graphs", str(graphs), "--model", str(model)])
+        assert rc == 1
+        assert (f"{graphs}: slide wide has 3 features per node, but {model} expects 2"
+                in caplog.text)
+
+    def test_labelled_slides_without_feature_rows(self, tmp_path, caplog):
+        features = tmp_path / "features.csv"
+        features.write_text(",".join(["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES)
+                            + "\n" + ",".join(["s1", "0", "0"] + ["0.5"] * 69) + "\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("slide_id,label\nempty,0\ns1,1\ngone,2\n")
+        rc = main(["build-graph", "--features", str(features), "--labels", str(labels),
+                   "--out", str(tmp_path / "graphs.jsonl")])
+        assert rc == 1
+        assert f"{features}: no feature rows for labelled slides empty, gone" in caplog.text
+        assert not (tmp_path / "graphs.jsonl").exists()
 
     def test_runtime_failure_logs_traceback(self, monkeypatch, caplog):
         def boom(args):

@@ -3,6 +3,7 @@ import pytest
 
 from wsigraph.detection import (
     GrayImage,
+    _merge_maxima,
     bank_response,
     build_glog_bank,
     detect_nuclei,
@@ -141,6 +142,73 @@ class TestDetect:
                                   amplitude=0.7)
         det = detect_nuclei(img, bank, merge_radius=8.0)
         assert len(det) == 1
+
+
+def brute_force_merge(rows, cols, values, merge_radius):
+    """Greedy merge by definition: strongest first (ties by row, then column),
+    keep a maximum unless a kept one is strictly closer than merge_radius."""
+    order = sorted(range(len(rows)), key=lambda i: (-values[i], rows[i], cols[i]))
+    kept = []
+    for i in order:
+        x, y = float(cols[i]), float(rows[i])
+        if all((x - kx) * (x - kx) + (y - ky) * (y - ky) >= merge_radius * merge_radius
+               for kx, ky in kept):
+            kept.append((x, y))
+    return np.array(kept, dtype=np.float64).reshape(-1, 2)
+
+
+class TestMerge:
+    """The cKDTree merge behind detect_nuclei against the greedy definition."""
+
+    @staticmethod
+    def check(rows, cols, values, merge_radius=8.0):
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        got = _merge_maxima(rows, cols, values, merge_radius)
+        want = brute_force_merge(rows.tolist(), cols.tolist(), values.tolist(), merge_radius)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        return got
+
+    def test_empty(self):
+        assert self.check([], [], []).shape == (0, 2)
+
+    def test_pair_at_exactly_merge_radius_is_kept(self):
+        got = self.check([0, 0, 8, 3], [0, 8, 0, 4], [4.0, 3.0, 2.0, 1.0])
+        # (4, 3) is 5 from (0, 0); the axis pairs are exactly 8 apart
+        assert got.tolist() == [[0, 0], [8, 0], [0, 8]]
+        got = self.check([0, 3], [0, 4], [2.0, 1.0], merge_radius=5.0)
+        assert got.tolist() == [[0, 0], [4, 3]]
+
+    def test_dropped_point_does_not_suppress(self):
+        # B is within 8 of A and of C; A drops B, so C (12 from A) stays
+        got = self.check([0, 0, 0], [0, 6, 12], [3.0, 2.0, 1.0])
+        assert got.tolist() == [[0, 0], [12, 0]]
+        # a chain of drops and keeps: every other point survives
+        cols = np.arange(0, 60, 6)
+        got = self.check(np.zeros(10), cols, -cols.astype(float))
+        assert got[:, 0].tolist() == cols[::2].tolist()
+
+    def test_equal_responses_resolve_by_row_then_column(self):
+        got = self.check([5, 3, 3, 20], [2, 7, 4, 20], [1.0, 1.0, 1.0, 0.5])
+        assert got.tolist() == [[4, 3], [20, 20]]
+        got = self.check([3, 3], [7, 4], [1.0, 2.0])
+        assert got.tolist() == [[4, 3]]
+
+    def test_seeded_clusters_match_brute_force(self):
+        rng = np.random.default_rng(11)
+        merged = 0
+        for trial in range(60):
+            centres = rng.integers(0, 120, (int(rng.integers(1, 12)), 2))
+            offsets = rng.integers(-5, 6, (int(rng.integers(1, 80)), 2))
+            pts = centres[rng.integers(0, len(centres), len(offsets))] + offsets
+            pts = np.unique(pts, axis=0)      # maxima sit on distinct pixels
+            rows, cols = pts[:, 0], pts[:, 1]
+            # few distinct levels, so equal responses are common
+            values = rng.integers(0, 4, len(pts)).astype(np.float64)
+            radius = float(rng.choice([3.0, 5.0, 8.0, 8.5]))
+            got = self.check(rows, cols, values, radius)
+            merged += len(pts) - len(got)
+        assert merged > 500
 
 
 class TestPgm:

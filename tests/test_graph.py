@@ -8,7 +8,7 @@ from wsigraph.graph import (
     canonical_edges,
     clustering_coefficients,
     connected_components,
-    hop_distance_matrix,
+    hop_statistics,
     minimum_spanning_tree,
     symmetric_eigenvalues,
 )
@@ -151,18 +151,62 @@ class TestComponentsAndDistances:
         g = UndirectedGraph(7, [(1, 4, 1), (0, 5, 1), (3, 2, 1), (5, 6, 1)])
         assert connected_components(g).tolist() == [0, 1, 2, 2, 1, 0, 0]
 
-    # hop distances from one source are a row of hop_distance_matrix
+    # hop_statistics gives, per node, the largest hop distance, the sum of hop
+    # distances and the number of nodes reached (itself included)
     def test_bfs_path(self):
         g = UndirectedGraph(3, [(0, 1, 1), (1, 2, 1)])
-        assert hop_distance_matrix(g)[0].tolist() == [0, 1, 2]
+        ecc, dist_sum, reached = hop_statistics(g)
+        assert (ecc.tolist(), dist_sum.tolist(), reached.tolist()) == (
+            [2, 1, 2], [3, 2, 3], [3, 3, 3])
 
     def test_bfs_unreachable_is_inf(self):
-        d = hop_distance_matrix(UndirectedGraph(2, []))[0]
-        assert d[0] == 0 and np.isinf(d[1])
+        """Unreachable nodes count neither in the distances nor in the reach."""
+        ecc, dist_sum, reached = hop_statistics(UndirectedGraph(2, []))
+        assert (ecc.tolist(), dist_sum.tolist(), reached.tolist()) == (
+            [0, 0], [0, 0], [1, 1])
 
     def test_bfs_cycle(self):
         g = UndirectedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
-        assert hop_distance_matrix(g)[0].tolist() == [0, 1, 2, 1]
+        ecc, dist_sum, reached = hop_statistics(g)
+        assert (ecc.tolist(), dist_sum.tolist(), reached.tolist()) == (
+            [2] * 4, [4] * 4, [4] * 4)
+
+    def test_returns_int64_per_node(self):
+        for n in (0, 5):
+            for a in hop_statistics(UndirectedGraph(n, [])):
+                assert a.dtype == np.int64 and a.shape == (n,)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_word_boundaries_edge_free(self, n):
+        ecc, dist_sum, reached = hop_statistics(UndirectedGraph(n, []))
+        assert not ecc.any() and not dist_sum.any()
+        assert reached.tolist() == [1] * n
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+    def test_word_boundaries_path(self, n):
+        """A path across the bitset word boundaries: d(v, s) = |v - s|."""
+        g = UndirectedGraph(n, [(i, i + 1, 1) for i in range(n - 1)])
+        v = np.arange(n)
+        ecc, dist_sum, reached = hop_statistics(g)
+        assert ecc.tolist() == np.maximum(v, n - 1 - v).tolist()
+        assert dist_sum.tolist() == (v * (v + 1) // 2 + (n - 1 - v) * (n - v) // 2).tolist()
+        assert reached.tolist() == [n] * n
+
+    def test_isolated_nodes_between_non_empty_rows(self):
+        """Degree-0 rows sit between neighbour lists, including at both ends
+        and around the 64-node word boundary."""
+        n = 130
+        edges = [(1, 2, 1), (2, 4, 1), (62, 66, 1), (66, 128, 1)]
+        g = UndirectedGraph(n, edges)
+        ecc, dist_sum, reached = hop_statistics(g)
+        ref = floyd_warshall_hops(g.adjacency_matrix().astype(bool))
+        finite = np.isfinite(ref)
+        hops = np.where(finite, ref, 0.0)
+        assert ecc.tolist() == hops.max(axis=1).tolist()
+        assert dist_sum.tolist() == hops.sum(axis=1).tolist()
+        assert reached.tolist() == finite.sum(axis=1).tolist()
+        assert (ecc[[0, 3, 64, 129]] == 0).all() and (reached[[0, 3, 64, 129]] == 1).all()
+        assert (ecc[1], dist_sum[1], reached[1]) == (2, 3, 3)
 
     # eccentricities reach the features as their mean, max (diameter) and
     # min over non-isolated nodes (radius): features 4, 5 and 6
@@ -177,23 +221,33 @@ class TestComponentsAndDistances:
 
     def test_random_graphs_match_floyd_warshall(self):
         rng = np.random.default_rng(7)
+        graphs = []
         for _ in range(40):
             n = int(rng.integers(1, 41))
-            g = random_graph(rng, n, p=0.15)
-            d = hop_distance_matrix(g)
+            graphs.append(random_graph(rng, n, p=0.15))
+        # sparse graphs across the bitset word boundaries: long paths, several
+        # components and isolated nodes
+        graphs += [random_graph(rng, n, p=2.0 / n) for n in (63, 64, 65, 130)]
+        for g in graphs:
+            n = g.node_count
             ref = floyd_warshall_hops(g.adjacency_matrix().astype(bool))
-            assert np.array_equal(d, ref)
+            finite = np.isfinite(ref)
+            hops = np.where(finite, ref, 0.0)
+            ecc, dist_sum, reached = hop_statistics(g)
+            assert np.array_equal(ecc, hops.max(axis=1))
+            assert np.array_equal(dist_sum, hops.sum(axis=1))
+            assert np.array_equal(reached, finite.sum(axis=1))
             f = cell_graph_features(g)
-            ecc_ref = np.where(np.isfinite(ref), ref, 0.0).max(axis=1)
-            assert f[4] == ecc_ref.mean() and f[5] == ecc_ref.max()
+            assert f[4] == hops.max(axis=1).mean() and f[5] == hops.max()
+            off = finite & ~np.eye(n, dtype=bool)
+            assert f[7] == (ref[off].mean() if off.any() else 0.0)
 
     def test_radius_diameter_bound_within_components(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             g = random_graph(rng, int(rng.integers(2, 30)), p=0.3)
             labels = connected_components(g)
-            d = hop_distance_matrix(g)
-            ecc = np.where(np.isfinite(d), d, 0.0).max(axis=1)
+            ecc = hop_statistics(g)[0]
             for c in set(labels.tolist()):
                 comp = np.nonzero(labels == c)[0]
                 if len(comp) < 2:
