@@ -87,6 +87,8 @@ def _add_train(sub):
     p.add_argument("--epochs", type=int, default=_TRAIN.epochs)
     p.add_argument("--dropout", type=float, default=_TRAIN.dropout_p)
     p.add_argument("--seed", type=int, default=_TRAIN.seed)
+    p.add_argument("--num-classes", type=int, default=_TRAIN.num_classes,
+                   help="classes the model predicts (default: highest label + 1)")
 
 
 def _add_eval(sub):
@@ -201,8 +203,13 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_train(args) -> int:
     graphs = pipeline.import_graphs(args.graphs)
+    top = max((g.label for g in graphs), default=-1)
+    if args.num_classes is not None and top >= args.num_classes:
+        raise ValidationError(
+            f"{args.graphs}: --num-classes {args.num_classes} leaves no class for label {top}")
     cfg = gcn.TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
-                          epochs=args.epochs, dropout_p=args.dropout, seed=args.seed)
+                          epochs=args.epochs, dropout_p=args.dropout, seed=args.seed,
+                          num_classes=args.num_classes)
     model, history = gcn.train(graphs, cfg)
     gcn.save_model(model, args.model, config=cfg)
     if args.history:

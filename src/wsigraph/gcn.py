@@ -7,12 +7,28 @@ concatenated; a stack of linear+ReLU+dropout layers and a final linear map
 feed a softmax.  Gradients are exact reverse-mode derivatives of this
 computation (dropout masks replayed from the forward cache), optimized with
 Adam.  Everything runs in float64.
+
+Graphs run in passes.  A pass stacks the node rows of consecutive graphs, up
+to PASS_NODES nodes, and runs each weight product, ReLU, dropout, head layer
+and the softmax once over the stack.  Only the propagation A_hat @ X runs per
+graph, as one dense product written into the stacked buffer; the first
+layer's is computed once per graph, as its input never changes.  Mean
+pooling is one product with a (graphs x nodes) 0/1 pooling matrix and its
+gradient a repeat of each graph's row.  A training batch adds each pass's
+gradient, scaled by 1/batch size, into one flat gradient vector.  The
+parameters are views into one contiguous vector (GcnModel.flat) with the
+same layout, so an Adam step is a few in-place vector operations.
+Dropout masks are drawn per graph in batch order, GCN layers first and then
+head layers, so the random stream is the same however a batch splits into
+passes, and the same as drawing them graph by graph.  gcn_forward,
+backward, predict_proba and evaluate run the same passes, on a batch of one
+or over the whole evaluation set.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,19 +38,31 @@ from .image_graph import ImageGraph
 
 FORMAT_VERSION = 1
 
+# Node rows per pass.  Below a few hundred nodes the Python overhead per graph
+# dominates a pass; above that its products do, and the pass cache (several
+# stacked node matrices per GCN layer) only grows.  Passes of a whole batch of
+# six 400-node graphs raised peak RSS from 154 to 176 MB and slowed training
+# by a sixth against one graph per pass (1 BLAS thread, 2-core Xeon).
+PASS_NODES = 512
+
 
 # ---------------------------------------------------------------------------
 # model parameters and state
 
 @dataclass
 class GcnModel:
-    """All learnable parameters; weights are (in_dim, out_dim) matrices."""
+    """All learnable parameters; weights are (in_dim, out_dim) matrices.
+
+    The parameters are views into one contiguous float64 vector, `flat`, in
+    the order of parameters(); gradients and Adam moments share its layout.
+    """
 
     gcn_weights: list
     linear_weights: list
     linear_biases: list
     dropout_p: float = 0.3
     scaler: "FeatureScaler | None" = None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.dropout_p < 1.0):
@@ -51,9 +79,11 @@ class GcnModel:
         for a, b in zip(self.gcn_weights[:-1], self.gcn_weights[1:]):
             if a.shape[1] != b.shape[0]:
                 raise ValueError("inconsistent GCN dims")
-        for p in self.parameters():
-            if not np.all(np.isfinite(p)):
-                raise ValueError("parameters must be finite")
+        self.flat = np.concatenate(
+            [np.asarray(p, dtype=np.float64).ravel() for p in self.parameters()])
+        if not np.all(np.isfinite(self.flat)):
+            raise ValueError("parameters must be finite")
+        self.gcn_weights, self.linear_weights, self.linear_biases = self.unflatten(self.flat)
 
     @property
     def input_dim(self) -> int:
@@ -75,39 +105,14 @@ class GcnModel:
     def parameters(self) -> list:
         return list(self.gcn_weights) + list(self.linear_weights) + list(self.linear_biases)
 
-
-@dataclass
-class ModelGrads:
-    gcn_weights: list
-    linear_weights: list
-    linear_biases: list
-
-    def parameters(self) -> list:
-        return list(self.gcn_weights) + list(self.linear_weights) + list(self.linear_biases)
-
-    @classmethod
-    def zeros_like(cls, model: GcnModel) -> "ModelGrads":
-        return cls(
-            [np.zeros_like(w) for w in model.gcn_weights],
-            [np.zeros_like(w) for w in model.linear_weights],
-            [np.zeros_like(b) for b in model.linear_biases],
-        )
-
-
-@dataclass
-class AdamState:
-    """First/second moment accumulators per parameter, plus the timestep."""
-
-    m: list
-    v: list
-    t: int = 0
-
-    @classmethod
-    def for_model(cls, model: GcnModel) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in model.parameters()],
-            v=[np.zeros_like(p) for p in model.parameters()],
-        )
+    def unflatten(self, vec: np.ndarray) -> tuple[list, list, list]:
+        """Views of a vector laid out like `flat`: (gcn weights, linear weights, biases)."""
+        views, pos = [], 0
+        for p in self.parameters():
+            views.append(vec[pos:pos + p.size].reshape(p.shape))
+            pos += p.size
+        ng, nl = len(self.gcn_weights), len(self.linear_weights)
+        return views[:ng], views[ng:ng + nl], views[ng + nl:]
 
 
 @dataclass
@@ -203,18 +208,7 @@ def normalize_adjacency(g: ImageGraph) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def gcn_forward(features, a_hat, model: GcnModel, train: bool = False,
-                rng: np.random.Generator | None = None):
-    """One slide-graph forward pass.
-
-    Returns (class probabilities, cache).  The cache carries every
-    intermediate needed by backward(); eval mode disables dropout.
-    """
+def _node_matrix(features, model: GcnModel) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(
@@ -222,62 +216,174 @@ def gcn_forward(features, a_hat, model: GcnModel, train: bool = False,
         )
     if len(x) == 0:
         raise ValueError("graph has no nodes")
+    return x
+
+
+def _prepare(dataset, model: GcnModel) -> list:
+    """(A_hat @ X, A_hat) per graph, X standardized by model.scaler.
+
+    The first propagation never changes during training, so it is done once.
+    """
+    prepared = []
+    for g in dataset:
+        x = model.scaler.transform(g.node_features) if model.scaler else g.node_features
+        x = _node_matrix(x, model)
+        a_hat = normalize_adjacency(g)
+        prepared.append((a_hat @ x, a_hat))
+    return prepared
+
+
+def _passes(batch, sizes) -> list:
+    """Split the graph indices `batch`, in order, into runs of at most
+    PASS_NODES nodes (`sizes[i]` each), with at least one graph per run."""
+    runs, run, nodes = [], [], 0
+    for i in batch:
+        if run and nodes + sizes[i] > PASS_NODES:
+            runs.append(run)
+            run, nodes = [], 0
+        run.append(i)
+        nodes += sizes[i]
+    if run:
+        runs.append(run)
+    return runs
+
+
+def _forward(model: GcnModel, graphs, train: bool = False,
+             rng: np.random.Generator | None = None) -> dict:
+    """One pass over `graphs`, a list of (A_hat @ X, A_hat) pairs.
+
+    Returns the cache that _backward replays; cache["probs"] holds one row
+    of class probabilities per graph.
+    """
+    p = model.dropout_p
+    dropout = train and p > 0.0
+    if dropout and rng is None:
+        raise ValueError("training with dropout requires an rng")
+    sizes = np.array([len(a_hat) for _, a_hat in graphs])
+    ends = np.cumsum(sizes).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    n_graphs, n_nodes = len(graphs), ends[-1]
+    gcn_w, head_w, head_b = model.gcn_weights, model.linear_weights, model.linear_biases
+
+    gcn_masks, head_masks = [], []
+    if dropout:
+        gcn_masks = [np.empty((n_nodes, w.shape[1])) for w in gcn_w[:-1]]
+        head_masks = [np.empty((n_graphs, w.shape[1])) for w in head_w[:-1]]
+        for g, (lo, hi) in enumerate(spans):
+            for m in gcn_masks:
+                rng.random(out=m[lo:hi])
+            for m in head_masks:
+                rng.random(out=m[g])
+        gcn_masks = [(m >= p) / (1.0 - p) for m in gcn_masks]
+        head_masks = [(m >= p) / (1.0 - p) for m in head_masks]
+
+    pool = np.zeros((n_graphs, n_nodes))
+    pool[np.repeat(np.arange(n_graphs), sizes), np.arange(n_nodes)] = 1.0
+    pooled = np.empty((n_graphs, sum(w.shape[1] for w in gcn_w)))
+    layers = []
+    s = np.concatenate([s0 for s0, _ in graphs])
+    col = 0
+    for l, w in enumerate(gcn_w):
+        if l:
+            s = np.empty_like(x)
+            for (_, a_hat), (lo, hi) in zip(graphs, spans):
+                np.matmul(a_hat, x[lo:hi], out=s[lo:hi])
+        z = s @ w
+        r = np.maximum(z, 0.0)
+        pooled[:, col:col + w.shape[1]] = pool @ r
+        col += w.shape[1]
+        layers.append((s, z))
+        x = r * gcn_masks[l] if l < len(gcn_masks) else r
+    pooled /= sizes[:, None]
+
+    head = []
+    h = pooled
+    for j, (w, b) in enumerate(zip(head_w[:-1], head_b[:-1])):
+        a = h @ w + b
+        head.append((h, a))
+        h = np.maximum(a, 0.0)
+        if dropout:
+            h *= head_masks[j]
+    logits = h @ head_w[-1] + head_b[-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return {
+        "model": model,
+        "graphs": graphs,
+        "spans": spans,
+        "sizes": sizes,
+        "layers": layers,
+        "gcn_masks": gcn_masks,
+        "head": head,
+        "head_masks": head_masks,
+        "last_head_in": h,
+        "logits": logits,
+        "probs": e / e.sum(axis=1, keepdims=True),
+    }
+
+
+def _backward(cache: dict, labels, grads: tuple, scale: float,
+              input_grad: bool = False):
+    """Add `scale` times the pass's summed cross-entropy gradient into
+    `grads`, a (gcn weights, linear weights, biases) triple of views from
+    GcnModel.unflatten.
+
+    Returns the input-feature gradient when input_grad, else None: training
+    never reads it, so it skips its two products (about a tenth of the
+    work of a 400-node graph).
+    """
+    model: GcnModel = cache["model"]
+    g_gcn, g_lin, g_bias = grads
+    d = cache["probs"].copy()
+    d[np.arange(len(d)), labels] -= 1.0
+    d *= scale
+
+    h = cache["last_head_in"]
+    g_lin[-1] += h.T @ d
+    g_bias[-1] += d.sum(axis=0)
+    dh = d @ model.linear_weights[-1].T
+    for j in range(len(cache["head"]) - 1, -1, -1):
+        h, a = cache["head"][j]
+        if cache["head_masks"]:
+            dh *= cache["head_masks"][j]
+        da = dh * (a > 0)
+        g_lin[j] += h.T @ da
+        g_bias[j] += da.sum(axis=0)
+        dh = da @ model.linear_weights[j].T
+
+    dpooled = dh / cache["sizes"][:, None]
+    col = dpooled.shape[1]
+    dx = None
+    for l in range(len(model.gcn_weights) - 1, -1, -1):
+        w = model.gcn_weights[l]
+        s, z = cache["layers"][l]
+        col -= w.shape[1]
+        dr = np.repeat(dpooled[:, col:col + w.shape[1]], cache["sizes"], axis=0)
+        if dx is not None:
+            dr += dx * cache["gcn_masks"][l] if cache["gcn_masks"] else dx
+        dr *= z > 0
+        g_gcn[l] += s.T @ dr
+        if l == 0 and not input_grad:
+            return None
+        ds = dr @ w.T
+        dx = np.empty_like(ds)
+        for (_, a_hat), (lo, hi) in zip(cache["graphs"], cache["spans"]):
+            np.matmul(a_hat.T, ds[lo:hi], out=dx[lo:hi])
+    return dx
+
+
+def gcn_forward(features, a_hat, model: GcnModel, train: bool = False,
+                rng: np.random.Generator | None = None):
+    """One slide-graph forward pass: a pass over a batch of one.
+
+    Returns (class probabilities, cache).  The cache carries every
+    intermediate needed by backward(); eval mode disables dropout.
+    """
+    x = _node_matrix(features, model)
     a_hat = np.asarray(a_hat, dtype=np.float64)
     if a_hat.shape != (len(x), len(x)):
         raise ValueError("adjacency shape must match node count")
-    p = model.dropout_p
-    use_dropout = train and p > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("training with dropout requires an rng")
-
-    n = len(x)
-    gcn_cache = []
-    pooled = []
-    xl = x
-    last = len(model.gcn_weights) - 1
-    for l, w in enumerate(model.gcn_weights):
-        s = a_hat @ xl
-        z = s @ w
-        r = np.maximum(z, 0.0)
-        pooled.append(r.mean(axis=0))
-        mask = None
-        nxt = r
-        if l != last:
-            if use_dropout:
-                mask = (rng.random(r.shape) >= p) / (1.0 - p)
-                nxt = r * mask
-            gcn_cache.append((xl, s, z, mask))
-            xl = nxt
-        else:
-            gcn_cache.append((xl, s, z, None))
-    pcat = np.concatenate(pooled)
-
-    head_cache = []
-    z_in = pcat
-    for w, b in zip(model.linear_weights[:-1], model.linear_biases[:-1]):
-        a = z_in @ w + b
-        r = np.maximum(a, 0.0)
-        mask = None
-        if use_dropout:
-            mask = (rng.random(r.shape) >= p) / (1.0 - p)
-            r = r * mask
-        head_cache.append((z_in, a, mask))
-        z_in = r
-    logits = z_in @ model.linear_weights[-1] + model.linear_biases[-1]
-    probs = _softmax(logits)
-
-    cache = {
-        "model": model,
-        "a_hat": a_hat,
-        "n": n,
-        "gcn": gcn_cache,
-        "pooled_dims": [len(v) for v in pooled],
-        "head": head_cache,
-        "last_head_in": z_in,
-        "logits": logits,
-        "probs": probs,
-    }
-    return probs, cache
+    cache = _forward(model, [(a_hat @ x, a_hat)], train, rng)
+    return cache["probs"][0], cache
 
 
 def cross_entropy_loss(probs, labels) -> float:
@@ -299,90 +405,73 @@ def cross_entropy_loss(probs, labels) -> float:
     return float(-np.log(np.clip(picked, 1e-12, None)).mean())
 
 
-def _accumulate(dst: np.ndarray, term: np.ndarray, scale: float) -> None:
-    """dst += scale * term, scaling the freshly computed `term` in place."""
-    term *= scale
-    dst += term
+def backward(cache, label: int):
+    """Gradients of the cross-entropy loss for the graph of a gcn_forward cache.
 
-
-def backward(cache, label: int, grads: ModelGrads | None = None, scale: float = 1.0):
-    """Gradients of the cross-entropy loss for one graph.
-
-    Adds `scale` times this graph's gradients into `grads` (fresh zeros when
-    None) and returns (grads, input feature gradient).  Dropout masks are
-    replayed from the forward cache.
+    Returns (grads, dx): grads is a GcnModel of the model's shape holding
+    the partial derivatives (grads.flat is the flat gradient), dx the input
+    feature gradient.  Dropout masks are replayed from the forward cache.
     """
     model: GcnModel = cache["model"]
-    a_hat = cache["a_hat"]
-    probs = cache["probs"]
-    n = cache["n"]
-    num_classes = model.num_classes
-    if not (0 <= label < num_classes):
+    if not (0 <= label < model.num_classes):
         raise ValueError("label out of range")
-
-    if grads is None:
-        grads = ModelGrads.zeros_like(model)
-
-    dlogits = probs.copy()
-    dlogits[label] -= 1.0
-
-    z_last = cache["last_head_in"]
-    _accumulate(grads.linear_weights[-1], np.outer(z_last, dlogits), scale)
-    grads.linear_biases[-1] += scale * dlogits
-    dz = model.linear_weights[-1] @ dlogits
-
-    for j in range(len(cache["head"]) - 1, -1, -1):
-        z_in, a, mask = cache["head"][j]
-        dr = dz if mask is None else dz * mask
-        da = dr * (a > 0)
-        _accumulate(grads.linear_weights[j], np.outer(z_in, da), scale)
-        grads.linear_biases[j] += scale * da
-        dz = model.linear_weights[j] @ da
-
-    # split the concatenated pooled gradient back into per-layer chunks
-    dpooled = []
-    pos = 0
-    for width in cache["pooled_dims"]:
-        dpooled.append(dz[pos:pos + width])
-        pos += width
-
-    dx_next = None
-    for l in range(len(model.gcn_weights) - 1, -1, -1):
-        xl, s, z, mask = cache["gcn"][l]
-        dr = np.broadcast_to(dpooled[l] / n, z.shape).copy()
-        if dx_next is not None:
-            dr += dx_next * mask if mask is not None else dx_next
-        dzl = dr * (z > 0)
-        _accumulate(grads.gcn_weights[l], s.T @ dzl, scale)
-        ds = dzl @ model.gcn_weights[l].T
-        dx_next = a_hat.T @ ds
-    return grads, dx_next
+    grad = np.zeros_like(model.flat)
+    dx = _backward(cache, [label], model.unflatten(grad), 1.0, input_grad=True)
+    return GcnModel(*model.unflatten(grad), dropout_p=model.dropout_p), dx
 
 
-def adam_step(model: GcnModel, grads: ModelGrads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Standard Adam update with bias correction; mutates model and state."""
-    state.t += 1
-    t = state.t
-    for p, g, m, v in zip(model.parameters(), grads.parameters(), state.m, state.v):
-        m[:] = beta1 * m + (1.0 - beta1) * g
-        v[:] = beta2 * v + (1.0 - beta2) * g * g
-        mhat = m / (1.0 - beta1**t)
-        vhat = v / (1.0 - beta2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
-    return model, state
+class Adam:
+    """Adam with bias correction over one flat parameter vector.
+
+    The moments and two scratch vectors are allocated once.  A step
+    evaluates m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g and
+    p -= (lr*mhat) / (sqrt(vhat) + eps), in that order, in place.
+    """
+
+    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+        self._step = np.empty(size)
+        self._denom = np.empty(size)
+
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Move `params` (in place) one step against `grad`."""
+        self.t += 1
+        step, denom = self._step, self._denom
+        self.m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=step)
+        self.m += step
+        self.v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=step)
+        step *= grad
+        self.v += step
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=step)
+        step *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        params -= step
 
 
 # ---------------------------------------------------------------------------
 # training and evaluation
 
-def _prepare(dataset, scaler: FeatureScaler | None):
-    prepared = []
-    for g in dataset:
-        feats = scaler.transform(g.node_features) if scaler else np.asarray(
-            g.node_features, dtype=np.float64)
-        prepared.append((feats, normalize_adjacency(g), int(g.label)))
-    return prepared
+def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,
+                    rng: np.random.Generator, grads: tuple) -> np.ndarray:
+    """Add the batch-mean loss gradient of the graphs `batch` into `grads`.
+
+    Returns their training-mode class probabilities, one row per graph.
+    """
+    probs = []
+    for run in _passes(batch, sizes):
+        cache = _forward(model, [prepared[i] for i in run], train=True, rng=rng)
+        _backward(cache, labels[run], grads, 1.0 / len(batch))
+        probs.append(cache["probs"])
+    return np.concatenate(probs)
 
 
 def train(dataset, config: TrainConfig):
@@ -406,14 +495,17 @@ def train(dataset, config: TrainConfig):
     scaler = None
     if config.standardize:
         scaler, _ = standardize_features(np.vstack([g.node_features for g in dataset]))
-    prepared = _prepare(dataset, scaler)
 
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(3))
     model = init_model(input_dim, config.gcn_dims, config.head_dims, num_classes,
                        config.dropout_p, rng=init_rng)
     model.scaler = scaler
-    state = AdamState.for_model(model)
+    prepared = _prepare(dataset, model)
+    sizes = [len(a_hat) for _, a_hat in prepared]
+    grad = np.zeros_like(model.flat)
+    grads = model.unflatten(grad)
+    adam = Adam(grad.size, config.learning_rate)
 
     history = []
     n = len(prepared)
@@ -423,15 +515,12 @@ def train(dataset, config: TrainConfig):
         correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            batch_grads = ModelGrads.zeros_like(model)
-            for gi in batch:
-                feats, a_hat, label = prepared[gi]
-                probs, cache = gcn_forward(feats, a_hat, model, train=True,
-                                           rng=dropout_rng)
-                losses[gi] = cross_entropy_loss(probs, label)
-                correct += int(np.argmax(probs) == label)
-                backward(cache, label, batch_grads, 1.0 / len(batch))
-            adam_step(model, batch_grads, state, config.learning_rate)
+            grad[:] = 0.0
+            probs = _batch_gradient(model, prepared, sizes, labels, batch, dropout_rng, grads)
+            y = labels[batch]
+            losses[batch] = -np.log(np.clip(probs[np.arange(len(y)), y], 1e-12, None))
+            correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
+            adam.step(model.flat, grad)
         history.append({
             "epoch": epoch,
             "loss": float(losses.mean()),
@@ -447,27 +536,28 @@ class EvalResult:
     predictions: np.ndarray
 
 
+def _predict(model: GcnModel, dataset) -> np.ndarray:
+    """Eval-mode class probabilities, one row per graph, prepared pass by pass."""
+    sizes = [len(g.node_features) for g in dataset]
+    probs = [_forward(model, _prepare([dataset[i] for i in run], model))["probs"]
+             for run in _passes(range(len(dataset)), sizes)]
+    return np.concatenate(probs) if probs else np.zeros((0, model.num_classes))
+
+
 def predict_proba(model: GcnModel, graph: ImageGraph) -> np.ndarray:
     """Eval-mode class probabilities for one slide graph."""
-    feats = model.scaler.transform(graph.node_features) if model.scaler else np.asarray(
-        graph.node_features, dtype=np.float64)
-    probs, _ = gcn_forward(feats, normalize_adjacency(graph), model, train=False)
-    return probs
+    return _predict(model, [graph])[0]
 
 
 def evaluate(model: GcnModel, dataset) -> EvalResult:
     """Argmax accuracy and confusion matrix (ties resolve to the lowest index)."""
     c = model.num_classes
+    preds = _predict(model, dataset).argmax(axis=1)
+    labels = np.array([g.label for g in dataset], dtype=np.int64)
+    known = (labels >= 0) & (labels < c)
     confusion = np.zeros((c, c), dtype=np.int64)
-    preds = np.zeros(len(dataset), dtype=np.int64)
-    correct = 0
-    for i, g in enumerate(dataset):
-        probs = predict_proba(model, g)
-        pred = int(np.argmax(probs))
-        preds[i] = pred
-        if 0 <= g.label < c:
-            confusion[g.label, pred] += 1
-            correct += int(pred == g.label)
+    np.add.at(confusion, (labels[known], preds[known]), 1)
+    correct = int(np.count_nonzero(preds[known] == labels[known]))
     accuracy = correct / len(dataset) if len(dataset) else 0.0
     return EvalResult(accuracy=accuracy, confusion=confusion, predictions=preds)
 

@@ -528,6 +528,7 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict
             "confusion": result.confusion.tolist(),
             "final_train_loss": history[-1]["loss"] if history else None,
             "final_train_accuracy": history[-1]["accuracy"] if history else None,
+            "history": history,
         })
         log.info("fold %d: accuracy %.4f", fold_idx, result.accuracy)
     train_seconds = time.time() - t_train

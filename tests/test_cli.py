@@ -78,6 +78,18 @@ class TestStagedWorkflow:
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert len(metrics["confusion"]) == 3
 
+    def test_train_num_classes_beyond_the_labels(self, tmp_path):
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(graph_record(slide_id="a", label=0) + "\n"
+                          + graph_record(slide_id="b", label=1) + "\n")
+        model = tmp_path / "m.json"
+        rc = main(["train", "--graphs", str(graphs), "--model", str(model),
+                   "--epochs", "2", "--num-classes", "3"])
+        assert rc == 0
+        rec = json.loads(model.read_text())
+        assert rec["layer_dims"]["num_classes"] == 3
+        assert rec["config"]["num_classes"] == 3
+
     def test_run_subcommand(self, workdir):
         rc = main([
             "run", "--out", str(workdir / "exp"), "--slides-per-class", "3",
@@ -207,6 +219,14 @@ class TestMalformedInterchange:
         assert (f"{graphs}: slide wide has 3 features per node, but {model} expects 2"
                 in caplog.text)
 
+    def test_num_classes_below_a_label(self, tmp_path, caplog):
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(graph_record(label=2) + "\n")
+        rc = main(["train", "--graphs", str(graphs), "--model", str(tmp_path / "m.json"),
+                   "--epochs", "1", "--num-classes", "2"])
+        assert rc == 1
+        assert f"{graphs}: --num-classes 2 leaves no class for label 2" in caplog.text
+
     def test_labelled_slides_without_feature_rows(self, tmp_path, caplog):
         features = tmp_path / "features.csv"
         features.write_text(",".join(["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES)
@@ -242,5 +262,6 @@ def test_flag_defaults_come_from_the_config_dataclasses():
     assert (args.theta, args.min_nuclei) == (experiment.theta,
                                              experiment.min_nuclei_per_patch)
     args = parser.parse_args(["train", "--graphs", "g", "--model", "m"])
-    assert (args.learning_rate, args.batch_size, args.epochs, args.dropout, args.seed) == (
-        train.learning_rate, train.batch_size, train.epochs, train.dropout_p, train.seed)
+    assert (args.learning_rate, args.batch_size, args.epochs, args.dropout, args.seed,
+            args.num_classes) == (train.learning_rate, train.batch_size, train.epochs,
+                                  train.dropout_p, train.seed, train.num_classes)

@@ -1,12 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wsigraph import gcn
 from wsigraph.gcn import (
-    AdamState,
-    ModelGrads,
+    Adam,
     TrainConfig,
-    adam_step,
     backward,
     cross_entropy_loss,
     evaluate,
@@ -19,6 +19,8 @@ from wsigraph.gcn import (
     train,
 )
 from wsigraph.image_graph import ImageGraph, build_image_graph
+
+GOLDEN = Path(__file__).parent / "data" / "gcn_golden.npz"
 
 
 def toy_graph(rng, nodes=5, dim=8, classes=3, theta=0.3):
@@ -259,50 +261,87 @@ class TestBackward:
         assert all(np.all(np.isfinite(p)) for p in grads.parameters())
 
     def test_accumulating_into_batch_grads_equals_scaled_sum(self):
-        """backward(cache, label, grads, scale) adds scale times the fresh
-        per-graph gradients, with the same float operations."""
+        """A pass over a batch adds 1/batch size times the sum of the
+        per-graph backward() gradients, with the same dropout masks as
+        graph-by-graph forwards."""
         rng = np.random.default_rng(23)
-        model = init_model(8, (6, 6), (5,), num_classes=3, dropout_p=0.0, rng=rng)
-        caches = []
-        for label in (0, 2, 1):
-            g = toy_graph(rng, nodes=int(rng.integers(2, 7)))
-            caches.append((gcn_forward(g.node_features, normalize_adjacency(g), model)[1],
-                           label))
-        scale = 1.0 / len(caches)
-        batch = ModelGrads.zeros_like(model)
-        expected = [np.zeros_like(p) for p in model.parameters()]
-        for cache, label in caches:
-            fresh, _ = backward(cache, label)
-            for e, f in zip(expected, fresh.parameters()):
-                e += scale * f
-            assert backward(cache, label, batch, scale)[0] is batch
-        for e, got in zip(expected, batch.parameters()):
-            assert np.array_equal(e, got)
+        model = init_model(8, (6, 6), (5,), num_classes=3, dropout_p=0.3, rng=rng)
+        graphs = [toy_graph(rng, nodes=int(rng.integers(1, 9))) for _ in range(5)]
+        labels = np.array([0, 2, 1, 1, 0])
+        expected = np.zeros_like(model.flat)
+        stream = np.random.default_rng(7)
+        for g, label in zip(graphs, labels):
+            _, cache = gcn_forward(g.node_features, normalize_adjacency(g), model,
+                                   train=True, rng=stream)
+            expected += backward(cache, int(label))[0].flat / len(graphs)
+        start = rng.normal(0.0, 1.0, model.flat.shape)
+        grad = start.copy()
+        prepared = gcn._prepare(graphs, model)
+        sizes = [g.num_nodes for g in graphs]
+        assert len(gcn._passes(range(5), sizes)) == 1
+        gcn._batch_gradient(model, prepared, sizes, labels, list(range(5)),
+                            np.random.default_rng(7), model.unflatten(grad))
+        np.testing.assert_allclose(grad - start, expected, rtol=0, atol=1e-12)
+
+    def test_node_budget_split_gives_the_one_pass_gradient(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        model = init_model(8, (6, 5, 4), (5, 4), num_classes=3, dropout_p=0.3, rng=rng)
+        graphs = [toy_graph(rng, nodes=n) for n in (7, 1, 12, 5, 9, 3)]
+        labels = np.array([g.label for g in graphs])
+        prepared = gcn._prepare(graphs, model)
+        sizes = [g.num_nodes for g in graphs]
+        batch = [4, 0, 5, 2, 1, 3]
+        out = {}
+        for budget, runs in ((1000, 1), (12, 4)):
+            monkeypatch.setattr(gcn, "PASS_NODES", budget)
+            assert len(gcn._passes(batch, sizes)) == runs
+            grad = np.zeros_like(model.flat)
+            probs = gcn._batch_gradient(model, prepared, sizes, labels, batch,
+                                        np.random.default_rng(3), model.unflatten(grad))
+            out[runs] = grad, probs
+        np.testing.assert_allclose(out[4][0], out[1][0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[4][1], out[1][1], rtol=0, atol=1e-12)
+
+    def test_passes_pack_consecutive_graphs_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(gcn, "PASS_NODES", 10)
+        sizes = [4, 6, 1, 30, 2, 9, 10]
+        assert gcn._passes([0, 1, 2, 3, 4, 5, 6], sizes) == [[0, 1], [2], [3], [4], [5], [6]]
+        assert gcn._passes([2, 4, 0], sizes) == [[2, 4, 0]]
+        assert gcn._passes([], sizes) == []
+
+
+def reference_adam_steps(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam applied tensor by tensor, one gradient list per step."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, step_grads in enumerate(grads, start=1):
+        for p, g, mi, vi in zip(params, step_grads, m, v):
+            mi[:] = beta1 * mi + (1.0 - beta1) * g
+            vi[:] = beta2 * vi + (1.0 - beta2) * g * g
+            mhat = mi / (1.0 - beta1**t)
+            vhat = vi / (1.0 - beta2**t)
+            p -= lr * mhat / (np.sqrt(vhat) + eps)
+    return params
 
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         rng = np.random.default_rng(30)
         model = init_model(4, (3,), (3,), num_classes=2, rng=rng)
-        before = [p.copy() for p in model.parameters()]
-        state = AdamState.for_model(model)
-        adam_step(model, ModelGrads.zeros_like(model), state, lr=0.1)
-        for b, p in zip(before, model.parameters()):
-            assert np.array_equal(b, p)
+        before = model.flat.copy()
+        Adam(model.flat.size, lr=0.1).step(model.flat, np.zeros_like(model.flat))
+        assert np.array_equal(before, model.flat)
 
     def test_first_step_magnitude_is_lr_sign(self):
         rng = np.random.default_rng(31)
         model = init_model(4, (3,), (3,), num_classes=2, rng=rng)
-        before = [p.copy() for p in model.parameters()]
-        grads = ModelGrads.zeros_like(model)
-        for gp in grads.parameters():
-            gp[:] = rng.normal(0, 1, gp.shape)
-        state = AdamState.for_model(model)
-        adam_step(model, grads, state, lr=1e-3)
-        for b, p, gp in zip(before, model.parameters(), grads.parameters()):
-            step = p - b
-            expected = -1e-3 * np.sign(gp) * (np.abs(gp) / (np.abs(gp) + 1e-8))
-            assert np.allclose(step, expected, atol=1e-9)
+        before = model.flat.copy()
+        grad = rng.normal(0, 1, model.flat.shape)
+        Adam(model.flat.size, lr=1e-3).step(model.flat, grad)
+        step = model.flat - before
+        expected = -1e-3 * np.sign(grad) * (np.abs(grad) / (np.abs(grad) + 1e-8))
+        assert np.allclose(step, expected, atol=1e-9)
 
     def test_two_steps_match_scalar_trace(self):
         # hand-computed two-step Adam trace on a single scalar parameter
@@ -321,15 +360,57 @@ class TestAdam:
 
         model = init_model(1, (1,), (1,), num_classes=1, dropout_p=0.0)
         model.gcn_weights[0][:] = 1.0
-        state = AdamState.for_model(model)
-        grads = ModelGrads.zeros_like(model)
+        adam = Adam(model.flat.size, lr=lr)
+        grad = np.zeros_like(model.flat)
+        grad_gcn, _, _ = model.unflatten(grad)
         for t, g in ((1, g1), (2, g2)):
-            grads.gcn_weights[0][:] = g
-            adam_step(model, grads, state, lr=lr)
+            grad_gcn[0][:] = g
+            adam.step(model.flat, grad)
             assert model.gcn_weights[0][0, 0] == pytest.approx(trace[t - 1], rel=1e-12)
+
+    def test_flat_steps_equal_tensor_by_tensor_steps_bitwise(self):
+        rng = np.random.default_rng(32)
+        model = init_model(5, (4, 3), (6,), num_classes=3, rng=rng)
+        grads = [rng.normal(0, 1, model.flat.shape) * 10.0 ** rng.integers(-6, 2)
+                 for _ in range(5)]
+        per_tensor = [[t for part in model.unflatten(g) for t in part] for g in grads]
+        expected = reference_adam_steps(model.parameters(), per_tensor, lr=3e-3)
+        adam = Adam(model.flat.size, lr=3e-3)
+        for g in grads:
+            adam.step(model.flat, g)
+        for e, got in zip(expected, model.parameters()):
+            assert np.array_equal(e, got)
 
 
 class TestTrainEvaluate:
+    def test_golden_run_of_the_per_graph_training_loop(self):
+        """Final parameters and loss history of a fixed training run.
+
+        The stored values come from the training loop that ran one
+        forward/backward per graph and Adam tensor by tensor: ten graphs of
+        1 to 300 nodes (the 300- and 260-node graphs cannot share a pass),
+        dropout 0.3, batches of 4, 12 epochs.  Summation orders differ, so
+        the bound is absolute, 1e-9.
+        """
+        g = np.load(GOLDEN)
+        nodes = np.concatenate([[0], np.cumsum(g["counts"])])
+        ends = np.concatenate([[0], np.cumsum(g["edge_counts"])])
+        data = [
+            ImageGraph(g["features"][nodes[i]:nodes[i + 1]],
+                       edges=[(int(u), int(v), w) for u, v, w in g["edges"][ends[i]:ends[i + 1]]],
+                       label=int(g["labels"][i]))
+            for i in range(len(g["counts"]))
+        ]
+        cfg = TrainConfig(learning_rate=float(g["learning_rate"]),
+                          batch_size=int(g["batch_size"]), epochs=int(g["epochs"]),
+                          dropout_p=float(g["dropout_p"]), seed=int(g["seed"]),
+                          gcn_dims=tuple(g["gcn_dims"]), head_dims=tuple(g["head_dims"]),
+                          num_classes=int(g["num_classes"]))
+        model, history = train(data, cfg)
+        np.testing.assert_allclose(model.flat, g["parameters"], rtol=0, atol=1e-9)
+        np.testing.assert_allclose([h["loss"] for h in history], g["loss"], rtol=0, atol=1e-9)
+        assert [h["accuracy"] for h in history] == g["accuracy"].tolist()
+
     def test_lr_zero_keeps_parameters_and_flat_loss(self):
         rng = np.random.default_rng(40)
         data = random_dataset(rng, count=4, dim=10)
@@ -419,6 +500,14 @@ class TestCheckpoint:
 
 
 class TestModelValidation:
+    def test_parameters_are_views_of_one_flat_vector(self):
+        model = init_model(6, (5, 4), (3,), num_classes=2, dropout_p=0.0)
+        params = model.parameters()
+        assert model.flat.size == sum(p.size for p in params)
+        assert all(np.shares_memory(p, model.flat) for p in params)
+        model.flat[:] = np.arange(model.flat.size)
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]), model.flat)
+
     def test_rejects_broken_shape_chain(self):
         model = init_model(8, (5, 4), (6,), num_classes=3, dropout_p=0.0)
         bad_head = [w.copy() for w in model.linear_weights]

@@ -391,3 +391,21 @@ class TestSymmetricEigenvalues:
         for lam in symmetric_eigenvalues(m):
             smin = np.linalg.svd(m - lam * np.eye(8), compute_uv=False).min()
             assert smin <= 1e-8 * norm
+
+    def test_exactly_symmetric_input_matches_the_symmetrized_solve_bitwise(self):
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 7, 40):
+            m = rng.normal(0, 3, (n, n))
+            m = np.triu(m) + np.triu(m, 1).T
+            assert np.array_equal(m, m.T)
+            expected = np.sort(np.linalg.eigvalsh((m + m.T) / 2.0))
+            assert np.array_equal(symmetric_eigenvalues(m), expected)
+
+    def test_nearly_symmetric_input_is_symmetrized(self):
+        rng = np.random.default_rng(16)
+        m = rng.normal(0, 1, (6, 6))
+        m = (m + m.T) / 2
+        m[1, 4] += 1e-12
+        expected = np.sort(np.linalg.eigvalsh((m + m.T) / 2.0))
+        assert np.array_equal(symmetric_eigenvalues(m), expected)
+        assert not np.array_equal(symmetric_eigenvalues(m), np.sort(np.linalg.eigvalsh(m)))

@@ -311,3 +311,11 @@ class TestExperiment:
         for f in report["folds"]:
             seen += f["val_slides"]
         assert len(seen) == len(set(seen)) == report["num_slides"]
+
+    def test_folds_carry_the_training_history(self, run_pair):
+        cfg, report, _ = run_pair
+        for f in report["folds"]:
+            history = f["history"]
+            assert [h["epoch"] for h in history] == list(range(cfg.train.epochs))
+            assert history[-1]["loss"] == f["final_train_loss"]
+            assert history[-1]["accuracy"] == f["final_train_accuracy"]
