@@ -16,9 +16,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import detection, gcn, pipeline
+from .image_graph import load_image_graphs, save_image_graphs
 from .pipeline import (
     DetectionParams,
     ExperimentConfig,
+    SynthParams,
     ValidationError,
     load_experiment_config,
 )
@@ -28,17 +30,19 @@ log = logging.getLogger("wsigraph")
 # flag defaults come from the config dataclasses, their one source of truth
 _DETECTION = DetectionParams()
 _EXPERIMENT = ExperimentConfig()
+_SYNTH = SynthParams()
 _TRAIN = gcn.TrainConfig()
 
 
 def _add_synth(sub):
     p = sub.add_parser("synth", help="generate a synthetic slide dataset")
     p.add_argument("--out", required=True, help="output directory")
+    # a desk-sized dataset, smaller than the experiment's slides_per_class
     p.add_argument("--slides-per-class", type=int, default=10)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patch-size", type=int, default=768)
-    p.add_argument("--slide-size", type=int, default=1536)
+    p.add_argument("--classes", type=int, default=len(_EXPERIMENT.class_names))
+    p.add_argument("--seed", type=int, default=_EXPERIMENT.seed)
+    p.add_argument("--patch-size", type=int, default=_SYNTH.patch_size)
+    p.add_argument("--slide-size", type=int, default=_SYNTH.slide_width)
     p.add_argument("--render", action="store_true",
                    help="also render each patch as a PGM image")
 
@@ -55,7 +59,7 @@ def _add_detect(sub):
     p.add_argument("--response-threshold", type=float,
                    default=_DETECTION.response_threshold)
     p.add_argument("--merge-radius", type=float, default=_DETECTION.merge_radius)
-    p.add_argument("--patch-size", type=int, default=768)
+    p.add_argument("--patch-size", type=int, default=_SYNTH.patch_size)
     p.add_argument("--stride", type=int, default=None)
 
 
@@ -63,9 +67,9 @@ def _add_featurize(sub):
     p = sub.add_parser("featurize", help="compute 69-dim patch features")
     p.add_argument("--points", required=True, help="point-set CSV")
     p.add_argument("--out", required=True, help="output feature CSV")
-    p.add_argument("--patch-size", type=int, default=768)
+    p.add_argument("--patch-size", type=int, default=_SYNTH.patch_size)
     p.add_argument("--d-p", type=float, default=_EXPERIMENT.d_p)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=int, default=_EXPERIMENT.workers)
 
 
 def _add_build_graph(sub):
@@ -162,17 +166,15 @@ def _cmd_detect(args) -> int:
             rec = slides.setdefault(slide_id, pipeline.SlideRecord(
                 slide_id=slide_id, label=-1, patches=[],
                 provenance={"source": str(f.parent)}))
-            rec.patches.append(pipeline.PatchRecord(
-                row=row, col=col, origin_x=col * stride, origin_y=row * stride,
-                size=img.width, points=run_detection(img)))
+            rec.patches.append(pipeline.PatchRecord(row=row, col=col,
+                                                    points=run_detection(img)))
         else:
             size = min(args.patch_size, img.width, img.height)
             patches = []
             for x, y in pipeline.tile_image(img.width, img.height, size, stride):
                 tile = detection.GrayImage(img.pixels[y:y + size, x:x + size])
-                patches.append(pipeline.PatchRecord(
-                    row=y // stride, col=x // stride, origin_x=x, origin_y=y,
-                    size=size, points=run_detection(tile)))
+                patches.append(pipeline.PatchRecord(row=y // stride, col=x // stride,
+                                                    points=run_detection(tile)))
             slides[f.stem] = pipeline.SlideRecord(
                 slide_id=f.stem, label=-1, patches=patches,
                 provenance={"source": str(f)})
@@ -196,13 +198,18 @@ def _cmd_build_graph(args) -> int:
     labels = pipeline.import_labels(args.labels) if args.labels else None
     slides = pipeline.import_features(args.features, labels=labels)
     graphs = [pipeline.build_slide_graph(s, args.theta, args.min_nuclei) for s in slides]
-    pipeline.export_graphs(graphs, args.out)
+    save_image_graphs(graphs, args.out)
     log.info("wrote %d slide graphs -> %s", len(graphs), args.out)
     return 0
 
 
 def _cmd_train(args) -> int:
-    graphs = pipeline.import_graphs(args.graphs)
+    graphs = load_image_graphs(args.graphs)
+    unlabelled = next((g for g in graphs if g.label < 0), None)
+    if unlabelled is not None:
+        raise ValidationError(
+            f"{args.graphs}: slide {unlabelled.slide_id} has no label"
+            " (build-graph without --labels writes -1)")
     top = max((g.label for g in graphs), default=-1)
     if args.num_classes is not None and top >= args.num_classes:
         raise ValidationError(
@@ -220,7 +227,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    graphs = pipeline.import_graphs(args.graphs)
+    graphs = load_image_graphs(args.graphs)
     model = gcn.load_model(args.model)
     for g in graphs:
         width = g.node_features.shape[1]
@@ -250,7 +257,6 @@ def _cmd_run(args) -> int:
         cfg.train.epochs = args.epochs
     if args.workers is not None:
         cfg.workers = args.workers
-    cfg.validate()
     report = pipeline.run_experiment(cfg)
     print(pipeline.format_report(report))
     return 0

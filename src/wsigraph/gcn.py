@@ -21,19 +21,19 @@ same layout, so an Adam step is a few in-place vector operations.
 Dropout masks are drawn per graph in batch order, GCN layers first and then
 head layers, so the random stream is the same however a batch splits into
 passes, and the same as drawing them graph by graph.  gcn_forward,
-backward, predict_proba and evaluate run the same passes, on a batch of one
-or over the whole evaluation set.
+backward and evaluate run the same passes, on a batch of one or over the
+whole evaluation set.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .image_graph import ImageGraph
 
 FORMAT_VERSION = 1
@@ -125,7 +125,6 @@ class TrainConfig:
     gcn_dims: tuple = (128, 128, 128)
     head_dims: tuple = (128, 64)
     num_classes: int | None = None
-    standardize: bool = True
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -478,9 +477,11 @@ def train(dataset, config: TrainConfig):
     """Mini-batch training over a list of ImageGraphs.
 
     A batch is a set of graphs; the batch loss is the mean of per-graph
-    cross-entropies and one Adam step is taken per batch.  Deterministic
-    given config.seed.  Returns (model, history) where history has one
-    {epoch, loss, accuracy} entry per epoch from the training passes.
+    cross-entropies and one Adam step is taken per batch.  The model
+    standardizes node features with statistics fitted on `dataset`.
+    Deterministic given config.seed.  Returns (model, history) where
+    history has one {epoch, loss, accuracy} entry per epoch from the
+    training passes.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -492,9 +493,7 @@ def train(dataset, config: TrainConfig):
         raise ValueError("label outside configured class count")
 
     input_dim = dataset[0].node_features.shape[1]
-    scaler = None
-    if config.standardize:
-        scaler, _ = standardize_features(np.vstack([g.node_features for g in dataset]))
+    scaler, _ = standardize_features(np.vstack([g.node_features for g in dataset]))
 
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(3))
@@ -536,23 +535,16 @@ class EvalResult:
     predictions: np.ndarray
 
 
-def _predict(model: GcnModel, dataset) -> np.ndarray:
-    """Eval-mode class probabilities, one row per graph, prepared pass by pass."""
+def evaluate(model: GcnModel, dataset) -> EvalResult:
+    """Argmax accuracy and confusion matrix (ties resolve to the lowest index).
+
+    Predictions come from eval-mode passes, each graph prepared in its pass.
+    """
+    c = model.num_classes
     sizes = [len(g.node_features) for g in dataset]
     probs = [_forward(model, _prepare([dataset[i] for i in run], model))["probs"]
              for run in _passes(range(len(dataset)), sizes)]
-    return np.concatenate(probs) if probs else np.zeros((0, model.num_classes))
-
-
-def predict_proba(model: GcnModel, graph: ImageGraph) -> np.ndarray:
-    """Eval-mode class probabilities for one slide graph."""
-    return _predict(model, [graph])[0]
-
-
-def evaluate(model: GcnModel, dataset) -> EvalResult:
-    """Argmax accuracy and confusion matrix (ties resolve to the lowest index)."""
-    c = model.num_classes
-    preds = _predict(model, dataset).argmax(axis=1)
+    preds = np.concatenate(probs).argmax(axis=1) if probs else np.zeros(0, dtype=np.int64)
     labels = np.array([g.label for g in dataset], dtype=np.int64)
     known = (labels >= 0) & (labels < c)
     confusion = np.zeros((c, c), dtype=np.int64)
@@ -578,17 +570,7 @@ def save_model(model: GcnModel, path, config: TrainConfig | None = None) -> None
             "mean": model.scaler.mean.tolist(),
             "std": model.scaler.std.tolist(),
         },
-        "config": None if config is None else {
-            "learning_rate": config.learning_rate,
-            "batch_size": config.batch_size,
-            "epochs": config.epochs,
-            "dropout_p": config.dropout_p,
-            "seed": config.seed,
-            "gcn_dims": list(config.gcn_dims),
-            "head_dims": list(config.head_dims),
-            "num_classes": config.num_classes,
-            "standardize": config.standardize,
-        },
+        "config": None if config is None else asdict(config),
     }
     Path(path).write_text(json.dumps(rec), encoding="utf-8")
 
@@ -596,7 +578,8 @@ def save_model(model: GcnModel, path, config: TrainConfig | None = None) -> None
 def load_model(path) -> GcnModel:
     """Read a checkpoint written by save_model; malformed files raise ValidationError."""
     try:
-        rec = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_text(path) as fh:
+            rec = json.loads(fh.read())
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON ({e})") from e
     if not isinstance(rec, dict):

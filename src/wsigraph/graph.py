@@ -23,15 +23,21 @@ def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, v, w) arrays with u < v, sorted by (u, v), from triples on n nodes.
 
     `edges` is a sequence of (u, v, weight) triples or an (m, 3) array.
-    Self-loops, nodes outside 0..n-1 and repeated pairs (in either
-    orientation) are rejected.
+    Ends that are not node indices 0..n-1, self-loops, repeated pairs (in
+    either orientation) and non-finite weights are rejected.
     """
     e = np.asarray(edges, dtype=np.float64)
     if e.size == 0:
         e = e.reshape(0, 3)
     if e.ndim != 2 or e.shape[1] != 3:
         raise ValueError("edges must be (u, v, weight) triples")
-    a, b = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    with np.errstate(invalid="ignore"):     # NaN, inf and huge ends fail the round trip
+        a, b = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    bad = (a != e[:, 0]) | (b != e[:, 1])
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(
+            f"edge ({e[i, 0]:g}, {e[i, 1]:g}) has an end that is not a node index")
     loop = a == b
     if loop.any():
         raise ValueError(f"self-loop at node {a[loop.argmax()]}")
@@ -42,6 +48,10 @@ def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"edge ({a[i]}, {b[i]}) out of range for {n} nodes")
     order = np.lexsort((v, u))
     u, v, w = u[order], v[order], e[order, 2]
+    bad = ~np.isfinite(w)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"non-finite weight on edge ({u[i]}, {v[i]})")
     dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
     if dup.any():
         i = dup.argmax()
@@ -81,10 +91,10 @@ class UndirectedGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.csr.indptr).astype(np.int64)
 
-    def adjacency_matrix(self, weighted: bool = False) -> np.ndarray:
-        """Dense symmetric adjacency; binary 0/1 unless weighted=True."""
+    def adjacency_matrix(self) -> np.ndarray:
+        """Dense symmetric binary 0/1 adjacency."""
         a = np.zeros((self.node_count, self.node_count))
-        a[self.u, self.v] = a[self.v, self.u] = self.w if weighted else 1.0
+        a[self.u, self.v] = a[self.v, self.u] = 1.0
         return a
 
     def total_weight(self) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .graph import canonical_edges
 
 FORMAT_VERSION = 1
@@ -31,6 +31,8 @@ class ImageGraph:
         f = np.asarray(node_features, dtype=np.float64)
         if f.ndim != 2:
             raise ValueError("node_features must be a 2-D matrix")
+        if not np.isfinite(f).all():
+            raise ValueError("node_features must be finite")
         self.node_features = f
         self.u, self.v, self.w = canonical_edges(len(f), edges)
         self.label = label
@@ -112,7 +114,7 @@ def load_image_graphs(path) -> list[ImageGraph]:
     """
     out = []
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -127,17 +129,20 @@ def load_image_graphs(path) -> list[ImageGraph]:
             if version != FORMAT_VERSION:
                 raise ValidationError(f"{path}:{lineno}: unsupported format_version {version}")
             try:
+                label = rec["label"]
+                if isinstance(label, bool) or not isinstance(label, int):
+                    raise TypeError(f"label {label!r} is not an integer")
                 feats = np.asarray(rec["features"], dtype=np.float64)
-                if feats.size == 0:
-                    feats = feats.reshape(0, rec.get("feature_dim", 0))
+                if len(feats) == 0:
+                    raise ValueError("graph has no nodes")
                 out.append(ImageGraph(
                     node_features=feats,
                     edges=rec["edges"],
-                    label=int(rec["label"]),
+                    label=label,
                     slide_id=str(rec["slide_id"]),
                 ))
             except KeyError as e:
                 raise ValidationError(f"{path}:{lineno}: missing key {e}") from e
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
     return out

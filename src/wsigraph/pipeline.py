@@ -15,15 +15,15 @@ import logging
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .features import FEATURE_NAMES, patch_feature_vector
 from .gcn import TrainConfig, evaluate, train
-from .image_graph import ImageGraph, build_image_graph, load_image_graphs, save_image_graphs
+from .image_graph import ImageGraph, build_image_graph
 from .points import PointSet
 
 log = logging.getLogger("wsigraph")
@@ -38,9 +38,6 @@ NUCLEI_COUNT_FEATURE = FEATURE_NAMES.index("nn_nuclei_count")
 class PatchRecord:
     row: int
     col: int
-    origin_x: int
-    origin_y: int
-    size: int
     points: PointSet | None = None
     features: np.ndarray | None = None
 
@@ -101,7 +98,6 @@ class ExperimentConfig:
     workers: int = 0           # 0 = min(4, cpu count)
     output_dir: str = "runs/experiment"
     synth: SynthParams = field(default_factory=SynthParams)
-    detection: DetectionParams = field(default_factory=DetectionParams)
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
@@ -128,7 +124,7 @@ def _config_from_dict(cls, data: dict, path: str = ""):
     for key, value in data.items():
         if key not in fields:
             raise ValidationError(f"unknown config key '{path}{key}'")
-        sub = {"synth": SynthParams, "detection": DetectionParams, "train": TrainConfig}
+        sub = {"synth": SynthParams, "train": TrainConfig}
         if key in sub and isinstance(value, dict):
             kwargs[key] = _config_from_dict(sub[key], value, path=f"{key}.")
         elif key in ("class_names", "gcn_dims", "head_dims", "dense_sds") and isinstance(value, list):
@@ -144,7 +140,8 @@ def _config_from_dict(cls, data: dict, path: str = ""):
 def load_experiment_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from a JSON file (documented in the README)."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_text(path) as fh:
+            data = json.loads(fh.read())
     except (OSError, json.JSONDecodeError) as e:
         raise ValidationError(f"cannot read config {path}: {e}") from e
     if not isinstance(data, dict):
@@ -219,9 +216,6 @@ def synth_slide(class_id: int, params: SynthParams, seed, slide_id: str = "") ->
         patches.append(PatchRecord(
             row=y // params.stride,
             col=x // params.stride,
-            origin_x=x,
-            origin_y=y,
-            size=params.patch_size,
             points=PointSet(pts, params.patch_size, params.patch_size),
         ))
     return SlideRecord(
@@ -324,19 +318,16 @@ def export_pointsets(slides, path) -> None:
                                      repr(float(x)), repr(float(y))])
 
 
-def import_pointsets(path, patch_size: int = 768, stride: int | None = None,
-                     labels: dict | None = None) -> list:
+def import_pointsets(path, patch_size: int = 768, labels: dict | None = None) -> list:
     """Read a point-set CSV back into SlideRecords.
 
-    Patch origins are reconstructed as (col*stride, row*stride); labels come
-    from the optional {slide_id: label} mapping (default -1).  Malformed rows
-    are rejected with their line number.
+    Labels come from the optional {slide_id: label} mapping (default -1).
+    Malformed rows are rejected with their line number.
     """
-    stride = stride or patch_size
     path = Path(path)
     # slide_id -> (row, col) -> points; dicts keep first-appearance slide order
     per_slide: dict[str, dict[tuple[int, int], list]] = {}
-    with path.open("r", newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -369,14 +360,8 @@ def import_pointsets(path, patch_size: int = 768, stride: int | None = None,
     slides = []
     for slide_id, per_patch in per_slide.items():
         patches = [
-            PatchRecord(
-                row=prow,
-                col=pcol,
-                origin_x=pcol * stride,
-                origin_y=prow * stride,
-                size=patch_size,
-                points=PointSet(np.array(per_patch[prow, pcol]), patch_size, patch_size),
-            )
+            PatchRecord(row=prow, col=pcol,
+                        points=PointSet(np.array(per_patch[prow, pcol]), patch_size, patch_size))
             for prow, pcol in sorted(per_patch)
         ]
         label = -1 if labels is None else int(labels.get(slide_id, -1))
@@ -405,7 +390,7 @@ def import_features(path, labels: dict | None = None) -> list:
     """
     path = Path(path)
     slides: dict[str, SlideRecord] = {}
-    with path.open("r", newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES:
@@ -421,13 +406,14 @@ def import_features(path, labels: dict | None = None) -> list:
                 vec = np.array([float(v) for v in row[3:]])
             except ValueError as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
+            if not np.isfinite(vec).all():
+                raise ValidationError(f"{path}:{lineno}: non-finite feature value")
             rec = slides.setdefault(slide_id, SlideRecord(
                 slide_id=slide_id,
                 label=-1 if labels is None else int(labels.get(slide_id, -1)),
                 patches=[],
             ))
-            rec.patches.append(PatchRecord(row=prow, col=pcol, origin_x=0, origin_y=0,
-                                           size=0, features=vec))
+            rec.patches.append(PatchRecord(row=prow, col=pcol, features=vec))
     missing = [sid for sid in labels or () if sid not in slides]
     if missing:
         raise ValidationError(
@@ -447,7 +433,7 @@ def export_labels(slides, path) -> None:
 
 def import_labels(path) -> dict:
     out = {}
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["slide_id", "label"]:
@@ -460,15 +446,6 @@ def import_labels(path) -> dict:
             except (IndexError, ValueError) as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
     return out
-
-
-def export_graphs(slides_or_graphs, path) -> None:
-    """Write slide graphs as JSON-lines (accepts ImageGraphs directly)."""
-    save_image_graphs(slides_or_graphs, path)
-
-
-def import_graphs(path) -> list:
-    return load_image_graphs(path)
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +482,10 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict
         val_set = set(val_idx)
         train_graphs = [g for i, g in enumerate(graphs) if i not in val_set]
         val_graphs = [graphs[i] for i in val_idx]
-        fold_cfg = TrainConfig(
-            learning_rate=config.train.learning_rate,
-            batch_size=config.train.batch_size,
-            epochs=config.train.epochs,
-            dropout_p=config.train.dropout_p,
+        fold_cfg = replace(
+            config.train,
             seed=int(np.random.SeedSequence([config.train.seed, fold_idx]).generate_state(1)[0]),
-            gcn_dims=config.train.gcn_dims,
-            head_dims=config.train.head_dims,
             num_classes=len(config.class_names),
-            standardize=config.train.standardize,
         )
         model, history = train(train_graphs, fold_cfg)
         result = evaluate(model, val_graphs)

@@ -239,6 +239,63 @@ class TestMalformedInterchange:
         assert f"{features}: no feature rows for labelled slides empty, gone" in caplog.text
         assert not (tmp_path / "graphs.jsonl").exists()
 
+    def test_unlabelled_graphs_cannot_train(self, tmp_path, caplog):
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(graph_record(slide_id="a") + "\n"
+                          + graph_record(slide_id="b", label=-1) + "\n")
+        rc = main(["train", "--graphs", str(graphs), "--model", str(tmp_path / "m.json"),
+                   "--epochs", "1"])
+        assert rc == 1
+        assert f"{graphs}: slide b has no label" in caplog.text
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_value(self, tmp_path, caplog, value):
+        features = tmp_path / "features.csv"
+        row = ["s1", "0", "0"] + ["0.5"] * 69
+        row[10] = value
+        features.write_text(",".join(["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES)
+                            + "\n" + ",".join(["s1", "0", "1"] + ["0.5"] * 69)
+                            + "\n" + ",".join(row) + "\n")
+        rc = main(["build-graph", "--features", str(features),
+                   "--out", str(tmp_path / "graphs.jsonl")])
+        assert rc == 1
+        assert f"{features}:3: non-finite feature value" in caplog.text
+        assert not (tmp_path / "graphs.jsonl").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"features": [[1.0, 0.0], [float("nan"), 1.0]]}, "node_features must be finite"),
+        ({"features": [[1.0, float("inf")], [0.0, 1.0]]}, "node_features must be finite"),
+        ({"edges": [[0, 1, float("nan")]]}, "non-finite weight on edge (0, 1)"),
+        ({"edges": [[0.5, 1, 0.5]]}, "edge (0.5, 1) has an end that is not a node index"),
+        ({"label": 1.7}, "label 1.7 is not an integer"),
+        ({"label": "1"}, "label '1' is not an integer"),
+        ({"features": [], "num_nodes": 0, "edges": []}, "graph has no nodes"),
+    ])
+    def test_bad_graph_values(self, tmp_path, caplog, changes, message):
+        rc, graphs = self._train(tmp_path, graph_record() + "\n"
+                                 + graph_record(slide_id="t", **changes) + "\n")
+        assert rc == 1
+        assert f"{graphs}:2: {message}" in caplog.text
+
+    @pytest.mark.parametrize("reader", ["points", "features", "labels", "graphs"])
+    def test_file_that_is_not_utf8(self, tmp_path, caplog, reader):
+        path = tmp_path / "input"
+        header = {"points": b"slide_id,patch_row,patch_col,x,y\n",
+                  "features": ",".join(["slide_id", "patch_row", "patch_col"]
+                                       + FEATURE_NAMES).encode() + b"\n",
+                  "labels": b"slide_id,label\n",
+                  "graphs": graph_record().encode() + b"\n"}[reader]
+        path.write_bytes(header + b"s\xff,0\n")
+        out = str(tmp_path / "out")
+        argv = {"points": ["featurize", "--points", str(path), "--out", out],
+                "features": ["build-graph", "--features", str(path), "--out", out],
+                "labels": ["build-graph", "--features", str(path), "--labels", str(path),
+                           "--out", out],
+                "graphs": ["eval", "--graphs", str(path), "--model", out]}[reader]
+        assert main(argv) == 1
+        assert f"{path}: not UTF-8 text (byte 0xff: invalid start byte)" in caplog.text
+
     def test_runtime_failure_logs_traceback(self, monkeypatch, caplog):
         def boom(args):
             raise RuntimeError("disk on fire")
@@ -252,12 +309,19 @@ class TestMalformedInterchange:
 def test_flag_defaults_come_from_the_config_dataclasses():
     parser = build_parser()
     detection, experiment, train = DetectionParams(), ExperimentConfig(), TrainConfig()
+    synth = SynthParams()
+    args = parser.parse_args(["synth", "--out", "o"])
+    assert (args.seed, args.classes, args.patch_size, args.slide_size) == (
+        experiment.seed, len(experiment.class_names), synth.patch_size, synth.slide_width)
+    assert synth.slide_width == synth.slide_height
     args = parser.parse_args(["detect", "--images", "i", "--out", "o"])
     for name in ("sigma_x", "sigma_y", "orientations", "bandwidth",
                  "response_threshold", "merge_radius"):
         assert getattr(args, name) == getattr(detection, name)
+    assert args.patch_size == synth.patch_size
     args = parser.parse_args(["featurize", "--points", "p", "--out", "o"])
-    assert args.d_p == experiment.d_p
+    assert (args.d_p, args.patch_size, args.workers) == (experiment.d_p, synth.patch_size,
+                                                         experiment.workers)
     args = parser.parse_args(["build-graph", "--features", "f", "--out", "o"])
     assert (args.theta, args.min_nuclei) == (experiment.theta,
                                              experiment.min_nuclei_per_patch)

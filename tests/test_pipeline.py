@@ -1,21 +1,22 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from wsigraph import pipeline
+from wsigraph.image_graph import load_image_graphs, save_image_graphs
 from wsigraph.pipeline import (
     ExperimentConfig,
     SlideRecord,
     SynthParams,
     ValidationError,
     build_slide_graph,
-    export_graphs,
     export_labels,
     export_pointsets,
     featurize_slides,
-    import_graphs,
     import_labels,
     import_pointsets,
     load_experiment_config,
@@ -200,8 +201,8 @@ class TestCsvRoundTrips:
 
         graphs = [build_slide_graph(s, theta=0.8, min_nuclei=5) for s in slides]
         gpath = tmp_path / "graphs.jsonl"
-        export_graphs(graphs, gpath)
-        back_graphs = import_graphs(gpath)
+        save_image_graphs(graphs, gpath)
+        back_graphs = load_image_graphs(gpath)
         for a, b in zip(graphs, back_graphs):
             assert a.slide_id == b.slide_id and a.label == b.label
             assert np.array_equal(a.node_features, b.node_features)
@@ -255,6 +256,21 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text('{"not_a_key": 1}')
         with pytest.raises(ValidationError, match="not_a_key"):
+            load_experiment_config(path)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1]
+        example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "config.json"
+        path.write_text(example)
+        # the example spells out the defaults
+        assert load_experiment_config(path) == ExperimentConfig()
+
+    def test_detection_key_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"detection": {"sigma_x": 8.0}}')
+        with pytest.raises(ValidationError, match="unknown config key 'detection'"):
             load_experiment_config(path)
 
     def test_bad_values_rejected_before_work(self):
