@@ -278,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wsigraph",
         description="cell-graph featurization, slide graphs and GCN grading",
     )
+    parser.add_argument("--log-level", default="INFO",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"])
     sub = parser.add_subparsers(dest="command", required=True)
     for add in (_add_synth, _add_detect, _add_featurize, _add_build_graph,
                 _add_train, _add_eval, _add_run):
@@ -286,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(message)s")
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, FileNotFoundError) as e:

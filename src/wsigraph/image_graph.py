@@ -31,6 +31,8 @@ class ImageGraph:
         f = np.asarray(node_features, dtype=np.float64)
         if f.ndim != 2:
             raise ValueError("node_features must be a 2-D matrix")
+        if f.shape[1] == 0:
+            raise ValueError("node_features must have at least one column")
         if not np.isfinite(f).all():
             raise ValueError("node_features must be finite")
         self.node_features = f
@@ -107,10 +109,19 @@ def save_image_graphs(graphs, path) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _integer(rec: dict, key: str) -> int:
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
+
+
 def load_image_graphs(path) -> list[ImageGraph]:
     """Read a JSON-lines ImageGraph file written by save_image_graphs.
 
-    Malformed records raise ValidationError naming `path:line`.
+    Malformed records, and records whose `num_nodes` and `feature_dim`
+    differ from their features matrix, raise ValidationError naming
+    `path:line`.
     """
     out = []
     path = Path(path)
@@ -129,18 +140,21 @@ def load_image_graphs(path) -> list[ImageGraph]:
             if version != FORMAT_VERSION:
                 raise ValidationError(f"{path}:{lineno}: unsupported format_version {version}")
             try:
-                label = rec["label"]
-                if isinstance(label, bool) or not isinstance(label, int):
-                    raise TypeError(f"label {label!r} is not an integer")
                 feats = np.asarray(rec["features"], dtype=np.float64)
                 if len(feats) == 0:
                     raise ValueError("graph has no nodes")
-                out.append(ImageGraph(
+                g = ImageGraph(
                     node_features=feats,
                     edges=rec["edges"],
-                    label=label,
+                    label=_integer(rec, "label"),
                     slide_id=str(rec["slide_id"]),
-                ))
+                )
+                n, d = _integer(rec, "num_nodes"), _integer(rec, "feature_dim")
+                if (n, d) != g.node_features.shape:
+                    rows, cols = g.node_features.shape
+                    raise ValueError(f"declares {n} nodes of {d} features, "
+                                     f"but holds {rows} of {cols}")
+                out.append(g)
             except KeyError as e:
                 raise ValidationError(f"{path}:{lineno}: missing key {e}") from e
             except (TypeError, ValueError, OverflowError) as e:

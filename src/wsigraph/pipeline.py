@@ -2,13 +2,14 @@
 
 Intermediate artifacts are diffable text: point sets and feature matrices as
 CSV, slide graphs as JSON-lines, reports as JSON plus an aligned text summary.
-Per-slide work (featurization) runs in a worker pool; everything downstream
-of a fixed (config, seed) pair is deterministic, including worker output
-order.
+Per-slide featurization and the cross-validation folds run in one worker
+pool; everything downstream of a fixed (config, seed) pair is deterministic,
+including worker output order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import ValidationError, open_text
 from .features import FEATURE_NAMES, patch_feature_vector
 from .gcn import TrainConfig, evaluate, train
@@ -246,15 +248,66 @@ def _featurize_slide(args):
     return slide
 
 
-def featurize_slides(slides, d_p: float, workers: int = 0) -> list:
-    """Fill PatchRecord.features for every patch, optionally in parallel."""
-    if workers == 0:
-        workers = min(4, os.cpu_count() or 1)
+def _resolve_workers(workers: int) -> int:
+    """The pool size a `workers` setting asks for; 0 means min(4, cpu count)."""
+    return workers or min(4, os.cpu_count() or 1)
+
+
+class WorkerPool:
+    """A `multiprocessing.Pool` of `workers` processes that forks at first use.
+
+    `run_experiment` keeps one open for featurization and the folds.  Its
+    workers fork inside the first `map`, that is inside `featurize_slides`,
+    as a pool of that call's own would: they inherit the module state of
+    that moment, such as a stub patched over `train` or a profiler's
+    wrappers and its open span.  Leaving the `with` block closes the pool
+    (terminates it on an exception) and joins its workers.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._pool = None
+
+    def _started(self):
+        if self._pool is None:
+            self._pool = multiprocessing.Pool(self.workers)
+        return self._pool
+
+    def map(self, fn, jobs) -> list:
+        return self._started().map(fn, jobs, chunksize=1)
+
+    def apply_async(self, fn, args):
+        return self._started().apply_async(fn, args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        if self._pool is not None:
+            if exc_type is None:
+                self._pool.close()
+            else:
+                self._pool.terminate()
+            self._pool.join()
+        return False
+
+
+@one_blas_thread()
+def featurize_slides(slides, d_p: float, workers: int = 0,
+                     pool: WorkerPool | None = None) -> list:
+    """Fill PatchRecord.features for every patch, optionally in parallel.
+
+    An open `pool` is used and left open; without one, more than one worker
+    and more than one slide open a pool for this call.
+    """
     jobs = [(s, d_p) for s in slides]
+    if pool is not None:
+        return pool.map(_featurize_slide, jobs)
+    workers = _resolve_workers(workers)
     if workers <= 1 or len(slides) <= 1:
         return [_featurize_slide(j) for j in jobs]
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(_featurize_slide, jobs, chunksize=1)
+    with WorkerPool(workers) as pool:
+        return pool.map(_featurize_slide, jobs)
 
 
 def build_slide_graph(slide: SlideRecord, theta: float,
@@ -432,6 +485,7 @@ def export_labels(slides, path) -> None:
 
 
 def import_labels(path) -> dict:
+    """{slide_id: label}; a repeated slide_id is rejected with its line number."""
     out = {}
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -442,23 +496,46 @@ def import_labels(path) -> dict:
             if not row:
                 continue
             try:
-                out[row[0]] = int(row[1])
+                slide_id, label = row[0], int(row[1])
             except (IndexError, ValueError) as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
+            if slide_id in out:
+                raise ValidationError(f"{path}:{lineno}: repeated slide_id {slide_id!r}")
+            out[slide_id] = label
     return out
 
 
 # ---------------------------------------------------------------------------
 # the experiment harness
 
+def _run_fold(fold_idx: int, train_graphs, val_graphs, cfg: TrainConfig) -> dict:
+    """Train on one fold and evaluate it; a pure function of its arguments."""
+    model, history = train(train_graphs, cfg)
+    result = evaluate(model, val_graphs)
+    return {
+        "fold": fold_idx,
+        "val_slides": [g.slide_id for g in val_graphs],
+        "train_size": len(train_graphs),
+        "val_size": len(val_graphs),
+        "accuracy": result.accuracy,
+        "confusion": result.confusion.tolist(),
+        "final_train_loss": history[-1]["loss"] if history else None,
+        "final_train_accuracy": history[-1]["accuracy"] if history else None,
+        "history": history,
+    }
+
+
+@one_blas_thread()
 def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict:
     """Synthetic k-fold cross-validation experiment.
 
     synthesize point sets -> featurize -> build slide graphs -> stratified
-    folds -> per-fold standardize/train/evaluate.  Returns the report dict;
-    also writes report.json, report.txt and summary.csv under
-    config.output_dir unless write_outputs is False.  Deterministic given
-    (config, seed), timings excluded.
+    folds -> per-fold standardize/train/evaluate.  With more than one
+    worker, one pool featurizes the slides and then trains folds 1..k-1
+    while this process trains fold 0.  Returns the report dict; also writes
+    report.json, report.txt and summary.csv under config.output_dir unless
+    write_outputs is False.  Deterministic given (config, seed), timings
+    excluded, whatever the worker count.
     """
     config.validate()
     t_start = time.time()
@@ -466,45 +543,37 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict
     log.info("generating %d synthetic slides", config.slides_per_class * len(config.class_names))
     slides = synth_dataset(config)
 
-    t_feat = time.time()
-    slides = featurize_slides(slides, config.d_p, workers=config.workers)
-    featurize_seconds = time.time() - t_feat
+    workers = _resolve_workers(config.workers)
+    with WorkerPool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        t_feat = time.time()
+        slides = featurize_slides(slides, config.d_p, workers=config.workers, pool=pool)
+        featurize_seconds = time.time() - t_feat
 
-    graphs = [build_slide_graph(s, config.theta, config.min_nuclei_per_patch)
-              for s in slides]
-    labels = [g.label for g in graphs]
-    folds = stratified_folds(labels, config.folds, np.random.SeedSequence([config.seed, 7]))
+        graphs = [build_slide_graph(s, config.theta, config.min_nuclei_per_patch)
+                  for s in slides]
+        labels = [g.label for g in graphs]
+        folds = stratified_folds(labels, config.folds, np.random.SeedSequence([config.seed, 7]))
 
-    fold_reports = []
-    accuracies = []
-    t_train = time.time()
-    for fold_idx, val_idx in enumerate(folds):
-        val_set = set(val_idx)
-        train_graphs = [g for i, g in enumerate(graphs) if i not in val_set]
-        val_graphs = [graphs[i] for i in val_idx]
-        fold_cfg = replace(
-            config.train,
-            seed=int(np.random.SeedSequence([config.train.seed, fold_idx]).generate_state(1)[0]),
-            num_classes=len(config.class_names),
-        )
-        model, history = train(train_graphs, fold_cfg)
-        result = evaluate(model, val_graphs)
-        accuracies.append(result.accuracy)
-        fold_reports.append({
-            "fold": fold_idx,
-            "val_slides": [graphs[i].slide_id for i in val_idx],
-            "train_size": len(train_graphs),
-            "val_size": len(val_graphs),
-            "accuracy": result.accuracy,
-            "confusion": result.confusion.tolist(),
-            "final_train_loss": history[-1]["loss"] if history else None,
-            "final_train_accuracy": history[-1]["accuracy"] if history else None,
-            "history": history,
-        })
-        log.info("fold %d: accuracy %.4f", fold_idx, result.accuracy)
-    train_seconds = time.time() - t_train
+        jobs = []
+        for fold_idx, val_idx in enumerate(folds):
+            val_set = set(val_idx)
+            fold_seed = np.random.SeedSequence([config.train.seed, fold_idx]).generate_state(1)[0]
+            fold_cfg = replace(config.train, seed=int(fold_seed),
+                               num_classes=len(config.class_names))
+            jobs.append((fold_idx, [g for i, g in enumerate(graphs) if i not in val_set],
+                         [graphs[i] for i in val_idx], fold_cfg))
 
-    acc = np.array(accuracies)
+        t_train = time.time()
+        pending = {i: pool.apply_async(_run_fold, job)
+                   for i, job in enumerate(jobs) if pool is not None and i > 0}
+        fold_reports = []
+        for fold_idx, job in enumerate(jobs):
+            fold = pending[fold_idx].get() if fold_idx in pending else _run_fold(*job)
+            log.info("fold %d: accuracy %.4f", fold_idx, fold["accuracy"])
+            fold_reports.append(fold)
+        train_seconds = time.time() - t_train
+
+    acc = np.array([f["accuracy"] for f in fold_reports])
     report = {
         "format_version": 1,
         "config": asdict(config),

@@ -1,0 +1,45 @@
+import json
+
+import pytest
+
+from wsigraph import blas
+from wsigraph.pipeline import ExperimentConfig, report_without_timings, run_experiment
+
+
+@pytest.fixture
+def controls():
+    found = blas._openblas_controls()
+    if not found:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for get, _ in found]
+    yield found
+    for (_, set_), n in zip(found, before):
+        set_(n)
+
+
+def threads(controls):
+    return [get() for get, _ in controls]
+
+
+def test_one_blas_thread_sets_one_and_restores(controls):
+    for _, set_ in controls:
+        set_(2)
+    with blas.one_blas_thread():
+        assert threads(controls) == [1] * len(controls)
+    assert threads(controls) == [2] * len(controls)
+    with pytest.raises(RuntimeError), blas.one_blas_thread():
+        raise RuntimeError
+    assert threads(controls) == [2] * len(controls)
+
+
+def test_report_does_not_depend_on_the_blas_thread_count(controls):
+    reports = []
+    for n in (1, 2):
+        for _, set_ in controls:
+            set_(n)
+        cfg = ExperimentConfig(seed=1, slides_per_class=3, workers=1, output_dir="unused")
+        cfg.train.epochs = 20
+        report = report_without_timings(run_experiment(cfg, write_outputs=False))
+        reports.append(json.dumps(report, sort_keys=True))
+        assert threads(controls) == [n] * len(controls)
+    assert reports[0] == reports[1]

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wsigraph import cli
+from wsigraph import cli, pipeline
 from wsigraph.cli import build_parser, main
 from wsigraph.detection import render_nuclei_image, write_pgm
 from wsigraph.features import FEATURE_NAMES
@@ -11,6 +15,7 @@ from wsigraph.pipeline import (
     DetectionParams,
     ExperimentConfig,
     SynthParams,
+    ValidationError,
     import_pointsets,
     synth_slide,
 )
@@ -162,6 +167,20 @@ class TestExitCodes:
                    "--out", str(tmp_path / "f.csv")])
         assert rc == 1
 
+    def test_validation_error_in_a_pooled_fold_returns_one(self, tmp_path, monkeypatch, caplog):
+        parent, real_train = os.getpid(), pipeline.train
+
+        def train_or_fail_in_a_worker(graphs, cfg):
+            if os.getpid() != parent:
+                raise ValidationError("fold graphs rejected in a worker")
+            return real_train(graphs, cfg)
+
+        monkeypatch.setattr(pipeline, "train", train_or_fail_in_a_worker)
+        rc = main(["run", "--out", str(tmp_path), "--slides-per-class", "3",
+                   "--epochs", "2", "--workers", "2"])
+        assert rc == 1
+        assert "fold graphs rejected in a worker" in caplog.text
+
 
 class TestMalformedInterchange:
     """Bad graph files and checkpoints are input errors: exit 1, named location."""
@@ -271,6 +290,11 @@ class TestMalformedInterchange:
         ({"label": 1.7}, "label 1.7 is not an integer"),
         ({"label": "1"}, "label '1' is not an integer"),
         ({"features": [], "num_nodes": 0, "edges": []}, "graph has no nodes"),
+        ({"num_nodes": 7, "feature_dim": 5, "features": [[1.0, 0.0]], "edges": []},
+         "declares 7 nodes of 5 features, but holds 1 of 2"),
+        ({"num_nodes": 1, "feature_dim": 0, "features": [[]], "edges": []},
+         "node_features must have at least one column"),
+        ({"num_nodes": 2.0}, "num_nodes 2.0 is not an integer"),
     ])
     def test_bad_graph_values(self, tmp_path, caplog, changes, message):
         rc, graphs = self._train(tmp_path, graph_record() + "\n"
@@ -306,8 +330,24 @@ class TestMalformedInterchange:
         assert "Traceback" in caplog.text
 
 
+def test_log_level_warning_silences_the_fold_lines(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "wsigraph", *flags, "run", "--out", str(tmp_path),
+             "--slides-per-class", "3", "--epochs", "2", "--workers", "1"],
+            capture_output=True, text=True, env=env, check=True)
+
+    assert "INFO fold 0: accuracy" in run().stderr
+    assert "INFO" not in run("--log-level", "WARNING").stderr
+
+
 def test_flag_defaults_come_from_the_config_dataclasses():
     parser = build_parser()
+    assert parser.parse_args(["synth", "--out", "o"]).log_level == "INFO"
     detection, experiment, train = DetectionParams(), ExperimentConfig(), TrainConfig()
     synth = SynthParams()
     args = parser.parse_args(["synth", "--out", "o"])

@@ -87,6 +87,10 @@ class TestBuildImageGraph:
         with pytest.raises(ValueError):
             ImageGraph(f, edges=[(0, 1, 0.9), (1, 0, 0.9)])
 
+    def test_rejects_zero_width_features(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            ImageGraph(np.zeros((2, 0)))
+
     def test_negative_weights_allowed(self):
         g = ImageGraph(np.ones((3, 2)), edges=[(2, 0, -0.25)])
         assert g.edges == [(0, 2, -0.25)]

@@ -1,4 +1,6 @@
 import json
+import multiprocessing.pool
+import os
 import re
 from pathlib import Path
 
@@ -214,6 +216,12 @@ class TestCsvRoundTrips:
         export_labels(slides, path)
         assert import_labels(path) == {"s0": 0, "s1": 1, "s2": 2}
 
+    def test_repeated_label_rejected_with_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("slide_id,label\na,0\nb,1\na,2\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:4: repeated slide_id 'a'")):
+            import_labels(path)
+
 
 class TestSlideGraph:
     def test_filters_sparse_patches(self):
@@ -335,3 +343,76 @@ class TestExperiment:
             assert [h["epoch"] for h in history] == list(range(cfg.train.epochs))
             assert history[-1]["loss"] == f["final_train_loss"]
             assert history[-1]["accuracy"] == f["final_train_accuracy"]
+
+
+def small_config(seed: int, workers: int) -> ExperimentConfig:
+    cfg = ExperimentConfig(seed=seed, slides_per_class=3, workers=workers,
+                           output_dir="unused")
+    cfg.train.epochs = 20
+    return cfg
+
+
+class PooledFoldError(Exception):
+    """Raised by a stubbed `train` inside a pool worker."""
+
+
+def fail_in_pool_workers(monkeypatch):
+    """Stub pipeline.train so that it raises in every process but this one."""
+    parent, real_train = os.getpid(), pipeline.train
+
+    def train_or_fail(graphs, cfg):
+        if os.getpid() != parent:
+            raise PooledFoldError("fold failed in a pool worker")
+        return real_train(graphs, cfg)
+
+    monkeypatch.setattr(pipeline, "train", train_or_fail)
+
+
+class TestPooledFolds:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_two_workers_give_the_single_worker_report(self, seed):
+        reports = []
+        for workers in (1, 2):
+            report = report_without_timings(
+                run_experiment(small_config(seed, workers), write_outputs=False))
+            assert report["config"].pop("workers") == workers
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[0] == reports[1]
+
+    def test_error_in_a_pooled_fold_reaches_the_caller(self, monkeypatch):
+        fail_in_pool_workers(monkeypatch)
+        with pytest.raises(PooledFoldError, match="fold failed in a pool worker"):
+            run_experiment(small_config(1, workers=2), write_outputs=False)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_pool_is_closed_and_joined(self, monkeypatch, fail):
+        calls = []
+
+        class SpyPool(multiprocessing.pool.Pool):
+            def close(self):
+                calls.append("close")
+                super().close()
+
+            def terminate(self):
+                calls.append("terminate")
+                super().terminate()
+
+            def join(self):
+                calls.append("join")
+                super().join()
+
+        monkeypatch.setattr(pipeline.multiprocessing, "Pool", SpyPool)
+        if fail:
+            fail_in_pool_workers(monkeypatch)
+            with pytest.raises(PooledFoldError):
+                run_experiment(small_config(1, workers=2), write_outputs=False)
+        else:
+            run_experiment(small_config(1, workers=2), write_outputs=False)
+        assert calls == (["terminate", "join"] if fail else ["close", "join"])
+
+    def test_one_worker_opens_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was opened")
+
+        monkeypatch.setattr(pipeline.multiprocessing, "Pool", no_pool)
+        run_experiment(small_config(1, workers=1), write_outputs=False)
