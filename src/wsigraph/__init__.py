@@ -4,7 +4,6 @@ similarity graph, and a graph-convolutional classifier, end to end."""
 from .detection import GLoGBank, GrayImage, build_glog_bank, detect_nuclei
 from .features import (
     FEATURE_NAMES,
-    StatSummary,
     cell_graph_features,
     delaunay_features,
     density_features,
@@ -42,7 +41,6 @@ __all__ = [
     "GrayImage",
     "ImageGraph",
     "PointSet",
-    "StatSummary",
     "Triangulation",
     "UndirectedGraph",
     "VoronoiCells",

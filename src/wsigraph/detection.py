@@ -23,6 +23,18 @@ from .points import PointSet
 
 
 @dataclass
+class DetectionParams:
+    """The gLoG bank's shape and detect_nuclei's threshold and merge radius."""
+
+    sigma_x: float = 8.0
+    sigma_y: float = 4.0
+    orientations: int = 9
+    bandwidth: int = 7
+    response_threshold: float | None = None
+    merge_radius: float = 8.0
+
+
+@dataclass
 class GrayImage:
     """Grayscale image, row-major float64 intensities in [0, 1]."""
 
@@ -124,8 +136,8 @@ def bank_response(img: GrayImage, bank: GLoGBank) -> np.ndarray:
 
 
 def detect_nuclei(img: GrayImage, bank: GLoGBank,
-                  response_threshold: float | None = None,
-                  merge_radius: float = 8.0) -> PointSet:
+                  response_threshold: float | None = DetectionParams.response_threshold,
+                  merge_radius: float = DetectionParams.merge_radius) -> PointSet:
     """Detect nuclei centroids as thresholded regional maxima of the bank response.
 
     response_threshold defaults to 0.1 * the maximum response of this image;

@@ -13,11 +13,10 @@ Every feature evaluates to 0 when its defining structure does not exist
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .blas import one_blas_thread
 from .graph import (
     UndirectedGraph,
     build_radius_graph,
@@ -37,6 +36,10 @@ from .tessellation import (
 )
 
 DEFAULT_CELL_GRAPH_RADIUS = 64.0
+
+# The cell-graph spectrum reads a dense n x n adjacency, 8 n^2 bytes (800 MB
+# at the cap) plus LAPACK's working copy; dense patches hold ~3000 nuclei.
+MAX_PATCH_NUCLEI = 10_000
 
 KNN_KS = (3, 5, 7)
 RADII = (10.0, 20.0, 30.0, 40.0, 50.0)
@@ -90,21 +93,8 @@ assert len(FEATURE_NAMES) == 69
 TRANSLATION_INVARIANT_INDICES = tuple(range(0, 18)) + tuple(range(38, 42))
 
 
-@dataclass(frozen=True)
-class StatSummary:
-    """mean / population SD / min-max ratio / disorder of a nonnegative sample."""
-
-    mean: float
-    sd: float
-    min_max_ratio: float
-    disorder: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mean, self.sd, self.min_max_ratio, self.disorder])
-
-
-def stat_summary(samples) -> StatSummary:
-    """Summary statistics used throughout the tessellation features.
+def stat_summary(samples) -> np.ndarray:
+    """(mean, population SD, min/max ratio, disorder) of a nonnegative sample.
 
     disorder = 1 - 1/(1 + sd/mean), the normalized dispersion common in
     quantitative histomorphometry; empty input gives all zeros, mean 0 gives
@@ -112,13 +102,13 @@ def stat_summary(samples) -> StatSummary:
     """
     a = np.asarray(samples, dtype=np.float64).ravel()
     if a.size == 0:
-        return StatSummary(0.0, 0.0, 0.0, 0.0)
+        return np.zeros(4)
     mean = float(a.mean())
     sd = float(a.std())
     mx = float(a.max())
     ratio = float(a.min()) / mx if mx > 0 else 0.0
     disorder = 1.0 - 1.0 / (1.0 + sd / mean) if mean > 0 else 0.0
-    return StatSummary(mean, sd, ratio, disorder)
+    return np.array([mean, sd, ratio, disorder])
 
 
 def _ls_slope(values: np.ndarray) -> float:
@@ -155,8 +145,7 @@ def cell_graph_features(g: UndirectedGraph) -> np.ndarray:
     apl = int(dist_sum.sum()) / pairs if pairs else 0.0
     central = ecc == radius
 
-    a = g.adjacency_matrix()
-    eig = symmetric_eigenvalues(a)
+    eig = symmetric_eigenvalues(g.adjacency_matrix())
     k = int(np.ceil(n / 2))
 
     out[0] = deg.mean()
@@ -172,7 +161,7 @@ def cell_graph_features(g: UndirectedGraph) -> np.ndarray:
     out[10] = n
     out[11] = g.edge_count
     out[12] = eig[-1]
-    out[13] = float(np.trace(a))
+    # out[13], the adjacency trace, stays 0: a simple graph has no self-loops
     out[14] = float(np.abs(eig).sum())
     out[15] = _ls_slope(eig[:k])
     out[16] = _ls_slope(eig[-k:])
@@ -183,15 +172,15 @@ def cell_graph_features(g: UndirectedGraph) -> np.ndarray:
 def voronoi_features(cells: VoronoiCells | None) -> np.ndarray:
     """12 Voronoi statistics: stat_summary of cell areas, chord lengths, perimeters.
 
-    Chord lengths are all pairwise vertex distances of each polygon, pooled
+    Chord lengths are all pairwise vertex distances of each cell, pooled
     over all cells before summarization.
     """
-    if cells is None or len(cells.polygons) == 0:
+    if cells is None or len(cells.sizes) == 0:
         return np.zeros(12)
     return np.concatenate([
-        stat_summary(cells.areas()).as_array(),
-        stat_summary(cells.chord_lengths()).as_array(),
-        stat_summary(cells.perimeters()).as_array(),
+        stat_summary(cells.areas()),
+        stat_summary(cells.chord_lengths()),
+        stat_summary(cells.perimeters()),
     ])
 
 
@@ -204,8 +193,8 @@ def delaunay_features(t: Triangulation | None) -> np.ndarray:
     if t is None or len(t.triangles) == 0:
         return np.zeros(8)
     return np.concatenate([
-        stat_summary(t.side_lengths()).as_array(),
-        stat_summary(t.triangle_areas()).as_array(),
+        stat_summary(t.side_lengths()),
+        stat_summary(t.triangle_areas()),
     ])
 
 
@@ -213,7 +202,7 @@ def mst_features(tree: UndirectedGraph) -> np.ndarray:
     """4 MST statistics: stat_summary of the tree edge lengths."""
     if tree.edge_count == 0:
         return np.zeros(4)
-    return stat_summary(tree.w).as_array()
+    return stat_summary(tree.w)
 
 
 def density_features(points: PointSet, cells: VoronoiCells | None = None) -> np.ndarray:
@@ -241,20 +230,23 @@ def density_features(points: PointSet, cells: VoronoiCells | None = None) -> np.
         knn, _ = tree.query(points.coords, k=min(max(KNN_KS) + 1, n))  # column 0: self
         for k in KNN_KS:
             if n > k:
-                s = stat_summary(knn[:, k])
-                out[pos:pos + 3] = (s.mean, s.sd, s.disorder)
+                out[pos:pos + 3] = stat_summary(knn[:, k])[[0, 1, 3]]
             pos += 3
         for r in RADII:
             # distances <= r, minus the point itself
             counts = tree.query_ball_point(points.coords, r, return_length=True) - 1
-            s = stat_summary(counts.astype(np.float64))
-            out[pos:pos + 3] = (s.mean, s.sd, s.disorder)
+            out[pos:pos + 3] = stat_summary(counts.astype(np.float64))[[0, 1, 3]]
             pos += 3
     return out
 
 
+@one_blas_thread()
 def patch_feature_vector(points: PointSet, d_p: float = DEFAULT_CELL_GRAPH_RADIUS) -> np.ndarray:
-    """The full 69-dimensional patch feature vector (see module docstring)."""
+    """The full 69-dimensional patch feature vector (see module docstring).
+
+    Runs with one BLAS thread, since the thread count moves the eigenvalues
+    in the last bits.
+    """
     n = len(points)
     cg = cell_graph_features(build_radius_graph(points, d_p))
     cells = voronoi_cells(points) if n >= 1 else None

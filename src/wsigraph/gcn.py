@@ -50,6 +50,28 @@ PASS_NODES = 512
 # model parameters and state
 
 @dataclass
+class TrainConfig:
+    learning_rate: float = 2e-4
+    batch_size: int = 20
+    epochs: int = 600
+    dropout_p: float = 0.3
+    seed: int = 0
+    gcn_dims: tuple = (128, 128, 128)
+    head_dims: tuple = (128, 64)
+    num_classes: int | None = None
+
+    def __post_init__(self):
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be nonnegative")
+        if not (0.0 <= self.dropout_p < 1.0):
+            raise ValueError("dropout_p must lie in [0, 1)")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        self.gcn_dims = tuple(int(d) for d in self.gcn_dims)
+        self.head_dims = tuple(int(d) for d in self.head_dims)
+
+
+@dataclass
 class GcnModel:
     """All learnable parameters; weights are (in_dim, out_dim) matrices.
 
@@ -60,7 +82,7 @@ class GcnModel:
     gcn_weights: list
     linear_weights: list
     linear_biases: list
-    dropout_p: float = 0.3
+    dropout_p: float = TrainConfig.dropout_p
     scaler: "FeatureScaler | None" = None
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -115,30 +137,8 @@ class GcnModel:
         return views[:ng], views[ng:ng + nl], views[ng + nl:]
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 2e-4
-    batch_size: int = 20
-    epochs: int = 600
-    dropout_p: float = 0.3
-    seed: int = 0
-    gcn_dims: tuple = (128, 128, 128)
-    head_dims: tuple = (128, 64)
-    num_classes: int | None = None
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if not (0.0 <= self.dropout_p < 1.0):
-            raise ValueError("dropout_p must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        self.gcn_dims = tuple(int(d) for d in self.gcn_dims)
-        self.head_dims = tuple(int(d) for d in self.head_dims)
-
-
-def init_model(input_dim: int, gcn_dims=(128, 128, 128), head_dims=(128, 64),
-               num_classes: int = 3, dropout_p: float = 0.3,
+def init_model(input_dim: int, gcn_dims=TrainConfig.gcn_dims, head_dims=TrainConfig.head_dims,
+               num_classes: int = 3, dropout_p: float = TrainConfig.dropout_p,
                rng: np.random.Generator | None = None) -> GcnModel:
     """Glorot-uniform weights, zero biases."""
     rng = rng or np.random.default_rng(0)

@@ -202,7 +202,7 @@ def minimum_spanning_tree(points: PointSet, triangulation=None) -> UndirectedGra
             except DegenerateGeometryError:
                 triangulation = None
         if triangulation is not None:
-            ii, jj = np.asarray(triangulation.edge_set(), dtype=np.int64).T
+            ii, jj = triangulation.edge_set().T
             # near-duplicate merges leave points uncovered
             if np.unique(np.r_[ii, jj]).size == n:
                 w = np.hypot(*(coords[ii] - coords[jj]).T)
@@ -214,7 +214,7 @@ def minimum_spanning_tree(points: PointSet, triangulation=None) -> UndirectedGra
 
 
 def symmetric_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, sorted ascending.
+    """All eigenvalues of a real symmetric matrix, ascending as LAPACK returns them.
 
     Rejects matrices whose asymmetry exceeds 1e-9 (scaled by the largest
     entry) and symmetrizes the rest as (a + a.T) / 2.  Backed by LAPACK's
@@ -233,4 +233,4 @@ def symmetric_eigenvalues(m) -> np.ndarray:
         if float(np.abs(a - a.T).max()) > tol:
             raise ValueError("matrix is not symmetric within tolerance")
         a = (a + a.T) / 2.0
-    return np.sort(np.linalg.eigvalsh(a))
+    return np.linalg.eigvalsh(a)

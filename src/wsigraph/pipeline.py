@@ -22,8 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
+from .detection import DetectionParams  # noqa: F401  (the CLI and perfbench read it here)
 from .errors import ValidationError, open_text
-from .features import FEATURE_NAMES, patch_feature_vector
+from .features import (
+    DEFAULT_CELL_GRAPH_RADIUS,
+    FEATURE_NAMES,
+    MAX_PATCH_NUCLEI,
+    patch_feature_vector,
+)
 from .gcn import TrainConfig, evaluate, train
 from .image_graph import ImageGraph, build_image_graph
 from .points import PointSet
@@ -79,22 +85,12 @@ class SynthParams:
 
 
 @dataclass
-class DetectionParams:
-    sigma_x: float = 8.0
-    sigma_y: float = 4.0
-    orientations: int = 9
-    bandwidth: int = 7
-    response_threshold: float | None = None
-    merge_radius: float = 8.0
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 0
     folds: int = 3
     slides_per_class: int = 50
     class_names: tuple = ("normal", "low_grade", "high_grade")
-    d_p: float = 64.0
+    d_p: float = DEFAULT_CELL_GRAPH_RADIUS
     theta: float = 0.8
     min_nuclei_per_patch: int = 20
     workers: int = 0           # 0 = min(4, cpu count)
@@ -244,6 +240,11 @@ def synth_dataset(config: ExperimentConfig) -> list:
 def _featurize_slide(args):
     slide, d_p = args
     for patch in slide.patches:
+        n = len(patch.points)
+        if n > MAX_PATCH_NUCLEI:
+            raise ValidationError(
+                f"slide {slide.slide_id} patch ({patch.row}, {patch.col}): {n} nuclei,"
+                f" above the cap of {MAX_PATCH_NUCLEI}")
         patch.features = patch_feature_vector(patch.points, d_p=d_p)
     return slide
 
@@ -292,7 +293,6 @@ class WorkerPool:
         return False
 
 
-@one_blas_thread()
 def featurize_slides(slides, d_p: float, workers: int = 0,
                      pool: WorkerPool | None = None) -> list:
     """Fill PatchRecord.features for every patch, optionally in parallel.
@@ -311,7 +311,7 @@ def featurize_slides(slides, d_p: float, workers: int = 0,
 
 
 def build_slide_graph(slide: SlideRecord, theta: float,
-                      min_nuclei: int = 20) -> ImageGraph:
+                      min_nuclei: int = ExperimentConfig.min_nuclei_per_patch) -> ImageGraph:
     """Image-level graph over the slide's patches (row-major patch order).
 
     Patches with fewer than min_nuclei detected nuclei are dropped as
@@ -371,7 +371,8 @@ def export_pointsets(slides, path) -> None:
                                      repr(float(x)), repr(float(y))])
 
 
-def import_pointsets(path, patch_size: int = 768, labels: dict | None = None) -> list:
+def import_pointsets(path, patch_size: int = SynthParams.patch_size,
+                     labels: dict | None = None) -> list:
     """Read a point-set CSV back into SlideRecords.
 
     Labels come from the optional {slide_id: label} mapping (default -1).

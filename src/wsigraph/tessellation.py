@@ -20,6 +20,10 @@ clipped to the rectangle.  Its vertices are the circumcentres of the Delaunay
 triangles around it, in angular order.  A generator lying on a side coincides
 with its own image, so its cell is instead clipped from the rectangle by the
 bisectors of its Delaunay neighbours.
+
+Both structures keep the array form Qhull's output arrives in: triangles
+and Delaunay edges are int64 index arrays, and the cells are one array of
+CCW rings stored back to back with a vertex count per cell.
 """
 
 from __future__ import annotations
@@ -92,20 +96,23 @@ def _merge_close(coords: np.ndarray, eps: float = MERGE_EPS) -> np.ndarray:
 
 @dataclass
 class Triangulation:
-    """Delaunay triangles as sorted index triples into the original points."""
+    """Delaunay triangles as an (m, 3) int64 array of indices into `points`.
 
-    triangles: list
+    Each row is sorted ascending and the rows are in lexicographic order.
+    """
+
+    triangles: np.ndarray
     points: PointSet
 
-    def edge_set(self) -> list[tuple[int, int]]:
-        """Unique undirected edges (u < v), sorted."""
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        pairs = np.sort(t[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
-        return [tuple(e) for e in np.unique(pairs, axis=0).tolist()]
+    def edge_set(self) -> np.ndarray:
+        """Unique undirected edges as a (k, 2) int64 array, u < v, sorted by (u, v)."""
+        t, n = self.triangles, len(self.points)
+        key = np.unique(t[:, [0, 1, 0]] * n + t[:, [1, 2, 2]])
+        return np.column_stack([key // n, key % n])
 
     def triangle_areas(self) -> np.ndarray:
         c = self.points.coords
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        t = self.triangles
         a, b, d = c[t[:, 0]], c[t[:, 1]], c[t[:, 2]]
         return 0.5 * np.abs(
             (b[:, 0] - a[:, 0]) * (d[:, 1] - a[:, 1])
@@ -115,7 +122,7 @@ class Triangulation:
     def side_lengths(self) -> np.ndarray:
         """All three side lengths of every triangle (3 per triangle)."""
         c = self.points.coords
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        t = self.triangles
         a, b, d = c[t[:, 0]], c[t[:, 1]], c[t[:, 2]]
         return np.concatenate([
             np.hypot(*(a - b).T),
@@ -212,7 +219,7 @@ def delaunay_triangulation(points: PointSet) -> Triangulation:
     back = reps[order]
     t = np.sort(back[raw], axis=1)
     t = t[np.lexsort(t.T[::-1])]
-    tri = Triangulation(triangles=list(map(tuple, t.tolist())), points=points)
+    tri = Triangulation(triangles=t, points=points)
     if len(tri.triangles) and tri.triangle_areas().min() <= 0.0:
         raise RuntimeError("triangulation produced a degenerate triangle")
     return tri
@@ -225,42 +232,40 @@ def delaunay_triangulation(points: PointSet) -> Triangulation:
 class VoronoiCells:
     """Convex Voronoi cells clipped to the patch rectangle.
 
-    One polygon per merge representative (points within MERGE_EPS share the
-    cell of their representative).  Polygons are CCW (x, y) vertex arrays.
+    One cell per merge representative (points within MERGE_EPS share the
+    cell of their representative); `generator_index` is the original point
+    index of each cell.  `vertices` holds the CCW (x, y) rings of all cells
+    back to back, cell by cell, and `sizes` the vertex count of each ring.
     """
 
-    polygons: list
-    generator_index: np.ndarray    # original point index per polygon
-    cell_of: np.ndarray            # polygon index per original point
-    points: PointSet
+    vertices: np.ndarray
+    sizes: np.ndarray
+    generator_index: np.ndarray
 
-    def _rings(self):
-        """All vertices, their polygon index, and the index of the next vertex."""
-        sizes = np.array([len(p) for p in self.polygons], dtype=np.int64)
-        verts = np.concatenate(self.polygons).reshape(-1, 2)
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        nxt, starts = _ring_next(sizes)
-        return verts, owner, nxt, sizes, starts
+    def __post_init__(self):
+        # cell and ring successor of every vertex, and the start of every ring
+        self._owner = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        self._next, self._starts = _ring_next(self.sizes)
 
     def areas(self) -> np.ndarray:
-        verts, owner, nxt, sizes, _ = self._rings()
+        verts, nxt = self.vertices, self._next
         cross = verts[:, 0] * verts[nxt, 1] - verts[:, 1] * verts[nxt, 0]
-        return 0.5 * np.abs(np.bincount(owner, weights=cross, minlength=len(sizes)))
+        return 0.5 * np.abs(np.bincount(self._owner, weights=cross, minlength=len(self.sizes)))
 
     def perimeters(self) -> np.ndarray:
-        verts, owner, nxt, sizes, _ = self._rings()
-        d = verts[nxt] - verts
-        return np.bincount(owner, weights=np.hypot(d[:, 0], d[:, 1]), minlength=len(sizes))
+        d = self.vertices[self._next] - self.vertices
+        return np.bincount(self._owner, weights=np.hypot(d[:, 0], d[:, 1]),
+                           minlength=len(self.sizes))
 
     def chord_lengths(self) -> np.ndarray:
-        """All pairwise vertex distances within each polygon, pooled.
+        """All pairwise vertex distances within each cell, pooled.
 
-        Computed per group of polygons with the same vertex count.
+        Computed per group of cells with the same vertex count.
         """
-        verts, _, _, sizes, starts = self._rings()
+        sizes = self.sizes
         chords = []
         for k in np.unique(sizes[sizes >= 2]).tolist():
-            ring = verts[starts[sizes == k][:, None] + np.arange(k)]
+            ring = self.vertices[self._starts[sizes == k][:, None] + np.arange(k)]
             iu, ju = np.triu_indices(k, k=1)
             d = ring[:, iu] - ring[:, ju]
             chords.append(np.hypot(d[..., 0], d[..., 1]).ravel())
@@ -323,8 +328,11 @@ def _circumcentres(tri_pts: np.ndarray):
     return a + off, ok
 
 
-def _rectangle_cells(gen: np.ndarray, w: float, h: float) -> list:
-    """Voronoi cells of distinct generators clipped to [0, w] x [0, h]."""
+def _rectangle_cells(gen: np.ndarray, w: float, h: float):
+    """Voronoi cells of distinct generators clipped to [0, w] x [0, h].
+
+    Returns the CCW rings back to back in generator order, and their sizes.
+    """
     m = len(gen)
     x, y = gen[:, 0], gen[:, 1]
     images = [(-x, y, 2 * x), (2 * w - x, y, 2 * (w - x)),
@@ -353,17 +361,20 @@ def _rectangle_cells(gen: np.ndarray, w: float, h: float) -> list:
     nxt, _ = _ring_next(np.bincount(v, minlength=m))
     keep = np.abs(cc[nxt] - cc).max(axis=1) >= 1e-9 * max(w, h)
     v, cc = v[keep], cc[keep]
-    polygons = np.split(cc, np.cumsum(np.bincount(v, minlength=m))[:-1])
 
     rect = np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]])
     indptr, nbrs = dl.vertex_neighbor_vertices
-    for i in np.flatnonzero(clip).tolist():
+    clipped = np.flatnonzero(clip)
+    rings = []
+    for i in clipped.tolist():
         poly = rect
         for j in nbrs[indptr[i]:indptr[i + 1]].tolist():
             normal = pts[j] - gen[i]
             poly = _clip_halfplane(poly, normal, normal @ (gen[i] + pts[j]) / 2.0)
-        polygons[i] = poly
-    return polygons
+        rings.append(poly)
+    v = np.concatenate([v, np.repeat(clipped, [len(r) for r in rings])])
+    cc = np.concatenate([cc] + rings)
+    return cc[np.argsort(v, kind="stable")], np.bincount(v, minlength=m)
 
 
 def voronoi_cells(points: PointSet) -> VoronoiCells:
@@ -373,16 +384,9 @@ def voronoi_cells(points: PointSet) -> VoronoiCells:
     any other point.  Computed from one Delaunay triangulation of the
     generators and their reflections across the rectangle sides.
     """
-    n = len(points)
-    if n < 1:
+    if len(points) < 1:
         raise ValueError("voronoi_cells needs at least one point")
-    coords = points.coords
-    reps = _merge_close(coords)
-    rc = coords[reps]
-    cell_of = np.arange(n) if len(rc) == n else cKDTree(rc).query(coords)[1]
-    return VoronoiCells(
-        polygons=_rectangle_cells(rc, float(points.patch_width), float(points.patch_height)),
-        generator_index=reps,
-        cell_of=cell_of,
-        points=points,
-    )
+    reps = _merge_close(points.coords)
+    vertices, sizes = _rectangle_cells(
+        points.coords[reps], float(points.patch_width), float(points.patch_height))
+    return VoronoiCells(vertices=vertices, sizes=sizes, generator_index=reps)

@@ -1,9 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
 from wsigraph import blas
-from wsigraph.pipeline import ExperimentConfig, report_without_timings, run_experiment
+from wsigraph.features import patch_feature_vector
+from wsigraph.pipeline import (
+    ExperimentConfig,
+    report_without_timings,
+    run_experiment,
+    synth_dataset,
+)
 
 
 @pytest.fixture
@@ -43,3 +50,14 @@ def test_report_does_not_depend_on_the_blas_thread_count(controls):
         reports.append(json.dumps(report, sort_keys=True))
         assert threads(controls) == [n] * len(controls)
     assert reports[0] == reports[1]
+
+
+def test_patch_features_do_not_depend_on_the_blas_thread_count(controls):
+    points = synth_dataset(ExperimentConfig(seed=1, slides_per_class=1))[0].patches[0].points
+    vectors = []
+    for n in (1, 2):
+        for _, set_ in controls:
+            set_(n)
+        vectors.append(patch_feature_vector(points))
+        assert threads(controls) == [n] * len(controls)
+    assert np.array_equal(vectors[0], vectors[1])

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,9 +9,9 @@ import pytest
 
 from wsigraph import cli, pipeline
 from wsigraph.cli import build_parser, main
-from wsigraph.detection import render_nuclei_image, write_pgm
-from wsigraph.features import FEATURE_NAMES
-from wsigraph.gcn import TrainConfig, init_model, save_model
+from wsigraph.detection import detect_nuclei, render_nuclei_image, write_pgm
+from wsigraph.features import FEATURE_NAMES, patch_feature_vector
+from wsigraph.gcn import GcnModel, TrainConfig, init_model, save_model
 from wsigraph.pipeline import (
     DetectionParams,
     ExperimentConfig,
@@ -166,6 +167,15 @@ class TestExitCodes:
         rc = main(["featurize", "--points", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "f.csv")])
         assert rc == 1
+
+    def test_patch_above_the_nuclei_cap_returns_one(self, tmp_path, over_cap_slide,
+                                                    no_patch_features, caplog):
+        points = tmp_path / "points.csv"
+        pipeline.export_pointsets([over_cap_slide], points)
+        rc = main(["featurize", "--points", str(points), "--out", str(tmp_path / "f.csv"),
+                   "--workers", "1"])
+        assert rc == 1
+        assert "patch (2, 5): 10001 nuclei, above the cap of 10000" in caplog.text
 
     def test_validation_error_in_a_pooled_fold_returns_one(self, tmp_path, monkeypatch, caplog):
         parent, real_train = os.getpid(), pipeline.train
@@ -369,3 +379,19 @@ def test_flag_defaults_come_from_the_config_dataclasses():
     assert (args.learning_rate, args.batch_size, args.epochs, args.dropout, args.seed,
             args.num_classes) == (train.learning_rate, train.batch_size, train.epochs,
                                   train.dropout_p, train.seed, train.num_classes)
+
+
+def test_library_defaults_come_from_the_config_dataclasses():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    detection, experiment, train = DetectionParams(), ExperimentConfig(), TrainConfig()
+    assert default(patch_feature_vector, "d_p") == experiment.d_p
+    assert (default(detect_nuclei, "response_threshold"), default(detect_nuclei, "merge_radius")) \
+        == (detection.response_threshold, detection.merge_radius)
+    assert default(pipeline.build_slide_graph, "min_nuclei") == experiment.min_nuclei_per_patch
+    assert default(import_pointsets, "patch_size") == SynthParams().patch_size
+    assert (default(init_model, "gcn_dims"), default(init_model, "head_dims"),
+            default(init_model, "dropout_p")) == (train.gcn_dims, train.head_dims,
+                                                  train.dropout_p)
+    assert GcnModel.__dataclass_fields__["dropout_p"].default == train.dropout_p

@@ -246,6 +246,13 @@ class TestSlideGraph:
             build_slide_graph(slide, theta=0.8)
 
 
+def test_patch_above_the_nuclei_cap_is_rejected_before_featurizing(over_cap_slide,
+                                                                   no_patch_features):
+    with pytest.raises(ValidationError, match=r"slide big patch \(2, 5\): 10001 nuclei, "
+                                              r"above the cap of 10000"):
+        featurize_slides([over_cap_slide], d_p=64.0, workers=1)
+
+
 class TestConfig:
     def test_load_and_validate(self, tmp_path):
         path = tmp_path / "config.json"

@@ -18,10 +18,16 @@ from oracles import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "tessellation_golden.npz"
+CLIP_GOLDEN = Path(__file__).parent / "data" / "clip_path_golden.npz"
 
 
 def pset(points, w=768, h=768):
     return PointSet(np.asarray(points, dtype=float), w, h)
+
+
+def cell_rings(vc):
+    """The CCW vertex ring of each cell, as a list of (k, 2) arrays."""
+    return np.split(vc.vertices, np.cumsum(vc.sizes)[:-1])
 
 
 def integer_grids(seed, count):
@@ -62,16 +68,31 @@ def test_golden_corpus_matches_the_sweep_and_flip_triangulation():
     for i in range(len(g["counts"])):
         ps = PointSet(g["coords"][offsets[i]:offsets[i + 1]], size, size)
         expected = g["triangles"][tri_offsets[i]:tri_offsets[i + 1]]
-        assert delaunay_triangulation(ps).triangles == [tuple(t) for t in expected.tolist()]
+        assert np.array_equal(delaunay_triangulation(ps).triangles, expected)
         np.testing.assert_allclose(
             patch_feature_vector(ps)[18:42], g["features"][i], rtol=1e-8, atol=0
         )
 
 
+def test_clip_path_features_match_the_golden_file():
+    """All 69 features, bitwise, of point sets whose cells are clipped.
+
+    Generators on x = 0 and y = 0, a corner generator and pairs 1e-8 apart
+    (merged before tessellating): every set sends some cells through the
+    half-plane clip instead of the reflected-generator circumcentres.  The
+    stored values come from the per-polygon list form of the Voronoi cells.
+    """
+    g = np.load(CLIP_GOLDEN)
+    offsets = np.concatenate([[0], np.cumsum(g["counts"])])
+    for i, (w, h) in enumerate(g["sizes"]):
+        ps = PointSet(g["coords"][offsets[i]:offsets[i + 1]], w, h)
+        assert np.array_equal(patch_feature_vector(ps), g["features"][i])
+
+
 class TestDelaunay:
     def test_three_points_one_triangle(self):
         tri = delaunay_triangulation(pset([(0, 0), (10, 0), (5, 8)]))
-        assert tri.triangles == [(0, 1, 2)]
+        assert np.array_equal(tri.triangles, [[0, 1, 2]])
 
     def test_unit_square_two_triangles_share_diagonal(self):
         tri = delaunay_triangulation(pset([(0, 0), (1, 0), (1, 1), (0, 1)]))
@@ -180,7 +201,7 @@ class TestVoronoi:
     def test_single_point_gets_whole_rectangle(self):
         vc = voronoi_cells(pset([(100, 200)], w=768, h=512))
         assert vc.total_area() == pytest.approx(768 * 512)
-        assert len(vc.polygons) == 1
+        assert len(vc.sizes) == 1
 
     def test_symmetric_pair_equal_areas(self):
         vc = voronoi_cells(pset([(200, 256), (568, 256)], w=768, h=512))
@@ -204,7 +225,7 @@ class TestVoronoi:
         rng = np.random.default_rng(104)
         pts = rng.uniform(0, 768, (60, 2))
         vc = voronoi_cells(pset(pts))
-        for ci, poly in enumerate(vc.polygons):
+        for ci, poly in enumerate(cell_rings(vc)):
             g = pts[vc.generator_index[ci]]
             k = len(poly)
             nxt = poly[(np.arange(k) + 1) % k]
@@ -229,7 +250,7 @@ class TestVoronoi:
             d2 = ((q[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
             nearest = d2.min(axis=1)
             containing_best = np.full(len(q), np.inf)
-            for ci, poly in enumerate(vc.polygons):
+            for ci, poly in enumerate(cell_rings(vc)):
                 k = len(poly)
                 a = poly
                 b = poly[(np.arange(k) + 1) % k]
@@ -251,14 +272,15 @@ class TestVoronoi:
         pts = rng.uniform(50, 700, (40, 2))
         ps = pset(pts)
         vc = voronoi_cells(ps)
-        de = set(delaunay_triangulation(ps).edge_set())
+        polygons = cell_rings(vc)
+        de = set(map(tuple, delaunay_triangulation(ps).edge_set().tolist()))
 
         def shared_len(i, j):
             mid = (pts[i] + pts[j]) / 2
             nvec = pts[j] - pts[i]
             nn = np.linalg.norm(nvec)
-            on_i = vc.polygons[i][np.abs((vc.polygons[i] - mid) @ nvec) / nn < 1e-6]
-            on_j = vc.polygons[j][np.abs((vc.polygons[j] - mid) @ nvec) / nn < 1e-6]
+            on_i = polygons[i][np.abs((polygons[i] - mid) @ nvec) / nn < 1e-6]
+            on_j = polygons[j][np.abs((polygons[j] - mid) @ nvec) / nn < 1e-6]
             if len(on_i) < 2 or len(on_j) < 2:
                 return 0.0
             t = np.array([-nvec[1], nvec[0]]) / nn
@@ -281,6 +303,6 @@ class TestVoronoi:
             )
 
         for i, j in de:
-            if touches_border(vc.polygons[i]) or touches_border(vc.polygons[j]):
+            if touches_border(polygons[i]) or touches_border(polygons[j]):
                 continue
             assert shared_len(i, j) > 1e-6
