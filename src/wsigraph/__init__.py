@@ -14,6 +14,7 @@ from .features import (
 )
 from .graph import (
     UndirectedGraph,
+    adjacency_eigenvalues,
     build_radius_graph,
     canonical_edges,
     clustering_coefficients,
@@ -44,6 +45,7 @@ __all__ = [
     "Triangulation",
     "UndirectedGraph",
     "VoronoiCells",
+    "adjacency_eigenvalues",
     "build_glog_bank",
     "build_image_graph",
     "build_radius_graph",

@@ -19,12 +19,12 @@ from scipy.spatial import cKDTree
 from .blas import one_blas_thread
 from .graph import (
     UndirectedGraph,
+    adjacency_eigenvalues,
     build_radius_graph,
     clustering_coefficients,
     connected_components,
     hop_statistics,
     minimum_spanning_tree,
-    symmetric_eigenvalues,
 )
 from .points import PointSet
 from .tessellation import (
@@ -37,8 +37,12 @@ from .tessellation import (
 
 DEFAULT_CELL_GRAPH_RADIUS = 64.0
 
-# The cell-graph spectrum reads a dense n x n adjacency, 8 n^2 bytes (800 MB
-# at the cap) plus LAPACK's working copy; dense patches hold ~3000 nuclei.
+# Dense patches hold ~3000 nuclei.  Above graph.BANDED_MIN_NODES, a cell
+# graph with a thin band builds no n x n matrix: the spectrum comes from the
+# band, and the hop BFS holds four n x n/64-word bitsets (50 MB at the cap).
+# A wide band (packed nuclei or a large d_p) still takes the dense spectrum:
+# an 8 n^2-byte adjacency (800 MB at the cap), LAPACK's working copy and
+# O(n^3) time.  The cap bounds that case.
 MAX_PATCH_NUCLEI = 10_000
 
 KNN_KS = (3, 5, 7)
@@ -145,7 +149,7 @@ def cell_graph_features(g: UndirectedGraph) -> np.ndarray:
     apl = int(dist_sum.sum()) / pairs if pairs else 0.0
     central = ecc == radius
 
-    eig = symmetric_eigenvalues(g.adjacency_matrix())
+    eig = adjacency_eigenvalues(g)
     k = int(np.ceil(n / 2))
 
     out[0] = deg.mean()

@@ -5,18 +5,31 @@ triples into arrays with u < v, sorted by (u, v).  Both the cell graph here
 and the slide graph in `image_graph` use it.  Components and spanning trees
 come from `scipy.sparse.csgraph`, neighbourhoods from `scipy.spatial.cKDTree`.
 Hop measures come from a bit-parallel BFS over all sources at once
-(`hop_statistics`), so no n x n distance matrix is ever built.
+(`hop_statistics`), so no n x n distance matrix is ever built.  The
+adjacency spectrum of a large graph with a thin band comes from LAPACK's
+banded solver (`adjacency_eigenvalues`), without an n x n matrix either.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
 from .points import PointSet
+
+# `adjacency_eigenvalues` uses LAPACK's banded solver on graphs of at least
+# BANDED_MIN_NODES nodes whose reverse Cuthill-McKee bandwidth is at most
+# BANDED_MAX_WIDTH_RATIO * n, and the dense solver on all others.  The band
+# reduction costs ~n^2 * bandwidth against ~n^3 for the dense solve; the two
+# break even near a bandwidth of 0.07-0.08 n (table in CHANGES.md).  Smaller
+# graphs keep the dense solve: it is as fast there, and the stored golden
+# features pin its roundoff.
+BANDED_MIN_NODES = 1000
+BANDED_MAX_WIDTH_RATIO = 0.06
 
 
 def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,8 +119,8 @@ def build_radius_graph(points: PointSet, d_p: float) -> UndirectedGraph:
 
     Edge weights store the Euclidean distance; node order matches point order.
     """
-    if d_p <= 0:
-        raise ValueError("d_p must be positive")
+    if not 0 < d_p < np.inf:     # NaN would connect no pair, infinity every pair
+        raise ValueError(f"d_p must be finite and positive, got {d_p!r}")
     c = points.coords
     pairs = cKDTree(c).query_pairs(d_p, output_type="ndarray")
     d = c[pairs[:, 0]] - c[pairs[:, 1]]
@@ -129,38 +142,55 @@ def hop_statistics(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     component, ecc[v] is the largest hop distance d(v, s), dist_sum[v] the
     sum of d(v, s), and reached[v] their number (v itself included).
 
-    All n breadth-first searches run at once (multi-source BFS after Then et
-    al., "The More the Merrier", PVLDB 2014).  Row v of `seen` is a bitset
-    of the sources whose search has reached v, n x ceil(n/64) uint64 words
-    in all.  Each level ORs the frontier rows of every node's neighbours in
-    one `reduceat` and keeps the bits not seen before.  Hop distance is
-    symmetric, so a bit that row v gains at level L is a source at distance
-    L from v.
+    All breadth-first searches run at once (multi-source BFS after Then et
+    al., "The More the Merrier", PVLDB 2014).  Isolated nodes reach only
+    themselves, so the search runs over the k others, ranked by degree,
+    highest first.  Row i of `front` is a bitset of the sources whose search
+    reached node i at the last level, k x ceil(k/64) uint64 words in all.
+    Each level ORs the rows of every node's neighbours one neighbour slot at
+    a time: slot j is the j-th neighbour of each node of degree > j, and the
+    ranking makes those nodes a prefix of the rows, so a slot costs one
+    `take` into a buffer and one OR into contiguous rows.  Bits seen before
+    are dropped.  Hop distance is symmetric, so a bit that row v gains at
+    level L is a source at distance L from v.
     """
-    n = g.node_count
-    ecc = np.zeros(n, dtype=np.int64)
-    dist_sum = np.zeros(n, dtype=np.int64)
-    node = np.arange(n)
-    seen = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-    seen[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
-    indptr, indices = g.csr.indptr, g.csr.indices
-    rows = np.flatnonzero(np.diff(indptr))
-    front = seen
+    deg = g.degrees()
+    order = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
+    k = len(order)
+    rank = np.empty(g.node_count, dtype=np.int64)
+    rank[order] = np.arange(k)
+    # counts[j]: the nodes of degree > j, which come first in `order`
+    counts = np.searchsorted(-deg[order], -np.arange(deg.max(initial=0)))
+    starts, indices = g.csr.indptr[order], g.csr.indices
+    front, nxt, buf = (np.zeros((k, (k + 63) // 64), dtype=np.uint64) for _ in range(3))
+    node = np.arange(k)
+    front[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
+    unseen = ~front
+    first = rank[indices[starts]]
+    slots = [(rank[indices[starts[:c] + j]], buf[:c], nxt[:c])
+             for j, c in enumerate(counts[1:], 1)]
+    ecc_k, dist_k = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    reached_k = np.ones(k, dtype=np.int64)
     level = 0
-    while rows.size:
+    while True:
         level += 1
-        nxt = np.zeros_like(seen)
-        nxt[rows] = np.bitwise_or.reduceat(front[indices], indptr[rows], axis=0)
-        nxt &= ~seen
-        new = np.bitwise_count(nxt).sum(axis=1, dtype=np.int64)
+        # mode="clip" skips the buffered copy that the default bounds check makes
+        front.take(first, axis=0, out=nxt, mode="clip")
+        for idx, gathered, rows in slots:
+            front.take(idx, axis=0, out=gathered, mode="clip")
+            rows |= gathered
+        np.bitwise_and(nxt, unseen, out=front)
+        new = np.bitwise_count(front).sum(axis=1, dtype=np.int64)
         gained = new > 0
         if not gained.any():
             break
-        ecc[gained] = level
-        dist_sum += level * new
-        seen |= nxt
-        front = nxt
-    reached = np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
+        unseen ^= front
+        ecc_k[gained] = level
+        dist_k += level * new
+        reached_k += new
+    ecc, dist_sum, reached = np.zeros((3, g.node_count), dtype=np.int64)
+    reached[:] = 1
+    ecc[order], dist_sum[order], reached[order] = ecc_k, dist_k, reached_k
     return ecc, dist_sum, reached
 
 
@@ -234,3 +264,28 @@ def symmetric_eigenvalues(m) -> np.ndarray:
             raise ValueError("matrix is not symmetric within tolerance")
         a = (a + a.T) / 2.0
     return np.linalg.eigvalsh(a)
+
+
+def adjacency_eigenvalues(g: UndirectedGraph) -> np.ndarray:
+    """All eigenvalues of the binary adjacency of g, ascending.
+
+    Large graphs with a thin band (see BANDED_MIN_NODES) are renumbered in
+    reverse Cuthill-McKee order, and the lower band of the renumbered
+    adjacency, written straight from the edge arrays, goes to LAPACK's
+    banded symmetric solver; no n x n matrix is built.  Every other graph
+    goes to `symmetric_eigenvalues` as a dense matrix.  The two solvers
+    agree to ~1e-12 on cell graphs, not bitwise.
+    """
+    n = g.node_count
+    if n >= BANDED_MIN_NODES:
+        rank = np.empty(n, dtype=np.int64)
+        rank[csgraph.reverse_cuthill_mckee(g.csr, symmetric_mode=True)] = np.arange(n)
+        a, b = rank[g.u], rank[g.v]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        width = int((hi - lo).max(initial=0))
+        if width <= BANDED_MAX_WIDTH_RATIO * n:
+            band = np.zeros((width + 1, n))
+            band[hi - lo, lo] = 1.0
+            return eigvals_banded(band, lower=True, overwrite_a_band=True,
+                                  check_finite=False)
+    return symmetric_eigenvalues(g.adjacency_matrix())

@@ -13,9 +13,11 @@ import contextlib
 import csv
 import json
 import logging
+import math
 import multiprocessing
 import os
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -107,8 +109,7 @@ class ExperimentConfig:
             raise ValidationError("need at least two classes")
         if not (-1.0 <= self.theta < 1.0):
             raise ValidationError("theta must lie in [-1, 1)")
-        if self.d_p <= 0:
-            raise ValidationError("d_p must be positive")
+        _check_d_p(self.d_p)
         s = self.synth
         if s.patch_size <= 0 or s.stride <= 0:
             raise ValidationError("patch_size and stride must be positive")
@@ -116,19 +117,66 @@ class ExperimentConfig:
             raise ValidationError("patch_size exceeds slide dimensions")
 
 
+def _check_d_p(d_p) -> None:
+    """Reject a cell-graph radius that is not a finite positive number.
+
+    NaN connects no pair and infinity every pair, so both would featurize
+    without an error into edgeless or complete cell graphs.
+    """
+    try:
+        ok = math.isfinite(d_p) and d_p > 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"d_p must be a finite positive number, got {d_p!r}")
+
+
+# what a JSON value must be to fill a config field of each declared type
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), tuple: ((list,), "a list"),
+               type(None): ((type(None),), "null")}
+
+
+def _json_matches(value, kind) -> bool:
+    """Whether a JSON value fits a field of type `kind`; a bool is not a number."""
+    return not isinstance(value, bool) and isinstance(value, _JSON_KINDS[kind][0])
+
+
+def _check_config_value(key: str, value, hint, default) -> None:
+    """Raise ValidationError unless `value` fits the field's declared type.
+
+    A field typed `tuple` takes a list whose items have the type of its
+    default's items; an optional field also takes null.
+    """
+    kinds = typing.get_args(hint) or (hint,)
+    if not any(_json_matches(value, kind) for kind in kinds):
+        what = " or ".join(_JSON_KINDS[k][1] for k in kinds)
+        raise ValidationError(
+            f"config key '{key}' must be {what}, not {type(value).__name__} {value!r}")
+    if isinstance(value, list) and default:
+        item = type(default[0])
+        bad = [v for v in value if not _json_matches(v, item)]
+        if bad:
+            raise ValidationError(f"each item of config key '{key}' must be "
+                                  f"{_JSON_KINDS[item][1]}, not {type(bad[0]).__name__} "
+                                  f"{bad[0]!r}")
+
+
 def _config_from_dict(cls, data: dict, path: str = ""):
     fields = {f.name: f for f in cls.__dataclass_fields__.values()}  # type: ignore
+    hints = typing.get_type_hints(cls)
+    sub = {"synth": SynthParams, "train": TrainConfig}
     kwargs = {}
     for key, value in data.items():
         if key not in fields:
             raise ValidationError(f"unknown config key '{path}{key}'")
-        sub = {"synth": SynthParams, "train": TrainConfig}
-        if key in sub and isinstance(value, dict):
+        if key in sub:
+            if not isinstance(value, dict):
+                raise ValidationError(f"config key '{path}{key}' must be an object")
             kwargs[key] = _config_from_dict(sub[key], value, path=f"{key}.")
-        elif key in ("class_names", "gcn_dims", "head_dims", "dense_sds") and isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+            continue
+        _check_config_value(f"{path}{key}", value, hints[key], fields[key].default)
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
@@ -300,6 +348,7 @@ def featurize_slides(slides, d_p: float, workers: int = 0,
     An open `pool` is used and left open; without one, more than one worker
     and more than one slide open a pool for this call.
     """
+    _check_d_p(d_p)
     jobs = [(s, d_p) for s in slides]
     if pool is not None:
         return pool.map(_featurize_slide, jobs)

@@ -163,6 +163,56 @@ class TestExitCodes:
         cfg.write_text('{"bogus_key": 1}')
         assert main(["run", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"theta": "0.8"}', "theta"),
+        ('{"folds": "3"}', "folds"),
+        ('{"workers": "2"}', "workers"),
+        ('{"min_nuclei_per_patch": "3"}', "min_nuclei_per_patch"),
+        ('{"d_p": "64"}', "d_p"),
+        ('{"folds": 3.0}', "folds"),
+        ('{"folds": true}', "folds"),
+        ('{"seed": [1]}', "seed"),
+        ('{"class_names": ["a", 2]}', "class_names"),
+        ('{"synth": {"dense_sds": ["12", 44.0]}}', "synth.dense_sds"),
+        ('{"train": {"epochs": "3"}}', "train.epochs"),
+        ('{"train": {"num_classes": "3"}}', "train.num_classes"),
+        ('{"synth": 3}', "synth"),
+    ])
+    def test_config_value_of_the_wrong_type_returns_one(self, tmp_path, caplog, text, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"config key '{key}' must be" in caplog.text
+
+    def test_config_values_of_the_declared_types_load(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"d_p": 64, "train": {"num_classes": null}, '
+                       '"synth": {"dense_sds": [12, 44.5]}}')
+        loaded = pipeline.load_experiment_config(cfg)
+        assert (loaded.d_p, loaded.train.num_classes, loaded.synth.dense_sds) == (
+            64, None, (12, 44.5))
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "0", "-1"])
+    def test_config_d_p_that_is_not_finite_and_positive_returns_one(self, tmp_path, caplog,
+                                                                     value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(f'{{"d_p": {value}}}')
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "d_p must be a finite positive number" in caplog.text
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-3"])
+    def test_featurize_d_p_that_is_not_finite_and_positive_returns_one(
+            self, tmp_path, caplog, no_patch_features, value):
+        points = tmp_path / "points.csv"
+        slide = synth_slide(0, SynthParams(slide_width=256, slide_height=256,
+                                           patch_size=256, stride=256), seed=1, slide_id="s")
+        pipeline.export_pointsets([slide], points)
+        rc = main(["featurize", "--points", str(points), "--out", str(tmp_path / "f.csv"),
+                   "--patch-size", "256", "--workers", "1", f"--d-p={value}"])
+        assert rc == 1
+        assert "d_p must be a finite positive number" in caplog.text
+        assert not (tmp_path / "f.csv").exists()
+
     def test_missing_file_returns_one(self, tmp_path):
         rc = main(["featurize", "--points", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "f.csv")])

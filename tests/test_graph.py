@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
+from wsigraph import graph
 from wsigraph.features import cell_graph_features
 from wsigraph.graph import (
     UndirectedGraph,
+    adjacency_eigenvalues,
     build_radius_graph,
     canonical_edges,
     clustering_coefficients,
@@ -19,6 +22,22 @@ from oracles import exhaustive_mst_weight, floyd_warshall_hops, jacobi_eigenvalu
 
 def pset(points, w=768, h=768):
     return PointSet(np.asarray(points, dtype=float), w, h)
+
+
+def strip_graph(seed, n, gap=False):
+    """Radius graph (d_p = 64) of n uniform points on a 4000 x 400 px strip.
+
+    Reverse Cuthill-McKee numbers such a graph along the strip, with a
+    bandwidth of 40-60, under BANDED_MAX_WIDTH_RATIO * n for n >= 1000.
+    With `gap`, no point falls in x in [1800, 2200] except three isolated
+    ones, so the graph has two large components and isolated nodes.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform((0.0, 0.0), (4000.0, 400.0), (n, 2))
+    if gap:
+        pts = pts[(pts[:, 0] < 1800) | (pts[:, 0] >= 2200)]
+        pts = np.vstack([pts, [(2000.0, 50.0), (2000.0, 200.0), (2000.0, 350.0)]])
+    return build_radius_graph(pset(pts, 4000, 400), 64.0)
 
 
 def random_graph(rng, n, p=0.2):
@@ -60,8 +79,10 @@ class TestRadiusGraph:
         assert g.edge_count == 3
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            build_radius_graph(pset([(0, 0)]), 0)
+        # NaN and infinity too: they would give edgeless and complete graphs
+        for d_p in (0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="d_p must be finite and positive"):
+                build_radius_graph(pset([(0, 0), (10, 0)]), d_p)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
@@ -255,6 +276,20 @@ class TestComponentsAndDistances:
                 rad, diam = ecc[comp].min(), ecc[comp].max()
                 assert rad <= diam <= 2 * rad
 
+    def test_large_graph_matches_csgraph_shortest_paths(self):
+        """~1500 nodes, so ~24 words per bitset row and nodes of many degrees,
+        in two large components and a few isolated nodes."""
+        g = strip_graph(3, 1650, gap=True)
+        sizes = np.bincount(connected_components(g))
+        assert (sizes > 100).sum() == 2 and (g.degrees() == 0).sum() >= 3
+        hops = csgraph.shortest_path(g.csr, directed=False, unweighted=True)
+        finite = np.isfinite(hops)
+        hops = np.where(finite, hops, 0.0).astype(np.int64)
+        ecc, dist_sum, reached = hop_statistics(g)
+        assert np.array_equal(ecc, hops.max(axis=1))
+        assert np.array_equal(dist_sum, hops.sum(axis=1))
+        assert np.array_equal(reached, finite.sum(axis=1))
+
 
 class TestClustering:
     def test_triangle(self):
@@ -409,3 +444,45 @@ class TestSymmetricEigenvalues:
         expected = np.sort(np.linalg.eigvalsh((m + m.T) / 2.0))
         assert np.array_equal(symmetric_eigenvalues(m), expected)
         assert not np.array_equal(symmetric_eigenvalues(m), np.sort(np.linalg.eigvalsh(m)))
+
+
+class TestAdjacencyEigenvalues:
+    """The banded solve against the dense one it replaces on large thin-band graphs."""
+
+    # gaps measured: up to 2.3e-13 here (largest eigenvalue ~18) and 5.1e-13
+    # on the 3000-nucleus patch-dense graphs; the bound leaves ~20x of room
+    ATOL = 1e-11
+
+    @pytest.fixture
+    def no_dense_solve(self, monkeypatch):
+        def fail(m):
+            raise AssertionError(f"dense solve of a {len(m)}-node graph")
+        monkeypatch.setattr(graph, "symmetric_eigenvalues", fail)
+
+    @pytest.mark.parametrize("seed, n, gap", [
+        (1, graph.BANDED_MIN_NODES, False), (2, 1500, False), (3, 1650, True),
+    ])
+    def test_band_path_matches_the_dense_spectrum(self, no_dense_solve, seed, n, gap):
+        g = strip_graph(seed, n, gap)
+        assert g.node_count >= graph.BANDED_MIN_NODES
+        eig = adjacency_eigenvalues(g)
+        np.testing.assert_allclose(eig, np.linalg.eigvalsh(g.adjacency_matrix()),
+                                   rtol=0, atol=self.ATOL)
+        assert np.all(np.diff(eig) >= 0)
+
+    def test_edgeless_graph_takes_the_band_path(self, no_dense_solve):
+        n = graph.BANDED_MIN_NODES
+        assert adjacency_eigenvalues(UndirectedGraph(n)).tolist() == [0.0] * n
+
+    def test_below_the_selection_the_dense_spectrum_is_kept_bitwise(self):
+        rng = np.random.default_rng(4)
+        square = pset(rng.uniform(0, 1000, (graph.BANDED_MIN_NODES, 2)), 1000, 1000)
+        graphs = [
+            strip_graph(1, graph.BANDED_MIN_NODES - 1),     # thin band, too few nodes
+            build_radius_graph(square, 128.0),                # enough nodes, wide band
+            UndirectedGraph(0),
+            UndirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]),
+        ]
+        for g in graphs:
+            assert np.array_equal(adjacency_eigenvalues(g),
+                                  np.linalg.eigvalsh(g.adjacency_matrix()))
