@@ -21,7 +21,6 @@ from .graph import (
     connected_components,
     hop_statistics,
     minimum_spanning_tree,
-    symmetric_eigenvalues,
 )
 from .image_graph import ImageGraph, build_image_graph, cosine_similarity
 from .points import PointSet
@@ -63,7 +62,6 @@ __all__ = [
     "mst_features",
     "patch_feature_vector",
     "stat_summary",
-    "symmetric_eigenvalues",
     "voronoi_cells",
     "voronoi_features",
 ]

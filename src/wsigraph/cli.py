@@ -120,6 +120,7 @@ def _cmd_synth(args) -> int:
     cfg.synth.patch_size = args.patch_size
     cfg.synth.stride = args.patch_size
     cfg.synth.slide_width = cfg.synth.slide_height = args.slide_size
+    cfg.validate_dataset()
     slides = pipeline.synth_dataset(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,8 +204,21 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
+def _load_graphs(path) -> list:
+    graphs = load_image_graphs(path)
+    if not graphs:
+        raise ValidationError(f"{path}: no slide graphs")
+    return graphs
+
+
 def _cmd_train(args) -> int:
-    graphs = load_image_graphs(args.graphs)
+    try:
+        cfg = gcn.TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
+                              epochs=args.epochs, dropout_p=args.dropout, seed=args.seed,
+                              num_classes=args.num_classes)
+    except ValueError as e:
+        raise ValidationError(str(e)) from e
+    graphs = _load_graphs(args.graphs)
     unlabelled = next((g for g in graphs if g.label < 0), None)
     if unlabelled is not None:
         raise ValidationError(
@@ -214,20 +228,18 @@ def _cmd_train(args) -> int:
     if args.num_classes is not None and top >= args.num_classes:
         raise ValidationError(
             f"{args.graphs}: --num-classes {args.num_classes} leaves no class for label {top}")
-    cfg = gcn.TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
-                          epochs=args.epochs, dropout_p=args.dropout, seed=args.seed,
-                          num_classes=args.num_classes)
     model, history = gcn.train(graphs, cfg)
     gcn.save_model(model, args.model, config=cfg)
     if args.history:
         Path(args.history).write_text(json.dumps(history), encoding="utf-8")
-    log.info("final train loss %.4f accuracy %.4f", history[-1]["loss"],
-             history[-1]["accuracy"])
+    if history:
+        log.info("final train loss %.4f accuracy %.4f", history[-1]["loss"],
+                 history[-1]["accuracy"])
     return 0
 
 
 def _cmd_eval(args) -> int:
-    graphs = load_image_graphs(args.graphs)
+    graphs = _load_graphs(args.graphs)
     model = gcn.load_model(args.model)
     for g in graphs:
         width = g.node_features.shape[1]

@@ -6,6 +6,9 @@ at sigma_x, so the shapes run from 2:1 elongated to isotropic).  Kernels are
 mean-subtracted so a constant image produces zero response.  Responses are
 scale-normalized by sigma_x*sigma_minor and summed across the bank; the sign
 convention makes dark blobs on a light background produce positive peaks.
+Nuclei are the thresholded regional maxima of that response, merged
+strongest first by `points.greedy_merge`, the rule the tessellations also
+use to merge near-duplicate points.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import maximum_filter
 from scipy.signal import fftconvolve
-from scipy.spatial import cKDTree
 
-from .points import PointSet
+from .points import PointSet, greedy_merge
 
 
 @dataclass
@@ -162,25 +164,12 @@ def detect_nuclei(img: GrayImage, bank: GLoGBank,
 def _merge_maxima(rows, cols, values, merge_radius: float) -> np.ndarray:
     """(x, y) of the maxima kept by the greedy merge, strongest first.
 
-    Going down the maxima by decreasing value (ties by row, then column), a
-    maximum is kept unless a kept one lies strictly closer than
-    merge_radius; a dropped maximum suppresses nothing.  Only the pairs
-    within merge_radius (one `cKDTree.query_pairs`) are visited, and only a
-    maximum that heads such a pair takes a Python step.
+    The maxima are ordered by decreasing value (ties by row, then column)
+    and merged in that order by `points.greedy_merge`.
     """
     order = np.lexsort((cols, rows, -values))
     xy = np.column_stack([cols[order], rows[order]]).astype(np.float64)
-    pairs = cKDTree(xy).query_pairs(merge_radius, output_type="ndarray")
-    d = xy[pairs[:, 0]] - xy[pairs[:, 1]]
-    pairs = pairs[(d * d).sum(axis=1) < merge_radius * merge_radius]
-    pairs = pairs[np.argsort(pairs[:, 0])]      # (i, j), i < j: i is the stronger
-    heads, starts = np.unique(pairs[:, 0], return_index=True)
-    ends = np.r_[starts[1:], len(pairs)]
-    dropped = np.zeros(len(xy), dtype=bool)
-    for i, a, b in zip(heads.tolist(), starts.tolist(), ends.tolist()):
-        if not dropped[i]:
-            dropped[pairs[a:b, 1]] = True
-    return xy[~dropped]
+    return xy[greedy_merge(xy, merge_radius)]
 
 
 # ---------------------------------------------------------------------------

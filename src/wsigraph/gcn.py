@@ -61,14 +61,19 @@ class TrainConfig:
     num_classes: int | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if not (0.0 <= self.dropout_p < 1.0):
-            raise ValueError("dropout_p must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
         self.gcn_dims = tuple(int(d) for d in self.gcn_dims)
         self.head_dims = tuple(int(d) for d in self.head_dims)
+        for name, ok, rule in (
+            ("learning_rate", 0.0 <= self.learning_rate < np.inf, "finite and >= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("dropout_p", 0.0 <= self.dropout_p < 1.0, "in [0, 1)"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("gcn_dims", min(self.gcn_dims, default=0) >= 1, "one or more widths >= 1"),
+            ("head_dims", min(self.head_dims, default=1) >= 1, "widths >= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

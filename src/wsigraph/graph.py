@@ -6,8 +6,9 @@ and the slide graph in `image_graph` use it.  Components and spanning trees
 come from `scipy.sparse.csgraph`, neighbourhoods from `scipy.spatial.cKDTree`.
 Hop measures come from a bit-parallel BFS over all sources at once
 (`hop_statistics`), so no n x n distance matrix is ever built.  The
-adjacency spectrum of a large graph with a thin band comes from LAPACK's
-banded solver (`adjacency_eigenvalues`), without an n x n matrix either.
+adjacency spectrum (`adjacency_eigenvalues`) of a large graph with a thin
+band comes from LAPACK's banded solver, without an n x n matrix either; any
+other graph's comes from `np.linalg.eigvalsh` on its dense adjacency.
 """
 
 from __future__ import annotations
@@ -243,29 +244,6 @@ def minimum_spanning_tree(points: PointSet, triangulation=None) -> UndirectedGra
     return UndirectedGraph(n, np.column_stack([tree.row, tree.col, tree.data]))
 
 
-def symmetric_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, ascending as LAPACK returns them.
-
-    Rejects matrices whose asymmetry exceeds 1e-9 (scaled by the largest
-    entry) and symmetrizes the rest as (a + a.T) / 2.  Backed by LAPACK's
-    symmetric solver; the contract is the residual bound, not the algorithm.
-    An exactly symmetric matrix, such as a graph adjacency, goes to the
-    solver as it is: symmetrizing it would change no entry, and the exact
-    check needs only an n x n boolean temporary.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if a.size == 0:
-        return np.zeros(0)
-    if not np.array_equal(a, a.T):
-        tol = 1e-9 * max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > tol:
-            raise ValueError("matrix is not symmetric within tolerance")
-        a = (a + a.T) / 2.0
-    return np.linalg.eigvalsh(a)
-
-
 def adjacency_eigenvalues(g: UndirectedGraph) -> np.ndarray:
     """All eigenvalues of the binary adjacency of g, ascending.
 
@@ -273,8 +251,8 @@ def adjacency_eigenvalues(g: UndirectedGraph) -> np.ndarray:
     reverse Cuthill-McKee order, and the lower band of the renumbered
     adjacency, written straight from the edge arrays, goes to LAPACK's
     banded symmetric solver; no n x n matrix is built.  Every other graph
-    goes to `symmetric_eigenvalues` as a dense matrix.  The two solvers
-    agree to ~1e-12 on cell graphs, not bitwise.
+    goes to `np.linalg.eigvalsh` as a dense matrix.  The two solvers agree
+    to ~1e-12 on cell graphs, not bitwise.
     """
     n = g.node_count
     if n >= BANDED_MIN_NODES:
@@ -288,4 +266,4 @@ def adjacency_eigenvalues(g: UndirectedGraph) -> np.ndarray:
             band[hi - lo, lo] = 1.0
             return eigvals_banded(band, lower=True, overwrite_a_band=True,
                                   check_finite=False)
-    return symmetric_eigenvalues(g.adjacency_matrix())
+    return np.linalg.eigvalsh(g.adjacency_matrix())

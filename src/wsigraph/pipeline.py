@@ -18,7 +18,7 @@ import multiprocessing
 import os
 import time
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +101,7 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
+        self.validate_dataset()
         if self.folds < 2:
             raise ValidationError("folds must be >= 2")
         if self.slides_per_class < self.folds:
@@ -110,11 +111,36 @@ class ExperimentConfig:
         if not (-1.0 <= self.theta < 1.0):
             raise ValidationError("theta must lie in [-1, 1)")
         _check_d_p(self.d_p)
+        try:
+            replace(self.train)     # reruns its checks on fields set after construction
+        except ValueError as e:
+            raise ValidationError(f"train.{e}") from e
+        classes = self.train.num_classes
+        if classes is not None and classes != len(self.class_names):
+            raise ValidationError(
+                f"train.num_classes is {classes}, but class_names holds "
+                f"{len(self.class_names)} classes; give null or {len(self.class_names)}")
+
+    def validate_dataset(self) -> None:
+        """The checks on what `synth_dataset` reads, all that `wsigraph synth` needs.
+
+        Every synth rate and spread is a finite number >= 0, and `dense_sds`
+        holds the tight and the loose spread.
+        """
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         s = self.synth
         if s.patch_size <= 0 or s.stride <= 0:
             raise ValidationError("patch_size and stride must be positive")
         if s.patch_size > min(s.slide_width, s.slide_height):
             raise ValidationError("patch_size exceeds slide dimensions")
+        if len(s.dense_sds) != 2:
+            raise ValidationError(f"synth.dense_sds must hold 2 values, got {list(s.dense_sds)}")
+        for f in fields(SynthParams):
+            value = getattr(s, f.name)
+            if not all(0 <= v < math.inf for v in np.atleast_1d(value).tolist()):
+                raise ValidationError(
+                    f"synth.{f.name} must be a finite number >= 0, got {value!r}")
 
 
 def _check_d_p(d_p) -> None:
@@ -180,7 +206,7 @@ def _config_from_dict(cls, data: dict, path: str = ""):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
-        raise ValidationError(f"bad config for {cls.__name__}: {e}") from e
+        raise ValidationError(f"{path}{e}") from e
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -51,3 +52,24 @@ class PointSet:
     @property
     def area(self) -> float:
         return float(self.patch_width) * float(self.patch_height)
+
+
+def greedy_merge(xy: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the points a greedy merge keeps, ascending.
+
+    Walking the (n, 2) points in index order, a point is kept unless a kept
+    point lies strictly closer than `radius`; a dropped point suppresses
+    nothing.  Only the pairs within `radius` (one `cKDTree.query_pairs`) are
+    visited, and only a point that heads such a pair takes a Python step.
+    """
+    pairs = cKDTree(xy).query_pairs(radius, output_type="ndarray")
+    d = xy[pairs[:, 0]] - xy[pairs[:, 1]]
+    pairs = pairs[(d * d).sum(axis=1) < radius * radius]
+    pairs = pairs[np.argsort(pairs[:, 0])]      # (i, j) with i < j: i decides first
+    heads, starts = np.unique(pairs[:, 0], return_index=True)
+    ends = np.r_[starts[1:], len(pairs)]
+    dropped = np.zeros(len(xy), dtype=bool)
+    for i, a, b in zip(heads.tolist(), starts.tolist(), ends.tolist()):
+        if not dropped[i]:
+            dropped[pairs[a:b, 1]] = True
+    return np.flatnonzero(~dropped)

@@ -21,9 +21,12 @@ triangles around it, in angular order.  A generator lying on a side coincides
 with its own image, so its cell is instead clipped from the rectangle by the
 bisectors of its Delaunay neighbours.
 
-Both structures keep the array form Qhull's output arrives in: triangles
-and Delaunay edges are int64 index arrays, and the cells are one array of
-CCW rings stored back to back with a vertex count per cell.
+Before either is built, points are merged by `points.greedy_merge`: in index
+order, a point strictly closer than MERGE_EPS to an earlier kept point is
+dropped, the same rule detection uses to merge maxima.  Both structures keep
+the array form Qhull's output arrives in: triangles and Delaunay edges are
+int64 index arrays, and the cells are one array of CCW rings stored back to
+back with a vertex count per cell.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay
 
-from .points import PointSet
+from .points import PointSet, greedy_merge
 
 MERGE_EPS = 1e-6        # points closer than this are merged before tessellating
 PREDICATE_EPS = 1e-9    # tie band on the normalized circumcircle determinant
@@ -65,30 +68,6 @@ def incircle_excess(a, b, c, p):
     )
     ext = np.maximum(np.abs(np.concatenate([ad, bd, cd], axis=-1)).max(axis=-1), 1e-300)
     return det / ext**4
-
-
-def _merge_close(coords: np.ndarray, eps: float = MERGE_EPS) -> np.ndarray:
-    """Indices of merge representatives (first occurrence wins).
-
-    Scanning points in index order, each point not yet taken becomes a
-    representative and takes every point strictly closer than eps to it.
-    """
-    n = len(coords)
-    pairs = cKDTree(coords).query_pairs(eps, output_type="ndarray") if n > 1 else []
-    if len(pairs):
-        d = coords[pairs[:, 0]] - coords[pairs[:, 1]]
-        pairs = pairs[(d * d).sum(-1) < eps * eps]
-    if not len(pairs):
-        return np.arange(n)
-    close: dict[int, list[int]] = {}
-    for i, j in pairs.tolist():
-        close.setdefault(i, []).append(j)
-        close.setdefault(j, []).append(i)
-    taken = np.zeros(n, dtype=bool)
-    for i in sorted(close):
-        if not taken[i]:
-            taken[close[i]] = True
-    return np.flatnonzero(~taken)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +168,14 @@ def _canonical_ties(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
 def delaunay_triangulation(points: PointSet) -> Triangulation:
     """Delaunay triangulation of the point set.
 
-    Points within MERGE_EPS of an earlier point are merged away first.
+    Points strictly closer than MERGE_EPS to an earlier kept point are
+    merged away first.
     Raises DegenerateGeometryError when fewer than 3 distinct points remain
     or all points are collinear; callers substitute zeroed features.
     Cocircular ties are broken by the lexicographic rule of the module
     docstring, which makes the triangle set invariant under input permutation.
     """
-    reps = _merge_close(points.coords)
+    reps = greedy_merge(points.coords, MERGE_EPS)
     if len(reps) < 3:
         raise DegenerateGeometryError("need at least 3 distinct points")
     coords = points.coords[reps]
@@ -386,7 +366,7 @@ def voronoi_cells(points: PointSet) -> VoronoiCells:
     """
     if len(points) < 1:
         raise ValueError("voronoi_cells needs at least one point")
-    reps = _merge_close(points.coords)
+    reps = greedy_merge(points.coords, MERGE_EPS)
     vertices, sizes = _rectangle_cells(
         points.coords[reps], float(points.patch_width), float(points.patch_height))
     return VoronoiCells(vertices=vertices, sizes=sizes, generator_index=reps)

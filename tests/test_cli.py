@@ -184,6 +184,41 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert f"config key '{key}' must be" in caplog.text
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"synth": {"cluster_sd": -1}}', "synth.cluster_sd"),
+        ('{"synth": {"poisson_mean": -5}}', "synth.poisson_mean"),
+        ('{"synth": {"dense_background_mean": NaN}}', "synth.dense_background_mean"),
+        ('{"synth": {"dense_sds": [12]}}', "synth.dense_sds"),
+        ('{"seed": -1}', "seed"),
+        ('{"train": {"seed": -1}}', "train.seed"),
+        ('{"train": {"gcn_dims": []}}', "train.gcn_dims"),
+        ('{"train": {"head_dims": [0]}}', "train.head_dims"),
+        ('{"train": {"num_classes": 7}}', "train.num_classes"),
+        ('{"train": {"num_classes": 2}}', "train.num_classes"),
+    ])
+    def test_config_value_out_of_range_returns_one(self, tmp_path, caplog, text, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                     "--slides-per-class", "3", "--epochs", "1", "--workers", "1"]) == 1
+        assert f"{key} " in caplog.text
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["run", "--seed", "-1"], "seed"),
+        (["run", "--epochs", "-1"], "train.epochs"),
+        (["synth", "--seed", "-1"], "seed"),
+    ])
+    def test_flag_out_of_range_returns_one(self, tmp_path, caplog, argv, key):
+        assert main(argv + ["--out", str(tmp_path), "--slides-per-class", "3"]) == 1
+        assert f"{key} must be >= 0, got -1" in caplog.text
+        assert not any(tmp_path.iterdir())
+
+    def test_config_num_classes_equal_to_the_class_count_loads(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"train": {"num_classes": 3}}')
+        assert pipeline.load_experiment_config(cfg).train.num_classes == 3
+
     def test_config_values_of_the_declared_types_load(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"d_p": 64, "train": {"num_classes": null}, '
@@ -297,6 +332,45 @@ class TestMalformedInterchange:
         assert rc == 1
         assert (f"{graphs}: slide wide has 3 features per node, but {model} expects 2"
                 in caplog.text)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dropout", "1.5", "dropout_p must be in [0, 1), got 1.5"),
+        ("--learning-rate", "-1", "learning_rate must be finite and >= 0, got -1.0"),
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("--epochs", "-1", "epochs must be >= 0, got -1"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ])
+    def test_train_flag_out_of_range(self, tmp_path, caplog, flag, value, message):
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(graph_record() + "\n")
+        rc = main(["train", "--graphs", str(graphs), "--model", str(tmp_path / "m.json"),
+                   flag, value])
+        assert rc == 1
+        assert message in caplog.text and "Traceback" not in caplog.text
+        assert not (tmp_path / "m.json").exists()
+
+    def test_train_zero_epochs_writes_the_initial_model(self, tmp_path):
+        rc, _ = self._train(tmp_path, graph_record() + "\n")
+        assert rc == 0
+        model = tmp_path / "m.json"
+        model.unlink()
+        graphs = tmp_path / "graphs.jsonl"
+        assert main(["train", "--graphs", str(graphs), "--model", str(model),
+                     "--history", str(tmp_path / "h.json"), "--epochs", "0"]) == 0
+        assert json.loads(model.read_text())["config"]["epochs"] == 0
+        assert json.loads((tmp_path / "h.json").read_text()) == []
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_graph_file(self, tmp_path, caplog, command, text):
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(text)
+        out = ["--out", str(tmp_path / "metrics.json")] if command == "eval" else []
+        rc = main([command, "--graphs", str(graphs), "--model", str(tmp_path / "m.json")]
+                  + out)
+        assert rc == 1
+        assert f"{graphs}: no slide graphs" in caplog.text
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "metrics.json").exists()
 
     def test_num_classes_below_a_label(self, tmp_path, caplog):
         graphs = tmp_path / "graphs.jsonl"

@@ -13,9 +13,8 @@ from wsigraph.graph import (
     connected_components,
     hop_statistics,
     minimum_spanning_tree,
-    symmetric_eigenvalues,
 )
-from wsigraph.points import PointSet
+from wsigraph.points import PointSet, greedy_merge
 
 from oracles import exhaustive_mst_weight, floyd_warshall_hops, jacobi_eigenvalues
 
@@ -63,6 +62,64 @@ class TestPointSet:
 
     def test_empty_ok(self):
         assert len(pset([])) == 0
+
+
+def brute_force_greedy(xy, radius):
+    """Greedy merge by definition: in index order, keep a point unless a kept
+    point is strictly closer than radius."""
+    kept = []
+    for i, (x, y) in enumerate(xy.tolist()):
+        if all((x - kx) * (x - kx) + (y - ky) * (y - ky) >= radius * radius
+               for kx, ky in xy[kept].tolist()):
+            kept.append(i)
+    return np.array(kept, dtype=np.intp)
+
+
+class TestGreedyMerge:
+    """points.greedy_merge, behind detection and both tessellations."""
+
+    @staticmethod
+    def check(xy, radius):
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        got = greedy_merge(xy, radius)
+        assert got.dtype == np.intp and np.array_equal(got, brute_force_greedy(xy, radius))
+        return got.tolist()
+
+    def test_empty_and_single(self):
+        assert self.check([], 1.0) == []
+        assert self.check([(3.0, 4.0)], 1.0) == [0]
+
+    def test_exact_duplicates_keep_the_first(self):
+        assert self.check([(1, 1), (5, 5), (1, 1), (5, 5), (1, 1)], 1e-6) == [0, 1]
+
+    def test_pair_at_exactly_the_radius_is_kept(self):
+        assert self.check([(0, 0), (3, 4), (-4, 3), (2, 2)], 5.0) == [0, 1, 2]
+        # on an integer grid every axis neighbour lies at exactly the radius
+        grid = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2)
+        assert self.check(grid * 2.0, 2.0) == list(range(36))
+
+    def test_dropped_point_does_not_suppress(self):
+        # 1 is within the radius of 0 and of 2; 0 drops 1, so 2 (1.2 from 0) stays
+        assert self.check([(0, 0), (0.6, 0), (1.2, 0)], 1.0) == [0, 2]
+        # along a chain of drops and keeps every other point survives
+        chain = np.column_stack([np.arange(10) * 0.6, np.zeros(10)])
+        assert self.check(chain, 1.0) == list(range(0, 10, 2))
+        # the order decides: walked from the middle, the middle point is kept
+        assert self.check([(0.6, 0), (0, 0), (1.2, 0)], 1.0) == [0]
+
+    def test_seeded_clusters_match_brute_force(self):
+        rng = np.random.default_rng(17)
+        merged = 0
+        for _ in range(60):
+            radius = float(rng.choice([1e-6, 1.0, 8.0]))
+            centres = rng.uniform(0, 200, (int(rng.integers(1, 8)), 2))
+            pts = centres[rng.integers(len(centres), size=int(rng.integers(1, 60)))]
+            # three in ten stay on their centre, exact duplicates of each other
+            pts = pts + rng.normal(0, radius, pts.shape) * (rng.random((len(pts), 1)) < 0.7)
+            pts = np.vstack([pts, pts[rng.integers(len(pts), size=5)]])
+            kept = self.check(rng.permutation(pts), radius)
+            merged += len(pts) - len(kept)
+        assert merged > 100
 
 
 class TestRadiusGraph:
@@ -380,70 +437,50 @@ class TestMinimumSpanningTree:
 
 
 class TestSymmetricEigenvalues:
+    """The spectrum of the symmetric binary adjacency, from adjacency_eigenvalues."""
+
     def test_zero_matrix(self):
-        assert symmetric_eigenvalues(np.zeros((3, 3))).tolist() == [0, 0, 0]
+        # the edgeless graph's adjacency is the zero matrix
+        assert adjacency_eigenvalues(UndirectedGraph(3)).tolist() == [0, 0, 0]
+        assert adjacency_eigenvalues(UndirectedGraph(0)).shape == (0,)
 
     def test_single_edge_spectrum(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(symmetric_eigenvalues(a), [-1, 1])
+        g = UndirectedGraph(2, [(0, 1, 1.0)])
+        assert np.allclose(adjacency_eigenvalues(g), [-1, 1])
 
     def test_k3_spectrum(self):
-        a = np.ones((3, 3)) - np.eye(3)
-        assert np.allclose(symmetric_eigenvalues(a), [-1, -1, 2], atol=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        g = UndirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        assert np.allclose(adjacency_eigenvalues(g), [-1, -1, 2], atol=1e-12)
 
     def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            n = int(rng.integers(1, 15))
-            m = rng.normal(0, 1, (n, n))
-            m = (m + m.T) / 2
-            assert np.allclose(
-                symmetric_eigenvalues(m), jacobi_eigenvalues(m), atol=1e-9
-            )
+            g = random_graph(rng, int(rng.integers(1, 15)), p=float(rng.uniform(0.1, 0.9)))
+            assert np.allclose(adjacency_eigenvalues(g),
+                               jacobi_eigenvalues(g.adjacency_matrix()), atol=1e-9)
 
     def test_trace_and_count_invariants(self):
+        # no self-loops: the trace is 0, and trace(A^2) = sum of squares = 2m
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = int(rng.integers(1, 20))
-            m = rng.normal(0, 2, (n, n))
-            m = (m + m.T) / 2
-            eig = symmetric_eigenvalues(m)
-            assert len(eig) == n
-            assert eig.sum() == pytest.approx(np.trace(m), rel=1e-8, abs=1e-8)
+        graphs = [random_graph(rng, int(rng.integers(1, 20)), p=float(rng.uniform(0.1, 0.9)))
+                  for _ in range(20)]
+        for g in graphs + [strip_graph(5, graph.BANDED_MIN_NODES)]:    # both solvers
+            eig = adjacency_eigenvalues(g)
+            assert len(eig) == g.node_count
+            assert eig.sum() == pytest.approx(0.0, abs=1e-8)
+            assert (eig * eig).sum() == pytest.approx(2 * g.edge_count, rel=1e-10)
             assert np.all(np.diff(eig) >= 0)
 
     def test_residual_bound(self):
-        # every reported eigenvalue is within 1e-8*|M| of a true one, checked
-        # via the smallest singular value of (M - lambda I)
+        # every reported eigenvalue is within 1e-8*|A| of a true one, checked
+        # via the smallest singular value of (A - lambda I)
         rng = np.random.default_rng(14)
-        m = rng.normal(0, 1, (8, 8))
-        m = (m + m.T) / 2
+        g = random_graph(rng, 8, p=0.5)
+        m = g.adjacency_matrix()
         norm = np.linalg.norm(m, 2)
-        for lam in symmetric_eigenvalues(m):
+        for lam in adjacency_eigenvalues(g):
             smin = np.linalg.svd(m - lam * np.eye(8), compute_uv=False).min()
             assert smin <= 1e-8 * norm
-
-    def test_exactly_symmetric_input_matches_the_symmetrized_solve_bitwise(self):
-        rng = np.random.default_rng(15)
-        for n in (1, 2, 7, 40):
-            m = rng.normal(0, 3, (n, n))
-            m = np.triu(m) + np.triu(m, 1).T
-            assert np.array_equal(m, m.T)
-            expected = np.sort(np.linalg.eigvalsh((m + m.T) / 2.0))
-            assert np.array_equal(symmetric_eigenvalues(m), expected)
-
-    def test_nearly_symmetric_input_is_symmetrized(self):
-        rng = np.random.default_rng(16)
-        m = rng.normal(0, 1, (6, 6))
-        m = (m + m.T) / 2
-        m[1, 4] += 1e-12
-        expected = np.sort(np.linalg.eigvalsh((m + m.T) / 2.0))
-        assert np.array_equal(symmetric_eigenvalues(m), expected)
-        assert not np.array_equal(symmetric_eigenvalues(m), np.sort(np.linalg.eigvalsh(m)))
 
 
 class TestAdjacencyEigenvalues:
@@ -455,9 +492,10 @@ class TestAdjacencyEigenvalues:
 
     @pytest.fixture
     def no_dense_solve(self, monkeypatch):
-        def fail(m):
-            raise AssertionError(f"dense solve of a {len(m)}-node graph")
-        monkeypatch.setattr(graph, "symmetric_eigenvalues", fail)
+        """Fail any dense adjacency, so the band path provably builds no n x n matrix."""
+        def fail(g):
+            raise AssertionError(f"dense adjacency of a {g.node_count}-node graph")
+        monkeypatch.setattr(UndirectedGraph, "adjacency_matrix", fail)
 
     @pytest.mark.parametrize("seed, n, gap", [
         (1, graph.BANDED_MIN_NODES, False), (2, 1500, False), (3, 1650, True),
@@ -466,7 +504,7 @@ class TestAdjacencyEigenvalues:
         g = strip_graph(seed, n, gap)
         assert g.node_count >= graph.BANDED_MIN_NODES
         eig = adjacency_eigenvalues(g)
-        np.testing.assert_allclose(eig, np.linalg.eigvalsh(g.adjacency_matrix()),
+        np.testing.assert_allclose(eig, np.linalg.eigvalsh(g.csr.toarray()),
                                    rtol=0, atol=self.ATOL)
         assert np.all(np.diff(eig) >= 0)
 

@@ -282,6 +282,12 @@ class TestConfig:
         # the example spells out the defaults
         assert load_experiment_config(path) == ExperimentConfig()
 
+    def test_readme_library_entry_points_import(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library entry points", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+
     def test_detection_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"detection": {"sigma_x": 8.0}}')
