@@ -118,7 +118,6 @@ def _cmd_synth(args) -> int:
     cfg = ExperimentConfig(seed=args.seed, slides_per_class=args.slides_per_class,
                            class_names=tuple(f"class{c}" for c in range(args.classes)))
     cfg.synth.patch_size = args.patch_size
-    cfg.synth.stride = args.patch_size
     cfg.synth.slide_width = cfg.synth.slide_height = args.slide_size
     cfg.validate_dataset()
     slides = pipeline.synth_dataset(cfg)
@@ -147,7 +146,7 @@ def _cmd_detect(args) -> int:
         raise ValidationError(f"no .pgm files found under {src}")
     bank = detection.build_glog_bank(args.sigma_x, args.sigma_y,
                                      args.orientations, args.bandwidth)
-    stride = args.stride or args.patch_size
+    stride = args.patch_size if args.stride is None else args.stride
 
     def run_detection(img):
         return detection.detect_nuclei(img, bank,
@@ -164,9 +163,7 @@ def _cmd_detect(args) -> int:
         if m:
             slide_id = m.group("slide")
             row, col = int(m.group("row")), int(m.group("col"))
-            rec = slides.setdefault(slide_id, pipeline.SlideRecord(
-                slide_id=slide_id, label=-1, patches=[],
-                provenance={"source": str(f.parent)}))
+            rec = slides.setdefault(slide_id, pipeline.SlideRecord(slide_id, label=-1))
             rec.patches.append(pipeline.PatchRecord(row=row, col=col,
                                                     points=run_detection(img)))
         else:
@@ -176,9 +173,7 @@ def _cmd_detect(args) -> int:
                 tile = detection.GrayImage(img.pixels[y:y + size, x:x + size])
                 patches.append(pipeline.PatchRecord(row=y // stride, col=x // stride,
                                                     points=run_detection(tile)))
-            slides[f.stem] = pipeline.SlideRecord(
-                slide_id=f.stem, label=-1, patches=patches,
-                provenance={"source": str(f)})
+            slides[f.stem] = pipeline.SlideRecord(f.stem, label=-1, patches=patches)
     for rec in slides.values():
         rec.patches.sort(key=lambda p: (p.row, p.col))
         log.info("%s: %d patches, %d nuclei", rec.slide_id, len(rec.patches),
@@ -212,12 +207,9 @@ def _load_graphs(path) -> list:
 
 
 def _cmd_train(args) -> int:
-    try:
-        cfg = gcn.TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
-                              epochs=args.epochs, dropout_p=args.dropout, seed=args.seed,
-                              num_classes=args.num_classes)
-    except ValueError as e:
-        raise ValidationError(str(e)) from e
+    cfg = gcn.TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
+                          epochs=args.epochs, dropout_p=args.dropout, seed=args.seed,
+                          num_classes=args.num_classes)
     graphs = _load_graphs(args.graphs)
     unlabelled = next((g for g in graphs if g.label < 0), None)
     if unlabelled is not None:

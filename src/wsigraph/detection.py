@@ -13,6 +13,7 @@ use to merge near-duplicate points.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter
 from scipy.signal import fftconvolve
 
+from .errors import ValidationError
 from .points import PointSet, greedy_merge
 
 
@@ -63,10 +65,6 @@ class GrayImage:
 class GLoGBank:
     """Oriented LoG kernel bank; kernel count = orientations * bandwidth."""
 
-    sigma_x: float
-    sigma_y: float
-    orientations: int
-    bandwidth: int
     kernels: list
     scale_weights: np.ndarray   # sigma_x * minor_sigma per kernel
 
@@ -102,9 +100,9 @@ def build_glog_bank(sigma_x: float, sigma_y: float, orientations: int,
                     bandwidth: int) -> GLoGBank:
     """Build the oriented LoG bank for the given kernel parameters."""
     if not (sigma_x >= sigma_y > 0):
-        raise ValueError("need sigma_x >= sigma_y > 0")
+        raise ValidationError("need sigma_x >= sigma_y > 0")
     if orientations < 1 or bandwidth < 1:
-        raise ValueError("orientations and bandwidth must be >= 1")
+        raise ValidationError("orientations and bandwidth must be >= 1")
     half = int(np.ceil(3.0 * max(sigma_x, sigma_y)))
     scales = np.geomspace(sigma_y, sigma_x, bandwidth)
     angles = np.arange(orientations) * (np.pi / orientations)
@@ -114,14 +112,7 @@ def build_glog_bank(sigma_x: float, sigma_y: float, orientations: int,
         for ang in angles:
             kernels.append(_anisotropic_log(sigma_x, float(s), float(ang), half))
             weights.append(sigma_x * float(s))
-    return GLoGBank(
-        sigma_x=float(sigma_x),
-        sigma_y=float(sigma_y),
-        orientations=int(orientations),
-        bandwidth=int(bandwidth),
-        kernels=kernels,
-        scale_weights=np.asarray(weights),
-    )
+    return GLoGBank(kernels=kernels, scale_weights=np.asarray(weights))
 
 
 def bank_response(img: GrayImage, bank: GLoGBank) -> np.ndarray:
@@ -149,6 +140,11 @@ def detect_nuclei(img: GrayImage, bank: GLoGBank,
     kept maximum lies strictly closer than merge_radius.  A dropped maximum
     suppresses nothing.  Points come out in that strength order.
     """
+    if response_threshold is not None and not math.isfinite(response_threshold):
+        raise ValidationError(
+            f"response_threshold must be a finite number, got {response_threshold!r}")
+    if not 0 <= merge_radius < math.inf:
+        raise ValidationError(f"merge_radius must be a finite number >= 0, got {merge_radius!r}")
     resp = bank_response(img, bank)
     if response_threshold is None:
         peak = float(resp.max())
@@ -214,21 +210,23 @@ def read_pgm(path) -> GrayImage:
     """Read an 8-bit binary PGM (P5) file."""
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
+        raise ValidationError(f"{path}: not a binary PGM (P5) file")
     # header = magic, width, height, maxval; '#' comments allowed between tokens
     tokens = []
     pos = 2
     while len(tokens) < 3:
         m = re.match(rb"(?:\s+|#[^\n]*\n)*(\d+)", raw[pos:])
         if not m:
-            raise ValueError(f"{path}: malformed PGM header")
+            raise ValidationError(f"{path}: malformed PGM header")
         tokens.append(int(m.group(1)))
         pos += m.end()
     width, height, maxval = tokens
     if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+        raise ValidationError(f"{path}: only maxval 255 supported, got {maxval}")
+    if width < 1 or height < 1:
+        raise ValidationError(f"{path}: no pixels ({width}x{height})")
     pos += 1    # single whitespace byte after maxval
     if len(raw) - pos < width * height:
-        raise ValueError(f"{path}: truncated pixel data")
+        raise ValidationError(f"{path}: truncated pixel data")
     data = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
     return GrayImage(data.reshape(height, width).astype(np.float64) / 255.0)

@@ -73,7 +73,7 @@ class TrainConfig:
             ("head_dims", min(self.head_dims, default=1) >= 1, "widths >= 1"),
         ):
             if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

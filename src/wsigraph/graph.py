@@ -13,6 +13,8 @@ other graph's comes from `np.linalg.eigvalsh` on its dense adjacency.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import eigvals_banded
 from scipy.sparse import csr_matrix
@@ -20,6 +22,7 @@ from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
+from .errors import ValidationError
 from .points import PointSet
 
 # `adjacency_eigenvalues` uses LAPACK's banded solver on graphs of at least
@@ -115,13 +118,26 @@ class UndirectedGraph:
         return float(self.w.sum())
 
 
+def check_d_p(d_p) -> None:
+    """Reject a cell-graph radius that is not a finite positive number.
+
+    NaN connects no pair and infinity every pair, so both would featurize
+    without an error into edgeless or complete cell graphs.
+    """
+    try:
+        ok = math.isfinite(d_p) and d_p > 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"d_p must be a finite positive number, got {d_p!r}")
+
+
 def build_radius_graph(points: PointSet, d_p: float) -> UndirectedGraph:
     """Cell graph: connect every pair of points strictly closer than d_p.
 
     Edge weights store the Euclidean distance; node order matches point order.
     """
-    if not 0 < d_p < np.inf:     # NaN would connect no pair, infinity every pair
-        raise ValueError(f"d_p must be finite and positive, got {d_p!r}")
+    check_d_p(d_p)
     c = points.coords
     pairs = cKDTree(c).query_pairs(d_p, output_type="ndarray")
     d = c[pairs[:, 0]] - c[pairs[:, 1]]

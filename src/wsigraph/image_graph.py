@@ -69,6 +69,15 @@ def cosine_similarity(u, v) -> float:
     return float(u @ v) / (nu * nv)
 
 
+def check_theta(theta) -> None:
+    """Reject a similarity threshold outside [-1, 1), NaN included.
+
+    A theta of 1 or more, like NaN, would leave every slide graph without edges.
+    """
+    if not -1.0 <= theta < 1.0:
+        raise ValidationError(f"theta must lie in [-1, 1), got {theta!r}")
+
+
 def build_image_graph(features, theta: float, slide_id: str = "",
                       label: int = -1) -> ImageGraph:
     """Connect patch pairs whose cosine similarity strictly exceeds theta.
@@ -76,8 +85,7 @@ def build_image_graph(features, theta: float, slide_id: str = "",
     Similarity is computed on the raw (unstandardized) feature rows; edge
     weights store the similarity value.
     """
-    if not (-1.0 <= theta < 1.0):
-        raise ValueError("theta must lie in [-1, 1)")
+    check_theta(theta)
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError("features must be a 2-D matrix")

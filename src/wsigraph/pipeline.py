@@ -33,7 +33,8 @@ from .features import (
     patch_feature_vector,
 )
 from .gcn import TrainConfig, evaluate, train
-from .image_graph import ImageGraph, build_image_graph
+from .graph import check_d_p
+from .image_graph import ImageGraph, build_image_graph, check_theta
 from .points import PointSet
 
 log = logging.getLogger("wsigraph")
@@ -57,7 +58,7 @@ class SlideRecord:
     slide_id: str
     label: int
     patches: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)   # free-form; perfbench ships spans in it
 
 
 @dataclass
@@ -73,7 +74,6 @@ class SynthParams:
     slide_width: int = 1536
     slide_height: int = 1536
     patch_size: int = 768
-    stride: int = 768
     poisson_mean: float = 220.0
     parent_mean: float = 10.0
     offspring_mean: float = 20.0
@@ -108,9 +108,9 @@ class ExperimentConfig:
             raise ValidationError("need at least one slide per class per fold")
         if len(self.class_names) < 2:
             raise ValidationError("need at least two classes")
-        if not (-1.0 <= self.theta < 1.0):
-            raise ValidationError("theta must lie in [-1, 1)")
-        _check_d_p(self.d_p)
+        check_theta(self.theta)
+        check_d_p(self.d_p)
+        _resolve_workers(self.workers)      # rejects a negative count
         try:
             replace(self.train)     # reruns its checks on fields set after construction
         except ValueError as e:
@@ -130,8 +130,8 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         s = self.synth
-        if s.patch_size <= 0 or s.stride <= 0:
-            raise ValidationError("patch_size and stride must be positive")
+        if s.patch_size <= 0:
+            raise ValidationError("patch_size must be positive")
         if s.patch_size > min(s.slide_width, s.slide_height):
             raise ValidationError("patch_size exceeds slide dimensions")
         if len(s.dense_sds) != 2:
@@ -141,20 +141,6 @@ class ExperimentConfig:
             if not all(0 <= v < math.inf for v in np.atleast_1d(value).tolist()):
                 raise ValidationError(
                     f"synth.{f.name} must be a finite number >= 0, got {value!r}")
-
-
-def _check_d_p(d_p) -> None:
-    """Reject a cell-graph radius that is not a finite positive number.
-
-    NaN connects no pair and infinity every pair, so both would featurize
-    without an error into edgeless or complete cell graphs.
-    """
-    try:
-        ok = math.isfinite(d_p) and d_p > 0
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValidationError(f"d_p must be a finite positive number, got {d_p!r}")
 
 
 # what a JSON value must be to fill a config field of each declared type
@@ -280,22 +266,14 @@ def _synth_patch_points(class_id: int, params: SynthParams, rng) -> np.ndarray:
 def synth_slide(class_id: int, params: SynthParams, seed, slide_id: str = "") -> SlideRecord:
     """Generate one synthetic slide: a point set per patch, deterministic in seed."""
     rng = np.random.default_rng(seed)
-    origins = tile_image(params.slide_width, params.slide_height,
-                         params.patch_size, params.stride)
+    size = params.patch_size
     patches = []
-    for x, y in origins:
+    for x, y in tile_image(params.slide_width, params.slide_height, size, size):
         pts = _synth_patch_points(class_id, params, rng)
-        patches.append(PatchRecord(
-            row=y // params.stride,
-            col=x // params.stride,
-            points=PointSet(pts, params.patch_size, params.patch_size),
-        ))
-    return SlideRecord(
-        slide_id=slide_id or f"synth-c{class_id}",
-        label=int(class_id),
-        patches=patches,
-        provenance={"generator": "synth", "class_id": int(class_id)},
-    )
+        patches.append(PatchRecord(row=y // size, col=x // size,
+                                   points=PointSet(pts, size, size)))
+    return SlideRecord(slide_id=slide_id or f"synth-c{class_id}", label=int(class_id),
+                       patches=patches)
 
 
 def synth_dataset(config: ExperimentConfig) -> list:
@@ -325,6 +303,8 @@ def _featurize_slide(args):
 
 def _resolve_workers(workers: int) -> int:
     """The pool size a `workers` setting asks for; 0 means min(4, cpu count)."""
+    if workers < 0:
+        raise ValidationError(f"workers must be >= 0, got {workers}")
     return workers or min(4, os.cpu_count() or 1)
 
 
@@ -374,7 +354,7 @@ def featurize_slides(slides, d_p: float, workers: int = 0,
     An open `pool` is used and left open; without one, more than one worker
     and more than one slide open a pool for this call.
     """
-    _check_d_p(d_p)
+    check_d_p(d_p)
     jobs = [(s, d_p) for s in slides]
     if pool is not None:
         return pool.map(_featurize_slide, jobs)
@@ -434,6 +414,17 @@ def stratified_folds(labels, k: int, seed) -> list:
 POINTS_HEADER = ["slide_id", "patch_row", "patch_col", "x", "y"]
 
 
+def _patch_index(path, lineno: int, row: list) -> tuple[int, int]:
+    """The (patch_row, patch_col) of a point or feature CSV row, both >= 0."""
+    try:
+        prow, pcol = int(row[1]), int(row[2])
+    except ValueError as e:
+        raise ValidationError(f"{path}:{lineno}: {e}") from e
+    if prow < 0 or pcol < 0:
+        raise ValidationError(f"{path}:{lineno}: negative patch index")
+    return prow, pcol
+
+
 def export_pointsets(slides, path) -> None:
     """Write per-patch point sets as CSV (slide_id, patch_row, patch_col, x, y)."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
@@ -471,8 +462,8 @@ def import_pointsets(path, patch_size: int = SynthParams.patch_size,
             if len(row) != 5:
                 raise ValidationError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
             slide_id = row[0]
+            prow, pcol = _patch_index(path, lineno, row)
             try:
-                prow, pcol = int(row[1]), int(row[2])
                 x, y = float(row[3]), float(row[4])
             except ValueError as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
@@ -480,8 +471,6 @@ def import_pointsets(path, patch_size: int = SynthParams.patch_size,
                 raise ValidationError(
                     f"{path}:{lineno}: point ({x}, {y}) outside patch of size {patch_size}"
                 )
-            if prow < 0 or pcol < 0:
-                raise ValidationError(f"{path}:{lineno}: negative patch index")
             per_slide.setdefault(slide_id, {}).setdefault((prow, pcol), []).append((x, y))
     if not per_slide:
         log.warning("%s: no data rows", path)
@@ -494,8 +483,7 @@ def import_pointsets(path, patch_size: int = SynthParams.patch_size,
             for prow, pcol in sorted(per_patch)
         ]
         label = -1 if labels is None else int(labels.get(slide_id, -1))
-        slides.append(SlideRecord(slide_id=slide_id, label=label, patches=patches,
-                                  provenance={"source": str(path)}))
+        slides.append(SlideRecord(slide_id=slide_id, label=label, patches=patches))
     return slides
 
 
@@ -515,10 +503,11 @@ def import_features(path, labels: dict | None = None) -> list:
 
     With `labels`, every labelled slide must have feature rows: a slide
     whose patches were all empty writes none, and would otherwise drop out
-    with its label.
+    with its label.  Each patch has one row.
     """
     path = Path(path)
     slides: dict[str, SlideRecord] = {}
+    first_line: dict[tuple[str, int, int], int] = {}
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -530,8 +519,12 @@ def import_features(path, labels: dict | None = None) -> list:
             if len(row) != 3 + len(FEATURE_NAMES):
                 raise ValidationError(f"{path}:{lineno}: wrong column count")
             slide_id = row[0]
+            prow, pcol = _patch_index(path, lineno, row)
+            first = first_line.setdefault((slide_id, prow, pcol), lineno)
+            if first != lineno:
+                raise ValidationError(f"{path}:{lineno}: slide {slide_id} patch "
+                                      f"({prow}, {pcol}) repeats line {first}")
             try:
-                prow, pcol = int(row[1]), int(row[2])
                 vec = np.array([float(v) for v in row[3:]])
             except ValueError as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
@@ -571,9 +564,11 @@ def import_labels(path) -> dict:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
             try:
                 slide_id, label = row[0], int(row[1])
-            except (IndexError, ValueError) as e:
+            except ValueError as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
             if slide_id in out:
                 raise ValidationError(f"{path}:{lineno}: repeated slide_id {slide_id!r}")

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from wsigraph import cli, pipeline
 from wsigraph.cli import build_parser, main
-from wsigraph.detection import detect_nuclei, render_nuclei_image, write_pgm
+from wsigraph.detection import GrayImage, detect_nuclei, render_nuclei_image, write_pgm
 from wsigraph.features import FEATURE_NAMES, patch_feature_vector
 from wsigraph.gcn import GcnModel, TrainConfig, init_model, save_model
 from wsigraph.pipeline import (
@@ -113,7 +115,7 @@ class TestDetectCommand:
         slide = synth_slide(
             0,
             SynthParams(slide_width=256, slide_height=256, patch_size=256,
-                        stride=256, poisson_mean=25.0),
+                        poisson_mean=25.0),
             seed=9,
             slide_id="demo",
         )
@@ -137,7 +139,7 @@ class TestDetectCommand:
         imgdir = tmp_path / "imgs"
         imgdir.mkdir()
         params = SynthParams(slide_width=512, slide_height=256, patch_size=256,
-                             stride=256, poisson_mean=20.0)
+                             poisson_mean=20.0)
         slide = synth_slide(0, params, seed=2, slide_id="s")
         for patch in slide.patches:
             img = render_nuclei_image(patch.points, blob_sigma=5.0, amplitude=0.7)
@@ -155,6 +157,26 @@ class TestDetectCommand:
         rc = main(["detect", "--images", str(tmp_path), "--out",
                    str(tmp_path / "x.csv")])
         assert rc == 1
+
+    def test_synth_render_then_detect_round_trip(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--slides-per-class", "1", "--classes", "1",
+                     "--seed", "3", "--patch-size", "768", "--slide-size", "1536",
+                     "--render"]) == 0
+        assert sorted(f.name for f in data.glob("*.pgm")) == [
+            f"synth-c0-0000_r{r}_c{c}.pgm" for r in (0, 1) for c in (0, 1)]
+        out = tmp_path / "detected.csv"
+        assert main(["detect", "--images", str(data), "--out", str(out)]) == 0
+        truth, = import_pointsets(data / "points.csv")
+        detected, = import_pointsets(out)
+        assert detected.slide_id == truth.slide_id
+        for t, d in zip(truth.patches, detected.patches, strict=True):
+            assert (d.row, d.col) == (t.row, t.col)
+            # rendered blobs that overlap merge, so only the bulk comes back,
+            # each detection on a true centre
+            assert 0.8 * len(t.points) <= len(d.points) <= len(t.points)
+            near = cKDTree(t.points.coords).query(d.points.coords)[0] < 4.0
+            assert near.mean() > 0.95
 
 
 class TestExitCodes:
@@ -240,7 +262,7 @@ class TestExitCodes:
             self, tmp_path, caplog, no_patch_features, value):
         points = tmp_path / "points.csv"
         slide = synth_slide(0, SynthParams(slide_width=256, slide_height=256,
-                                           patch_size=256, stride=256), seed=1, slide_id="s")
+                                           patch_size=256), seed=1, slide_id="s")
         pipeline.export_pointsets([slide], points)
         rc = main(["featurize", "--points", str(points), "--out", str(tmp_path / "f.csv"),
                    "--patch-size", "256", "--workers", "1", f"--d-p={value}"])
@@ -275,6 +297,60 @@ class TestExitCodes:
                    "--epochs", "2", "--workers", "2"])
         assert rc == 1
         assert "fold graphs rejected in a worker" in caplog.text
+
+
+# each command and the message it must exit 1 with; {d} holds the files
+# that test_rejected_input_exits_one_and_names_it writes
+REJECTED_INPUTS = [
+    ("detect --images {d}/img.pgm --sigma-x 0", "need sigma_x >= sigma_y > 0"),
+    ("detect --images {d}/img.pgm --sigma-y 10", "need sigma_x >= sigma_y > 0"),
+    ("detect --images {d}/img.pgm --orientations 0", "orientations and bandwidth must be >= 1"),
+    ("detect --images {d}/img.pgm --bandwidth 0", "orientations and bandwidth must be >= 1"),
+    ("detect --images {d}/img.pgm --merge-radius -1",
+     "merge_radius must be a finite number >= 0, got -1.0"),
+    ("detect --images {d}/img.pgm --merge-radius nan",
+     "merge_radius must be a finite number >= 0, got nan"),
+    ("detect --images {d}/img.pgm --response-threshold nan",
+     "response_threshold must be a finite number, got nan"),
+    ("detect --images {d}/img.pgm --stride 0", "patch_size and stride must be positive"),
+    ("detect --images {d}/truncated.pgm", "truncated.pgm: truncated pixel data"),
+    ("detect --images {d}/ascii.pgm", "ascii.pgm: not a binary PGM (P5) file"),
+    ("detect --images {d}/wide.pgm", "wide.pgm: only maxval 255 supported, got 65535"),
+    ("detect --images {d}/empty.pgm", "empty.pgm: no pixels (0x4)"),
+    ("build-graph --features {d}/f.csv --theta 5", "theta must lie in [-1, 1), got 5.0"),
+    ("build-graph --features {d}/f.csv --theta nan", "theta must lie in [-1, 1), got nan"),
+    ("build-graph --features {d}/twice.csv", "twice.csv:3: slide s1 patch (0, 0) repeats line 2"),
+    ("build-graph --features {d}/negative.csv", "negative.csv:2: negative patch index"),
+    ("build-graph --features {d}/f.csv --labels {d}/extra.csv",
+     "extra.csv:2: expected 2 columns, got 3"),
+    ("featurize --points {d}/points.csv --workers -3", "workers must be >= 0, got -3"),
+    ("run --config {d}/workers.json --slides-per-class 3 --epochs 1",
+     "workers must be >= 0, got -2"),
+]
+
+
+@pytest.mark.parametrize("command, message", REJECTED_INPUTS,
+                         ids=[command for command, _ in REJECTED_INPUTS])
+def test_rejected_input_exits_one_and_names_it(tmp_path, caplog, command, message):
+    write_pgm(GrayImage(np.ones((32, 32))), tmp_path / "img.pgm")
+    (tmp_path / "truncated.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(100))
+    (tmp_path / "ascii.pgm").write_bytes(b"P2\n2 1\n255\n0 255\n")
+    (tmp_path / "wide.pgm").write_bytes(b"P5\n2 1\n65535\n" + bytes(4))
+    (tmp_path / "empty.pgm").write_bytes(b"P5\n0 4\n255\n")
+    header = ",".join(["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES) + "\n"
+    for name, rows in (("f", [("0", "0")]), ("twice", [("0", "0"), ("0", "0")]),
+                       ("negative", [("0", "-1")])):
+        (tmp_path / f"{name}.csv").write_text(
+            header + "".join(",".join(["s1", *rc] + ["0.5"] * 69) + "\n" for rc in rows))
+    (tmp_path / "extra.csv").write_text("slide_id,label\ns1,0,x\n")
+    (tmp_path / "points.csv").write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
+    (tmp_path / "workers.json").write_text('{"workers": -2}')
+    out = tmp_path / "out"
+    argv = command.format(d=tmp_path).split() + ["--out", str(out)]
+    assert main(argv) == 1
+    assert message in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not out.exists()
 
 
 class TestMalformedInterchange:

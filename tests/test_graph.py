@@ -138,7 +138,7 @@ class TestRadiusGraph:
     def test_rejects_nonpositive_radius(self):
         # NaN and infinity too: they would give edgeless and complete graphs
         for d_p in (0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="d_p must be finite and positive"):
+            with pytest.raises(ValueError, match="d_p must be a finite positive number"):
                 build_radius_graph(pset([(0, 0), (10, 0)]), d_p)
 
     def test_permutation_equivariance(self):

@@ -223,6 +223,19 @@ class TestCsvRoundTrips:
             import_labels(path)
 
 
+def test_featurize_pool_gives_the_serial_features():
+    p = SynthParams(slide_width=512, slide_height=256, patch_size=256, poisson_mean=60.0)
+
+    def features(workers):
+        slides = [synth_slide(c, p, seed=[5, c]) for c in (0, 1, 2)]
+        return [s.patches for s in featurize_slides(slides, d_p=64.0, workers=workers)]
+
+    serial, pooled = features(1), features(2)
+    for a, b in zip(serial, pooled, strict=True):
+        for pa, pb in zip(a, b, strict=True):
+            assert pa.features.shape == (69,) and np.array_equal(pa.features, pb.features)
+
+
 class TestSlideGraph:
     def test_filters_sparse_patches(self):
         p = SynthParams(slide_width=1536, slide_height=1536)
