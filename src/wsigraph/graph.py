@@ -7,8 +7,9 @@ come from `scipy.sparse.csgraph`, neighbourhoods from `scipy.spatial.cKDTree`.
 Hop measures come from a bit-parallel BFS over all sources at once
 (`hop_statistics`), so no n x n distance matrix is ever built.  The
 adjacency spectrum (`adjacency_eigenvalues`) of a large graph with a thin
-band comes from LAPACK's banded solver, without an n x n matrix either; any
-other graph's comes from `np.linalg.eigvalsh` on its dense adjacency.
+band comes from LAPACK's two-stage band solver, without an n x n matrix
+either; any other graph's comes from `np.linalg.eigvalsh` on its dense
+adjacency.
 """
 
 from __future__ import annotations
@@ -16,24 +17,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
+from .blas import band_eigenvalues
 from .errors import ValidationError
 from .points import PointSet
 
 # `adjacency_eigenvalues` uses LAPACK's banded solver on graphs of at least
 # BANDED_MIN_NODES nodes whose reverse Cuthill-McKee bandwidth is at most
 # BANDED_MAX_WIDTH_RATIO * n, and the dense solver on all others.  The band
-# reduction costs ~n^2 * bandwidth against ~n^3 for the dense solve; the two
-# break even near a bandwidth of 0.07-0.08 n (table in CHANGES.md).  Smaller
-# graphs keep the dense solve: it is as fast there, and the stored golden
-# features pin its roundoff.
+# reduction costs ~n^2 * bandwidth against ~n^3 for the dense solve; with the
+# two-stage band solver (`blas.band_eigenvalues`) the two break even near a
+# bandwidth of 0.16 n at n = 1000-2000 and 0.13 n at n = 3000 (table in
+# CHANGES.md).  Smaller graphs keep the dense solve: it is as fast there, and
+# the stored golden features pin its roundoff.
 BANDED_MIN_NODES = 1000
-BANDED_MAX_WIDTH_RATIO = 0.06
+BANDED_MAX_WIDTH_RATIO = 0.13
 
 
 def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,8 +267,8 @@ def adjacency_eigenvalues(g: UndirectedGraph) -> np.ndarray:
 
     Large graphs with a thin band (see BANDED_MIN_NODES) are renumbered in
     reverse Cuthill-McKee order, and the lower band of the renumbered
-    adjacency, written straight from the edge arrays, goes to LAPACK's
-    banded symmetric solver; no n x n matrix is built.  Every other graph
+    adjacency, written straight from the edge arrays, goes to
+    `blas.band_eigenvalues`; no n x n matrix is built.  Every other graph
     goes to `np.linalg.eigvalsh` as a dense matrix.  The two solvers agree
     to ~1e-12 on cell graphs, not bitwise.
     """
@@ -278,8 +280,7 @@ def adjacency_eigenvalues(g: UndirectedGraph) -> np.ndarray:
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         width = int((hi - lo).max(initial=0))
         if width <= BANDED_MAX_WIDTH_RATIO * n:
-            band = np.zeros((width + 1, n))
+            band = np.zeros((width + 1, n), order="F")
             band[hi - lo, lo] = 1.0
-            return eigvals_banded(band, lower=True, overwrite_a_band=True,
-                                  check_finite=False)
+            return band_eigenvalues(band)
     return np.linalg.eigvalsh(g.adjacency_matrix())

@@ -124,11 +124,17 @@ class ExperimentConfig:
     def validate_dataset(self) -> None:
         """The checks on what `synth_dataset` reads, all that `wsigraph synth` needs.
 
-        Every synth rate and spread is a finite number >= 0, and `dense_sds`
-        holds the tight and the loose spread.
+        Every synth rate and spread is a finite number >= 0, `dense_sds`
+        holds the tight and the loose spread, and `class_names` holds no more
+        classes than the generator draws.
         """
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        k = len(self.class_names)
+        if k > SYNTH_CLASSES:
+            raise ValidationError(
+                f"class_names holds {k} classes (synth --classes {k}), but the synthetic "
+                f"generator draws at most {SYNTH_CLASSES}")
         s = self.synth
         if s.patch_size <= 0:
             raise ValidationError("patch_size must be positive")
@@ -242,6 +248,10 @@ def _cluster_scatter(rng, parent_mean, offspring_mean, sd, size):
         inside = (offs >= 0.0).all(axis=1) & (offs < size).all(axis=1)
         pts.append(offs[inside])
     return np.vstack(pts) if pts else np.zeros((0, 2))
+
+
+# class ids 0..SYNTH_CLASSES-1: Poisson, clustered, and dense clustered nuclei
+SYNTH_CLASSES = 3
 
 
 def _synth_patch_points(class_id: int, params: SynthParams, rng) -> np.ndarray:

@@ -58,13 +58,13 @@ def test_patch_features_do_not_depend_on_the_blas_thread_count(controls, monkeyp
     # 1500 nuclei on a 4000 x 400 px strip: a thin band, so the spectrum is banded
     rng = np.random.default_rng(2)
     strip = PointSet(rng.uniform((0.0, 0.0), (4000.0, 400.0), (1500, 2)), 4000, 400)
-    banded_sizes, real_eigvals_banded = [], graph.eigvals_banded
+    banded_sizes, real_band_eigenvalues = [], graph.band_eigenvalues
 
-    def eigvals_banded(band, **kwargs):
+    def band_eigenvalues(band):
         banded_sizes.append(band.shape[1])
-        return real_eigvals_banded(band, **kwargs)
+        return real_band_eigenvalues(band)
 
-    monkeypatch.setattr(graph, "eigvals_banded", eigvals_banded)
+    monkeypatch.setattr(graph, "band_eigenvalues", band_eigenvalues)
     for points in (small, strip):
         vectors = []
         for n in (1, 2):
@@ -74,3 +74,32 @@ def test_patch_features_do_not_depend_on_the_blas_thread_count(controls, monkeyp
             assert threads(controls) == [n] * len(controls)
         assert np.array_equal(vectors[0], vectors[1])
     assert banded_sizes == [1500, 1500]
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("n, kd", [(1, 0), (9, 0), (9, 1), (30, 10), (30, 29)])
+def test_band_eigenvalues_match_the_dense_solver(monkeypatch, fallback, order, n, kd):
+    if fallback:
+        monkeypatch.setattr(blas, "_dsbev_2stage", lambda: None)
+    elif blas._dsbev_2stage() is None:
+        pytest.skip("no loaded OpenBLAS exports dsbev_2stage")
+    rng = np.random.default_rng(n + kd)
+    a = rng.normal(size=(n, n))
+    i, j = np.indices((n, n))
+    a = np.where(abs(i - j) <= kd, a + a.T, 0.0)
+    band = np.zeros((kd + 1, n), order=order)
+    for d in range(kd + 1):
+        band[d, :n - d] = np.diagonal(a, -d)
+    eig = blas.band_eigenvalues(band)
+    np.testing.assert_allclose(eig, np.linalg.eigvalsh(a), rtol=0, atol=1e-12)
+    assert np.all(np.diff(eig) >= 0)
+
+
+def test_band_eigenvalues_raise_on_a_lapack_error():
+    if blas._dsbev_2stage() is None:
+        pytest.skip("no loaded OpenBLAS exports dsbev_2stage")
+    band = np.zeros((2, 5), order="F")
+    band[0, 2] = np.nan     # LAPACKE's NaN check rejects the band (info = -6)
+    with pytest.raises(np.linalg.LinAlgError, match="info = -6"):
+        blas.band_eigenvalues(band)

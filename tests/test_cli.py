@@ -236,6 +236,23 @@ class TestExitCodes:
         assert f"{key} must be >= 0, got -1" in caplog.text
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "CONFIG", "--slides-per-class", "3"],
+        ["synth", "--classes", "4"],
+    ])
+    def test_more_classes_than_the_generator_draws_returns_one(self, tmp_path, caplog,
+                                                               monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("a slide was generated before the class count was checked")
+        monkeypatch.setattr(pipeline, "synth_slide", fail)
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"class_names": ["a", "b", "c", "d"]}')
+        argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert ("class_names holds 4 classes (synth --classes 4), but the synthetic "
+                "generator draws at most 3") in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_config_num_classes_equal_to_the_class_count_loads(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"train": {"num_classes": 3}}')

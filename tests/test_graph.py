@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from wsigraph import graph
+from wsigraph import blas, graph
 from wsigraph.features import cell_graph_features
 from wsigraph.graph import (
     UndirectedGraph,
@@ -490,17 +490,38 @@ class TestAdjacencyEigenvalues:
     # on the 3000-nucleus patch-dense graphs; the bound leaves ~20x of room
     ATOL = 1e-11
 
+    # the band solver under test; the subclass below reruns every test with the fallback
+    SOLVER = "dsbev_2stage"
+
     @pytest.fixture
-    def no_dense_solve(self, monkeypatch):
-        """Fail any dense adjacency, so the band path provably builds no n x n matrix."""
+    def band_solve(self, monkeypatch):
+        """Select SOLVER, and fail any dense adjacency, so the band path
+        provably builds no n x n matrix.
+
+        The fallback is forced by a lookup that finds no two-stage routine;
+        a spy on scipy's solver checks which of the two ran.
+        """
         def fail(g):
             raise AssertionError(f"dense adjacency of a {g.node_count}-node graph")
         monkeypatch.setattr(UndirectedGraph, "adjacency_matrix", fail)
+        if self.SOLVER == "eigvals_banded":
+            monkeypatch.setattr(blas, "_dsbev_2stage", lambda: None)
+        elif blas._dsbev_2stage() is None:
+            pytest.skip("no loaded OpenBLAS exports dsbev_2stage")
+        calls, real = [], blas.eigvals_banded
+
+        def eigvals_banded(band, **kwargs):
+            calls.append(band.shape)
+            return real(band, **kwargs)
+
+        monkeypatch.setattr(blas, "eigvals_banded", eigvals_banded)
+        yield
+        assert bool(calls) == (self.SOLVER == "eigvals_banded")
 
     @pytest.mark.parametrize("seed, n, gap", [
         (1, graph.BANDED_MIN_NODES, False), (2, 1500, False), (3, 1650, True),
     ])
-    def test_band_path_matches_the_dense_spectrum(self, no_dense_solve, seed, n, gap):
+    def test_band_path_matches_the_dense_spectrum(self, band_solve, seed, n, gap):
         g = strip_graph(seed, n, gap)
         assert g.node_count >= graph.BANDED_MIN_NODES
         eig = adjacency_eigenvalues(g)
@@ -508,9 +529,16 @@ class TestAdjacencyEigenvalues:
                                    rtol=0, atol=self.ATOL)
         assert np.all(np.diff(eig) >= 0)
 
-    def test_edgeless_graph_takes_the_band_path(self, no_dense_solve):
+    def test_edgeless_graph_takes_the_band_path(self, band_solve):
         n = graph.BANDED_MIN_NODES
         assert adjacency_eigenvalues(UndirectedGraph(n)).tolist() == [0.0] * n
+
+    def test_path_graph_takes_the_band_path(self, band_solve):
+        # a path has band width 1 and the spectrum 2 cos(pi k / (n + 1)), k = 1..n
+        n = graph.BANDED_MIN_NODES
+        g = UndirectedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        expected = 2 * np.cos(np.pi * np.arange(n, 0, -1) / (n + 1))
+        np.testing.assert_allclose(adjacency_eigenvalues(g), expected, rtol=0, atol=self.ATOL)
 
     def test_below_the_selection_the_dense_spectrum_is_kept_bitwise(self):
         rng = np.random.default_rng(4)
@@ -524,3 +552,10 @@ class TestAdjacencyEigenvalues:
         for g in graphs:
             assert np.array_equal(adjacency_eigenvalues(g),
                                   np.linalg.eigvalsh(g.adjacency_matrix()))
+
+
+class TestAdjacencyEigenvaluesFallback(TestAdjacencyEigenvalues):
+    """The same checks where no loaded library exports dsbev_2stage, so that
+    scipy's `eigvals_banded` solves the band."""
+
+    SOLVER = "eigvals_banded"
