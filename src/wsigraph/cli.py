@@ -156,29 +156,26 @@ def _cmd_detect(args) -> int:
     # files named <slide>_r<row>_c<col>.pgm are single pre-cut patches of one
     # slide (the synth --render convention); anything else is a whole slide
     # image that gets tiled here
-    slides: dict[str, pipeline.SlideRecord] = {}
+    patches, origins = {}, {}     # (slide_id, row, col) -> PatchRecord, and its file
     for f in files:
         img = detection.read_pgm(f)
         m = _PATCH_FILE.match(f.stem)
         if m:
-            slide_id = m.group("slide")
-            row, col = int(m.group("row")), int(m.group("col"))
-            rec = slides.setdefault(slide_id, pipeline.SlideRecord(slide_id, label=-1))
-            rec.patches.append(pipeline.PatchRecord(row=row, col=col,
-                                                    points=run_detection(img)))
+            tiles = [(m.group("slide"), int(m.group("row")), int(m.group("col")), img)]
         else:
             size = min(args.patch_size, img.width, img.height)
-            patches = []
-            for x, y in pipeline.tile_image(img.width, img.height, size, stride):
-                tile = detection.GrayImage(img.pixels[y:y + size, x:x + size])
-                patches.append(pipeline.PatchRecord(row=y // stride, col=x // stride,
-                                                    points=run_detection(tile)))
-            slides[f.stem] = pipeline.SlideRecord(f.stem, label=-1, patches=patches)
-    for rec in slides.values():
-        rec.patches.sort(key=lambda p: (p.row, p.col))
+            tiles = [(f.stem, y // stride, x // stride,
+                      detection.GrayImage(img.pixels[y:y + size, x:x + size]))
+                     for x, y in pipeline.tile_image(img.width, img.height, size, stride)]
+        for slide_id, row, col, tile in tiles:
+            pipeline.check_new_patch(origins, (slide_id, row, col), str(f), str(f))
+            patches[slide_id, row, col] = pipeline.PatchRecord(row=row, col=col,
+                                                               points=run_detection(tile))
+    slides = pipeline.assemble_slides(patches)
+    for rec in slides:
         log.info("%s: %d patches, %d nuclei", rec.slide_id, len(rec.patches),
                  sum(len(p.points) for p in rec.patches))
-    pipeline.export_pointsets(slides.values(), args.out)
+    pipeline.export_pointsets(slides, args.out)
     return 0
 
 

@@ -110,6 +110,7 @@ class ExperimentConfig:
             raise ValidationError("need at least two classes")
         check_theta(self.theta)
         check_d_p(self.d_p)
+        check_min_nuclei(self.min_nuclei_per_patch)
         _resolve_workers(self.workers)      # rejects a negative count
         try:
             replace(self.train)     # reruns its checks on fields set after construction
@@ -375,6 +376,12 @@ def featurize_slides(slides, d_p: float, workers: int = 0,
         return pool.map(_featurize_slide, jobs)
 
 
+def check_min_nuclei(min_nuclei) -> None:
+    """Reject a negative nuclei floor: no count is below it, so it drops no patch."""
+    if not min_nuclei >= 0:
+        raise ValidationError(f"min_nuclei_per_patch must be >= 0, got {min_nuclei!r}")
+
+
 def build_slide_graph(slide: SlideRecord, theta: float,
                       min_nuclei: int = ExperimentConfig.min_nuclei_per_patch) -> ImageGraph:
     """Image-level graph over the slide's patches (row-major patch order).
@@ -383,6 +390,7 @@ def build_slide_graph(slide: SlideRecord, theta: float,
     background; if that would drop everything, the single densest patch is
     kept so the slide still has a node.
     """
+    check_min_nuclei(min_nuclei)
     if not slide.patches:
         raise ValidationError(f"slide {slide.slide_id} has no patches")
     feats = []
@@ -422,29 +430,84 @@ def stratified_folds(labels, k: int, seed) -> list:
 # CSV interchange
 
 POINTS_HEADER = ["slide_id", "patch_row", "patch_col", "x", "y"]
+FEATURES_HEADER = ["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES
+LABELS_HEADER = ["slide_id", "label"]
 
 
-def _patch_index(path, lineno: int, row: list) -> tuple[int, int]:
-    """The (patch_row, patch_col) of a point or feature CSV row, both >= 0."""
+def _write_csv(path, header: list, rows) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path, header: list):
+    """Yield (line, row) for each non-blank row after an exact `header`.
+
+    Every row is as wide as the header; a bad header is rejected at line 1
+    and a row of another width at its own line.
+    """
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValidationError(f"{path}:1: expected header {','.join(header)}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
+            yield line, row
+
+
+def _numbers(path, line: int, kind, fields: list) -> list:
+    """`fields` as numbers of type `kind`; one that does not parse is rejected at `path:line`."""
     try:
-        prow, pcol = int(row[1]), int(row[2])
+        return [kind(v) for v in fields]
     except ValueError as e:
-        raise ValidationError(f"{path}:{lineno}: {e}") from e
+        raise ValidationError(f"{path}:{line}: {e}") from e
+
+
+def _patch_key(path, line: int, row: list) -> tuple[str, int, int]:
+    """The (slide_id, patch_row, patch_col) of a point or feature CSV row; both indices >= 0."""
+    prow, pcol = _numbers(path, line, int, row[1:3])
     if prow < 0 or pcol < 0:
-        raise ValidationError(f"{path}:{lineno}: negative patch index")
-    return prow, pcol
+        raise ValidationError(f"{path}:{line}: negative patch index")
+    return row[0], prow, pcol
+
+
+def check_new_patch(origins: dict, key: tuple, at: str, origin: str) -> None:
+    """File the (slide_id, row, col) `key` from `origin`; a repeat is rejected at `at`."""
+    if key in origins:
+        raise ValidationError(f"{at}: slide {key[0]} patch ({key[1]}, {key[2]}) "
+                              f"repeats {origins[key]}")
+    origins[key] = origin
+
+
+def assemble_slides(patches: dict, labels: dict | None = None) -> list:
+    """SlideRecords from {(slide_id, row, col): PatchRecord}.
+
+    Slides come in first-appearance order with their patches sorted by
+    (row, col); labels come from the optional {slide_id: label} mapping
+    (default -1).
+    """
+    slides: dict[str, SlideRecord] = {}
+    for (slide_id, _, _), patch in patches.items():
+        if slide_id not in slides:
+            label = -1 if labels is None else int(labels.get(slide_id, -1))
+            slides[slide_id] = SlideRecord(slide_id=slide_id, label=label)
+        slides[slide_id].patches.append(patch)
+    for rec in slides.values():
+        rec.patches.sort(key=lambda p: (p.row, p.col))
+    return list(slides.values())
 
 
 def export_pointsets(slides, path) -> None:
     """Write per-patch point sets as CSV (slide_id, patch_row, patch_col, x, y)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POINTS_HEADER)
-        for slide in slides:
-            for patch in slide.patches:
-                for x, y in patch.points.coords:
-                    writer.writerow([slide.slide_id, patch.row, patch.col,
-                                     repr(float(x)), repr(float(y))])
+    _write_csv(path, POINTS_HEADER, ([slide.slide_id, patch.row, patch.col,
+                                      repr(float(x)), repr(float(y))]
+                                     for slide in slides for patch in slide.patches
+                                     for x, y in patch.points.coords))
 
 
 def import_pointsets(path, patch_size: int = SynthParams.patch_size,
@@ -452,60 +515,35 @@ def import_pointsets(path, patch_size: int = SynthParams.patch_size,
     """Read a point-set CSV back into SlideRecords.
 
     Labels come from the optional {slide_id: label} mapping (default -1).
-    Malformed rows are rejected with their line number.
+    Malformed rows are rejected with their line number; a zero-byte file
+    warns and reads as no slides.
     """
     path = Path(path)
-    # slide_id -> (row, col) -> points; dicts keep first-appearance slide order
-    per_slide: dict[str, dict[tuple[int, int], list]] = {}
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            log.warning("%s: empty point-set file", path)
-            return []
-        if header != POINTS_HEADER:
-            raise ValidationError(f"{path}:1: expected header {','.join(POINTS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValidationError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-            slide_id = row[0]
-            prow, pcol = _patch_index(path, lineno, row)
-            try:
-                x, y = float(row[3]), float(row[4])
-            except ValueError as e:
-                raise ValidationError(f"{path}:{lineno}: {e}") from e
-            if not (0 <= x < patch_size and 0 <= y < patch_size):
-                raise ValidationError(
-                    f"{path}:{lineno}: point ({x}, {y}) outside patch of size {patch_size}"
-                )
-            per_slide.setdefault(slide_id, {}).setdefault((prow, pcol), []).append((x, y))
-    if not per_slide:
-        log.warning("%s: no data rows", path)
+    # a pipe reports size 0 before it is read, so only a regular file counts as empty
+    if path.is_file() and path.stat().st_size == 0:
+        log.warning("%s: empty point-set file", path)
         return []
-    slides = []
-    for slide_id, per_patch in per_slide.items():
-        patches = [
-            PatchRecord(row=prow, col=pcol,
-                        points=PointSet(np.array(per_patch[prow, pcol]), patch_size, patch_size))
-            for prow, pcol in sorted(per_patch)
-        ]
-        label = -1 if labels is None else int(labels.get(slide_id, -1))
-        slides.append(SlideRecord(slide_id=slide_id, label=label, patches=patches))
-    return slides
+    points: dict[tuple[str, int, int], list] = {}
+    for line, row in _read_csv(path, POINTS_HEADER):
+        key = _patch_key(path, line, row)
+        x, y = _numbers(path, line, float, row[3:])
+        if not (0 <= x < patch_size and 0 <= y < patch_size):
+            raise ValidationError(
+                f"{path}:{line}: point ({x}, {y}) outside patch of size {patch_size}")
+        points.setdefault(key, []).append((x, y))
+    if not points:
+        log.warning("%s: no data rows", path)
+    return assemble_slides({
+        key: PatchRecord(row=key[1], col=key[2],
+                         points=PointSet(np.array(xy), patch_size, patch_size))
+        for key, xy in points.items()}, labels)
 
 
 def export_features(slides, path) -> None:
     """Feature matrix CSV: id columns plus the 69 canonical feature columns."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES)
-        for slide in slides:
-            for patch in slide.patches:
-                writer.writerow([slide.slide_id, patch.row, patch.col]
-                                + [repr(float(v)) for v in patch.features])
+    _write_csv(path, FEATURES_HEADER, ([slide.slide_id, patch.row, patch.col]
+                                       + [repr(float(v)) for v in patch.features]
+                                       for slide in slides for patch in slide.patches))
 
 
 def import_features(path, labels: dict | None = None) -> list:
@@ -515,74 +553,37 @@ def import_features(path, labels: dict | None = None) -> list:
     whose patches were all empty writes none, and would otherwise drop out
     with its label.  Each patch has one row.
     """
-    path = Path(path)
-    slides: dict[str, SlideRecord] = {}
-    first_line: dict[tuple[str, int, int], int] = {}
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES:
-            raise ValidationError(f"{path}:1: unexpected feature CSV header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + len(FEATURE_NAMES):
-                raise ValidationError(f"{path}:{lineno}: wrong column count")
-            slide_id = row[0]
-            prow, pcol = _patch_index(path, lineno, row)
-            first = first_line.setdefault((slide_id, prow, pcol), lineno)
-            if first != lineno:
-                raise ValidationError(f"{path}:{lineno}: slide {slide_id} patch "
-                                      f"({prow}, {pcol}) repeats line {first}")
-            try:
-                vec = np.array([float(v) for v in row[3:]])
-            except ValueError as e:
-                raise ValidationError(f"{path}:{lineno}: {e}") from e
-            if not np.isfinite(vec).all():
-                raise ValidationError(f"{path}:{lineno}: non-finite feature value")
-            rec = slides.setdefault(slide_id, SlideRecord(
-                slide_id=slide_id,
-                label=-1 if labels is None else int(labels.get(slide_id, -1)),
-                patches=[],
-            ))
-            rec.patches.append(PatchRecord(row=prow, col=pcol, features=vec))
-    missing = [sid for sid in labels or () if sid not in slides]
+    patches, origins = {}, {}     # (slide_id, row, col) -> PatchRecord, and its line
+    for line, row in _read_csv(path, FEATURES_HEADER):
+        key = _patch_key(path, line, row)
+        check_new_patch(origins, key, f"{path}:{line}", f"line {line}")
+        vec = np.array(_numbers(path, line, float, row[3:]))
+        if not np.isfinite(vec).all():
+            raise ValidationError(f"{path}:{line}: non-finite feature value")
+        patches[key] = PatchRecord(row=key[1], col=key[2], features=vec)
+    slides = assemble_slides(patches, labels)
+    found = {rec.slide_id for rec in slides}
+    missing = [sid for sid in labels or () if sid not in found]
     if missing:
         raise ValidationError(
             f"{path}: no feature rows for labelled slides {', '.join(missing)}")
-    for rec in slides.values():
-        rec.patches.sort(key=lambda p: (p.row, p.col))
-    return list(slides.values())
+    return slides
 
 
 def export_labels(slides, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slide_id", "label"])
-        for slide in slides:
-            writer.writerow([slide.slide_id, slide.label])
+    _write_csv(path, LABELS_HEADER, ([slide.slide_id, slide.label] for slide in slides))
 
 
 def import_labels(path) -> dict:
-    """{slide_id: label}; a repeated slide_id is rejected with its line number."""
+    """{slide_id: label}, each label >= 0; a repeated slide_id is rejected with its line number."""
     out = {}
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["slide_id", "label"]:
-            raise ValidationError(f"{path}:1: expected header slide_id,label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                slide_id, label = row[0], int(row[1])
-            except ValueError as e:
-                raise ValidationError(f"{path}:{lineno}: {e}") from e
-            if slide_id in out:
-                raise ValidationError(f"{path}:{lineno}: repeated slide_id {slide_id!r}")
-            out[slide_id] = label
+    for line, (slide_id, label) in _read_csv(path, LABELS_HEADER):
+        label, = _numbers(path, line, int, [label])
+        if label < 0:
+            raise ValidationError(f"{path}:{line}: label must be >= 0, got {label}")
+        if slide_id in out:
+            raise ValidationError(f"{path}:{line}: repeated slide_id {slide_id!r}")
+        out[slide_id] = label
     return out
 
 
@@ -683,13 +684,9 @@ def write_report(report: dict, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
-    with (outdir / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "accuracy"])
-        for f in report["folds"]:
-            writer.writerow([f["fold"], f["accuracy"]])
-        writer.writerow(["mean", report["accuracy_mean"]])
-        writer.writerow(["sd", report["accuracy_sd"]])
+    _write_csv(outdir / "summary.csv", ["fold", "accuracy"],
+               [[f["fold"], f["accuracy"]] for f in report["folds"]]
+               + [["mean", report["accuracy_mean"]], ["sd", report["accuracy_sd"]]])
     (outdir / "report.txt").write_text(format_report(report), encoding="utf-8")
 
 

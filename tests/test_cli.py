@@ -316,8 +316,8 @@ class TestExitCodes:
         assert "fold graphs rejected in a worker" in caplog.text
 
 
-# each command and the message it must exit 1 with; {d} holds the files
-# that test_rejected_input_exits_one_and_names_it writes
+# each command and the message it must exit 1 with; {d}, in either, is the
+# folder of the files that test_rejected_input_exits_one_and_names_it writes
 REJECTED_INPUTS = [
     ("detect --images {d}/img.pgm --sigma-x 0", "need sigma_x >= sigma_y > 0"),
     ("detect --images {d}/img.pgm --sigma-y 10", "need sigma_x >= sigma_y > 0"),
@@ -340,6 +340,20 @@ REJECTED_INPUTS = [
     ("build-graph --features {d}/negative.csv", "negative.csv:2: negative patch index"),
     ("build-graph --features {d}/f.csv --labels {d}/extra.csv",
      "extra.csv:2: expected 2 columns, got 3"),
+    ("build-graph --features {d}/f.csv --labels {d}/minus.csv",
+     "minus.csv:2: label must be >= 0, got -3"),
+    ("build-graph --features {d}/header.csv",
+     "{d}/header.csv:1: expected header slide_id,patch_row,patch_col,cg_avg_degree,"),
+    ("build-graph --features {d}/zero.csv", "{d}/zero.csv:1: expected header slide_id,"),
+    ("build-graph --features {d}/narrow.csv", "narrow.csv:2: expected 72 columns, got 71"),
+    ("build-graph --features {d}/f.csv --min-nuclei -3",
+     "min_nuclei_per_patch must be >= 0, got -3"),
+    ("run --config {d}/min_nuclei.json --slides-per-class 3 --epochs 1",
+     "min_nuclei_per_patch must be >= 0, got -3"),
+    ("detect --images {d}/renamed",
+     "{d}/renamed/s_r0_c0.pgm: slide s patch (0, 0) repeats {d}/renamed/s_r00_c0.pgm"),
+    ("detect --images {d}/tiled --patch-size 32",
+     "{d}/tiled/s_r0_c0.pgm: slide s patch (0, 0) repeats {d}/tiled/s.pgm"),
     ("featurize --points {d}/points.csv --workers -3", "workers must be >= 0, got -3"),
     ("run --config {d}/workers.json --slides-per-class 3 --epochs 1",
      "workers must be >= 0, got -2"),
@@ -350,22 +364,31 @@ REJECTED_INPUTS = [
                          ids=[command for command, _ in REJECTED_INPUTS])
 def test_rejected_input_exits_one_and_names_it(tmp_path, caplog, command, message):
     write_pgm(GrayImage(np.ones((32, 32))), tmp_path / "img.pgm")
+    # two files that name one patch: a zero-padded row, and a whole slide tiled onto a patch
+    for name in ("renamed/s_r0_c0", "renamed/s_r00_c0", "tiled/s", "tiled/s_r0_c0"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        write_pgm(GrayImage(np.ones((32, 32))), tmp_path / f"{name}.pgm")
     (tmp_path / "truncated.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(100))
     (tmp_path / "ascii.pgm").write_bytes(b"P2\n2 1\n255\n0 255\n")
     (tmp_path / "wide.pgm").write_bytes(b"P5\n2 1\n65535\n" + bytes(4))
     (tmp_path / "empty.pgm").write_bytes(b"P5\n0 4\n255\n")
     header = ",".join(["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES) + "\n"
     for name, rows in (("f", [("0", "0")]), ("twice", [("0", "0"), ("0", "0")]),
-                       ("negative", [("0", "-1")])):
+                       ("negative", [("0", "-1")]), ("narrow", [("0",)])):
         (tmp_path / f"{name}.csv").write_text(
             header + "".join(",".join(["s1", *rc] + ["0.5"] * 69) + "\n" for rc in rows))
+    (tmp_path / "header.csv").write_text(header.replace("cg_avg_degree", "cg_degree")
+                                         + ",".join(["s1", "0", "0"] + ["0.5"] * 69) + "\n")
+    (tmp_path / "zero.csv").write_text("")
     (tmp_path / "extra.csv").write_text("slide_id,label\ns1,0,x\n")
+    (tmp_path / "minus.csv").write_text("slide_id,label\ns1,-3\n")
+    (tmp_path / "min_nuclei.json").write_text('{"min_nuclei_per_patch": -3}')
     (tmp_path / "points.csv").write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
     (tmp_path / "workers.json").write_text('{"workers": -2}')
     out = tmp_path / "out"
     argv = command.format(d=tmp_path).split() + ["--out", str(out)]
     assert main(argv) == 1
-    assert message in caplog.text
+    assert message.format(d=tmp_path) in caplog.text
     assert "Traceback" not in caplog.text
     assert not out.exists()
 

@@ -216,6 +216,21 @@ class TestCsvRoundTrips:
         export_labels(slides, path)
         assert import_labels(path) == {"s0": 0, "s1": 1, "s2": 2}
 
+    @pytest.mark.parametrize("kind", ["points", "features", "labels"])
+    def test_written_file_reads_back_to_the_same_bytes(self, tmp_path, kind):
+        slides = featurize_slides(self._small_dataset(), d_p=64.0, workers=1)
+        labels = {s.slide_id: s.label for s in slides}
+        write, read = {
+            "points": (export_pointsets, lambda p: import_pointsets(p, 768, labels)),
+            "features": (pipeline.export_features, pipeline.import_features),
+            "labels": (export_labels, lambda p: [SlideRecord(sid, label)
+                                                 for sid, label in import_labels(p).items()]),
+        }[kind]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write(slides, first)
+        write(read(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_repeated_label_rejected_with_line(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("slide_id,label\na,0\nb,1\na,2\n")
