@@ -112,9 +112,15 @@ def _add_run(sub):
     p.add_argument("--workers", type=int, default=None)
 
 
+def _in_file(path, fn, *args):
+    """fn(*args), with `path`, the file it works on, named in its ValidationError."""
+    try:
+        return fn(*args)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from e
+
+
 def _cmd_synth(args) -> int:
-    if args.slides_per_class < 1 or args.classes < 1:
-        raise ValidationError("need at least one class and one slide per class")
     cfg = ExperimentConfig(seed=args.seed, slides_per_class=args.slides_per_class,
                            class_names=tuple(f"class{c}" for c in range(args.classes)))
     cfg.synth.patch_size = args.patch_size
@@ -146,31 +152,26 @@ def _cmd_detect(args) -> int:
         raise ValidationError(f"no .pgm files found under {src}")
     bank = detection.build_glog_bank(args.sigma_x, args.sigma_y,
                                      args.orientations, args.bandwidth)
-    stride = args.patch_size if args.stride is None else args.stride
-
-    def run_detection(img):
-        return detection.detect_nuclei(img, bank,
-                                       response_threshold=args.response_threshold,
-                                       merge_radius=args.merge_radius)
-
+    size = args.patch_size
+    stride = size if args.stride is None else args.stride
     # files named <slide>_r<row>_c<col>.pgm are single pre-cut patches of one
-    # slide (the synth --render convention); anything else is a whole slide
-    # image that gets tiled here
+    # slide (the synth --render convention), tiled as one patch at (row, col);
+    # anything else is a whole slide image tiled from (0, 0)
     patches, origins = {}, {}     # (slide_id, row, col) -> PatchRecord, and its file
     for f in files:
         img = detection.read_pgm(f)
         m = _PATCH_FILE.match(f.stem)
-        if m:
-            tiles = [(m.group("slide"), int(m.group("row")), int(m.group("col")), img)]
-        else:
-            size = min(args.patch_size, img.width, img.height)
-            tiles = [(f.stem, y // stride, x // stride,
-                      detection.GrayImage(img.pixels[y:y + size, x:x + size]))
-                     for x, y in pipeline.tile_image(img.width, img.height, size, stride)]
-        for slide_id, row, col, tile in tiles:
-            pipeline.check_new_patch(origins, (slide_id, row, col), str(f), str(f))
-            patches[slide_id, row, col] = pipeline.PatchRecord(row=row, col=col,
-                                                               points=run_detection(tile))
+        if m and (img.width, img.height) != (size, size):
+            raise ValidationError(f"{f}: a pre-cut patch is {img.width}x{img.height}, "
+                                  f"but --patch-size is {size}")
+        slide_id, row0, col0 = (m["slide"], int(m["row"]), int(m["col"])) if m else (f.stem, 0, 0)
+        for x, y in _in_file(f, pipeline.tile_image, img.width, img.height, size, stride):
+            key = (slide_id, row0 + y // stride, col0 + x // stride)
+            pipeline.check_new_patch(origins, key, str(f), str(f))
+            tile = detection.GrayImage(img.pixels[y:y + size, x:x + size])
+            points = detection.detect_nuclei(tile, bank, args.response_threshold,
+                                             args.merge_radius)
+            patches[key] = pipeline.PatchRecord(row=key[1], col=key[2], points=points)
     slides = pipeline.assemble_slides(patches)
     for rec in slides:
         log.info("%s: %d patches, %d nuclei", rec.slide_id, len(rec.patches),
@@ -196,28 +197,12 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
-def _load_graphs(path) -> list:
-    graphs = load_image_graphs(path)
-    if not graphs:
-        raise ValidationError(f"{path}: no slide graphs")
-    return graphs
-
-
 def _cmd_train(args) -> int:
     cfg = gcn.TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
                           epochs=args.epochs, dropout_p=args.dropout, seed=args.seed,
                           num_classes=args.num_classes)
-    graphs = _load_graphs(args.graphs)
-    unlabelled = next((g for g in graphs if g.label < 0), None)
-    if unlabelled is not None:
-        raise ValidationError(
-            f"{args.graphs}: slide {unlabelled.slide_id} has no label"
-            " (build-graph without --labels writes -1)")
-    top = max((g.label for g in graphs), default=-1)
-    if args.num_classes is not None and top >= args.num_classes:
-        raise ValidationError(
-            f"{args.graphs}: --num-classes {args.num_classes} leaves no class for label {top}")
-    model, history = gcn.train(graphs, cfg)
+    graphs = load_image_graphs(args.graphs)
+    model, history = _in_file(args.graphs, gcn.train, graphs, cfg)
     gcn.save_model(model, args.model, config=cfg)
     if args.history:
         Path(args.history).write_text(json.dumps(history), encoding="utf-8")
@@ -228,15 +213,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    graphs = _load_graphs(args.graphs)
+    graphs = load_image_graphs(args.graphs)
     model = gcn.load_model(args.model)
-    for g in graphs:
-        width = g.node_features.shape[1]
-        if width != model.input_dim:
-            raise ValidationError(
-                f"{args.graphs}: slide {g.slide_id} has {width} features per node, "
-                f"but {args.model} expects {model.input_dim}")
-    result = gcn.evaluate(model, graphs)
+    result = _in_file(args.graphs, gcn.evaluate, model, graphs)
     metrics = {"accuracy": result.accuracy, "confusion": result.confusion.tolist(),
                "predictions": result.predictions.tolist()}
     text = json.dumps(metrics, indent=2)

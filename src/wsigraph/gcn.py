@@ -71,6 +71,7 @@ class TrainConfig:
             ("seed", self.seed >= 0, ">= 0"),
             ("gcn_dims", min(self.gcn_dims, default=0) >= 1, "one or more widths >= 1"),
             ("head_dims", min(self.head_dims, default=1) >= 1, "widths >= 1"),
+            ("num_classes", self.num_classes is None or self.num_classes >= 1, ">= 1"),
         ):
             if not ok:
                 raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -212,17 +213,6 @@ def normalize_adjacency(g: ImageGraph) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def _node_matrix(features, model: GcnModel) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(
-            f"feature width {x.shape} does not match model input dim {model.input_dim}"
-        )
-    if len(x) == 0:
-        raise ValueError("graph has no nodes")
-    return x
-
-
 def _prepare(dataset, model: GcnModel) -> list:
     """(A_hat @ X, A_hat) per graph, X standardized by model.scaler.
 
@@ -231,7 +221,6 @@ def _prepare(dataset, model: GcnModel) -> list:
     prepared = []
     for g in dataset:
         x = model.scaler.transform(g.node_features) if model.scaler else g.node_features
-        x = _node_matrix(x, model)
         a_hat = normalize_adjacency(g)
         prepared.append((a_hat @ x, a_hat))
     return prepared
@@ -382,7 +371,13 @@ def gcn_forward(features, a_hat, model: GcnModel, train: bool = False,
     Returns (class probabilities, cache).  The cache carries every
     intermediate needed by backward(); eval mode disables dropout.
     """
-    x = _node_matrix(features, model)
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValueError(
+            f"feature width {x.shape} does not match model input dim {model.input_dim}"
+        )
+    if len(x) == 0:
+        raise ValueError("graph has no nodes")
     a_hat = np.asarray(a_hat, dtype=np.float64)
     if a_hat.shape != (len(x), len(x)):
         raise ValueError("adjacency shape must match node count")
@@ -464,6 +459,26 @@ class Adam:
 # ---------------------------------------------------------------------------
 # training and evaluation
 
+def _check_graphs(dataset, input_dim: int, labels: range) -> None:
+    """Reject the first slide graph that a model of `input_dim` inputs cannot take.
+
+    Each graph needs `input_dim` features per node and a label in `labels`:
+    range(classes) for training, which needs every slide labelled, and
+    range(-1, classes) for evaluation, where -1 marks an unlabelled slide.
+    """
+    for g in dataset:
+        width = g.node_features.shape[1]
+        if width != input_dim:
+            raise ValidationError(f"slide {g.slide_id} has {width} features per node, "
+                                  f"but the model takes {input_dim}")
+        if g.label < labels.start:
+            raise ValidationError(f"slide {g.slide_id} has no label "
+                                  "(build-graph without --labels writes -1)")
+        if g.label >= labels.stop:
+            raise ValidationError(f"slide {g.slide_id} has label {g.label}, "
+                                  f"but the model has {labels.stop} classes")
+
+
 def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,
                     rng: np.random.Generator, grads: tuple) -> np.ndarray:
     """Add the batch-mean loss gradient of the graphs `batch` into `grads`.
@@ -489,15 +504,11 @@ def train(dataset, config: TrainConfig):
     training passes.
     """
     if not dataset:
-        raise ValueError("dataset must be non-empty")
+        raise ValidationError("no slide graphs to train on")
     labels = np.array([int(g.label) for g in dataset])
-    if labels.min() < 0:
-        raise ValueError("every graph needs a nonnegative label")
-    num_classes = config.num_classes or int(labels.max()) + 1
-    if labels.max() >= num_classes:
-        raise ValueError("label outside configured class count")
-
+    num_classes = int(labels.max()) + 1 if config.num_classes is None else config.num_classes
     input_dim = dataset[0].node_features.shape[1]
+    _check_graphs(dataset, input_dim, range(num_classes))
     scaler, _ = standardize_features(np.vstack([g.node_features for g in dataset]))
 
     ss = np.random.SeedSequence(config.seed)
@@ -535,7 +546,7 @@ def train(dataset, config: TrainConfig):
 
 @dataclass
 class EvalResult:
-    accuracy: float
+    accuracy: float | None    # over the labelled slides; None if there are none
     confusion: np.ndarray     # rows true class, columns predicted
     predictions: np.ndarray
 
@@ -544,18 +555,21 @@ def evaluate(model: GcnModel, dataset) -> EvalResult:
     """Argmax accuracy and confusion matrix (ties resolve to the lowest index).
 
     Predictions come from eval-mode passes, each graph prepared in its pass.
+    Slides labelled -1 are predicted but neither counted nor scored.
     """
     c = model.num_classes
+    _check_graphs(dataset, model.input_dim, range(-1, c))
     sizes = [len(g.node_features) for g in dataset]
     probs = [_forward(model, _prepare([dataset[i] for i in run], model))["probs"]
              for run in _passes(range(len(dataset)), sizes)]
     preds = np.concatenate(probs).argmax(axis=1) if probs else np.zeros(0, dtype=np.int64)
     labels = np.array([g.label for g in dataset], dtype=np.int64)
-    known = (labels >= 0) & (labels < c)
+    known = labels >= 0
     confusion = np.zeros((c, c), dtype=np.int64)
     np.add.at(confusion, (labels[known], preds[known]), 1)
     correct = int(np.count_nonzero(preds[known] == labels[known]))
-    accuracy = correct / len(dataset) if len(dataset) else 0.0
+    scored = int(np.count_nonzero(known))
+    accuracy = correct / scored if scored else None
     return EvalResult(accuracy=accuracy, confusion=confusion, predictions=preds)
 
 

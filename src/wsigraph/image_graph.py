@@ -29,6 +29,8 @@ class ImageGraph:
 
     def __init__(self, node_features, edges=(), label: int = -1, slide_id: str = ""):
         f = np.asarray(node_features, dtype=np.float64)
+        if f.shape[:1] == (0,):
+            raise ValueError("graph has no nodes")
         if f.ndim != 2:
             raise ValueError("node_features must be a 2-D matrix")
         if f.shape[1] == 0:
@@ -110,7 +112,7 @@ def save_image_graphs(graphs, path) -> None:
                 "slide_id": g.slide_id,
                 "label": int(g.label),
                 "num_nodes": int(g.num_nodes),
-                "feature_dim": int(g.node_features.shape[1]) if g.num_nodes else 0,
+                "feature_dim": int(g.node_features.shape[1]),
                 "features": g.node_features.tolist(),
                 "edges": [[i, j, w] for i, j, w in g.edges],
             }
@@ -129,7 +131,7 @@ def load_image_graphs(path) -> list[ImageGraph]:
 
     Malformed records, and records whose `num_nodes` and `feature_dim`
     differ from their features matrix, raise ValidationError naming
-    `path:line`.
+    `path:line`; a file without records raises it naming `path`.
     """
     out = []
     path = Path(path)
@@ -148,11 +150,8 @@ def load_image_graphs(path) -> list[ImageGraph]:
             if version != FORMAT_VERSION:
                 raise ValidationError(f"{path}:{lineno}: unsupported format_version {version}")
             try:
-                feats = np.asarray(rec["features"], dtype=np.float64)
-                if len(feats) == 0:
-                    raise ValueError("graph has no nodes")
                 g = ImageGraph(
-                    node_features=feats,
+                    node_features=rec["features"],
                     edges=rec["edges"],
                     label=_integer(rec, "label"),
                     slide_id=str(rec["slide_id"]),
@@ -167,4 +166,6 @@ def load_image_graphs(path) -> list[ImageGraph]:
                 raise ValidationError(f"{path}:{lineno}: missing key {e}") from e
             except (TypeError, ValueError, OverflowError) as e:
                 raise ValidationError(f"{path}:{lineno}: {e}") from e
+    if not out:
+        raise ValidationError(f"{path}: no slide graphs")
     return out

@@ -125,13 +125,16 @@ class ExperimentConfig:
     def validate_dataset(self) -> None:
         """The checks on what `synth_dataset` reads, all that `wsigraph synth` needs.
 
-        Every synth rate and spread is a finite number >= 0, `dense_sds`
-        holds the tight and the loose spread, and `class_names` holds no more
-        classes than the generator draws.
+        There is at least one class and one slide per class, every synth
+        rate and spread is a finite number >= 0, `dense_sds` holds the tight
+        and the loose spread, and `class_names` holds no more classes than
+        the generator draws.
         """
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         k = len(self.class_names)
+        if k < 1 or self.slides_per_class < 1:
+            raise ValidationError("need at least one class and one slide per class")
         if k > SYNTH_CLASSES:
             raise ValidationError(
                 f"class_names holds {k} classes (synth --classes {k}), but the synthetic "

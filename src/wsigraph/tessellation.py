@@ -92,11 +92,7 @@ class Triangulation:
     def triangle_areas(self) -> np.ndarray:
         c = self.points.coords
         t = self.triangles
-        a, b, d = c[t[:, 0]], c[t[:, 1]], c[t[:, 2]]
-        return 0.5 * np.abs(
-            (b[:, 0] - a[:, 0]) * (d[:, 1] - a[:, 1])
-            - (b[:, 1] - a[:, 1]) * (d[:, 0] - a[:, 0])
-        )
+        return 0.5 * np.abs(_cross(c[t[:, 0]], c[t[:, 1]], c[t[:, 2]]))
 
     def side_lengths(self) -> np.ndarray:
         """All three side lengths of every triangle (3 per triangle)."""
@@ -182,12 +178,8 @@ def delaunay_triangulation(points: PointSet) -> Triangulation:
     order = np.lexsort((coords[:, 1], coords[:, 0]))
     sorted_pts = coords[order]
 
-    base = sorted_pts[-1] - sorted_pts[0]
     span = max(np.abs(sorted_pts - sorted_pts[0]).max(), 1e-12)
-    cross = np.abs(
-        base[0] * (sorted_pts[:, 1] - sorted_pts[0, 1])
-        - base[1] * (sorted_pts[:, 0] - sorted_pts[0, 0])
-    )
+    cross = np.abs(_cross(sorted_pts[0], sorted_pts[-1], sorted_pts))
     if cross.max() <= 1e-9 * span * span:
         raise DegenerateGeometryError("points are collinear")
 

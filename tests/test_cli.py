@@ -323,11 +323,11 @@ REJECTED_INPUTS = [
     ("detect --images {d}/img.pgm --sigma-y 10", "need sigma_x >= sigma_y > 0"),
     ("detect --images {d}/img.pgm --orientations 0", "orientations and bandwidth must be >= 1"),
     ("detect --images {d}/img.pgm --bandwidth 0", "orientations and bandwidth must be >= 1"),
-    ("detect --images {d}/img.pgm --merge-radius -1",
+    ("detect --images {d}/img.pgm --merge-radius -1 --patch-size 32",
      "merge_radius must be a finite number >= 0, got -1.0"),
-    ("detect --images {d}/img.pgm --merge-radius nan",
+    ("detect --images {d}/img.pgm --merge-radius nan --patch-size 32",
      "merge_radius must be a finite number >= 0, got nan"),
-    ("detect --images {d}/img.pgm --response-threshold nan",
+    ("detect --images {d}/img.pgm --response-threshold nan --patch-size 32",
      "response_threshold must be a finite number, got nan"),
     ("detect --images {d}/img.pgm --stride 0", "patch_size and stride must be positive"),
     ("detect --images {d}/truncated.pgm", "truncated.pgm: truncated pixel data"),
@@ -350,10 +350,13 @@ REJECTED_INPUTS = [
      "min_nuclei_per_patch must be >= 0, got -3"),
     ("run --config {d}/min_nuclei.json --slides-per-class 3 --epochs 1",
      "min_nuclei_per_patch must be >= 0, got -3"),
-    ("detect --images {d}/renamed",
+    ("detect --images {d}/renamed --patch-size 32",
      "{d}/renamed/s_r0_c0.pgm: slide s patch (0, 0) repeats {d}/renamed/s_r00_c0.pgm"),
     ("detect --images {d}/tiled --patch-size 32",
      "{d}/tiled/s_r0_c0.pgm: slide s patch (0, 0) repeats {d}/tiled/s.pgm"),
+    ("detect --images {d}/img.pgm", "{d}/img.pgm: patch_size 768 exceeds image bounds 32x32"),
+    ("detect --images {d}/renamed/s_r0_c0.pgm --patch-size 16",
+     "{d}/renamed/s_r0_c0.pgm: a pre-cut patch is 32x32, but --patch-size is 16"),
     ("featurize --points {d}/points.csv --workers -3", "workers must be >= 0, got -3"),
     ("run --config {d}/workers.json --slides-per-class 3 --epochs 1",
      "workers must be >= 0, got -2"),
@@ -446,7 +449,7 @@ class TestMalformedInterchange:
         model = tmp_path / "m.json"
         rc = main(["eval", "--graphs", str(graphs), "--model", str(model)])
         assert rc == 1
-        assert (f"{graphs}: slide wide has 3 features per node, but {model} expects 2"
+        assert (f"{graphs}: slide wide has 3 features per node, but the model takes 2"
                 in caplog.text)
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -494,7 +497,7 @@ class TestMalformedInterchange:
         rc = main(["train", "--graphs", str(graphs), "--model", str(tmp_path / "m.json"),
                    "--epochs", "1", "--num-classes", "2"])
         assert rc == 1
-        assert f"{graphs}: --num-classes 2 leaves no class for label 2" in caplog.text
+        assert f"{graphs}: slide s has label 2, but the model has 2 classes" in caplog.text
 
     def test_labelled_slides_without_feature_rows(self, tmp_path, caplog):
         features = tmp_path / "features.csv"
@@ -507,6 +510,43 @@ class TestMalformedInterchange:
         assert rc == 1
         assert f"{features}: no feature rows for labelled slides empty, gone" in caplog.text
         assert not (tmp_path / "graphs.jsonl").exists()
+
+    def test_train_on_mixed_feature_widths(self, tmp_path, caplog):
+        rc, graphs = self._train(tmp_path, graph_record(slide_id="a") + "\n" + graph_record(
+            slide_id="b", feature_dim=3, features=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) + "\n")
+        assert rc == 1
+        assert f"{graphs}: slide b has 3 features per node, but the model takes 2" in caplog.text
+        assert "Traceback" not in caplog.text and not (tmp_path / "m.json").exists()
+
+    def _two_class_model(self, tmp_path):
+        rc, _ = self._train(tmp_path, graph_record(slide_id="a") + "\n"
+                            + graph_record(slide_id="b", label=1) + "\n")
+        assert rc == 0
+        return tmp_path / "m.json"
+
+    def test_eval_with_a_label_the_model_lacks(self, tmp_path, caplog):
+        model = self._two_class_model(tmp_path)
+        graphs = tmp_path / "high.jsonl"
+        graphs.write_text(graph_record(slide_id="high", label=2) + "\n")
+        rc = main(["eval", "--graphs", str(graphs), "--model", str(model)])
+        assert rc == 1
+        assert f"{graphs}: slide high has label 2, but the model has 2 classes" in caplog.text
+
+    def test_eval_scores_only_labelled_slides(self, tmp_path):
+        model = self._two_class_model(tmp_path)
+        records = [graph_record(slide_id=s, label=label)
+                   for s, label in (("a", 0), ("b", 1), ("u", -1))]
+        for name, lines in (("mixed", records), ("unlabelled", records[2:])):
+            graphs = tmp_path / f"{name}.jsonl"
+            graphs.write_text("\n".join(lines) + "\n")
+            out = tmp_path / f"{name}.json"
+            assert main(["eval", "--graphs", str(graphs), "--model", str(model),
+                         "--out", str(out)]) == 0
+            metrics = json.loads(out.read_text())
+            confusion = np.array(metrics["confusion"])
+            assert len(metrics["predictions"]) == len(lines)
+            assert confusion.sum() == len(lines) - 1
+            assert metrics["accuracy"] == (np.trace(confusion) / 2 if name == "mixed" else None)
 
     def test_unlabelled_graphs_cannot_train(self, tmp_path, caplog):
         graphs = tmp_path / "graphs.jsonl"

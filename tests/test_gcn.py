@@ -18,6 +18,7 @@ from wsigraph.gcn import (
     standardize_features,
     train,
 )
+from wsigraph.errors import ValidationError
 from wsigraph.image_graph import ImageGraph, build_image_graph
 
 GOLDEN = Path(__file__).parent / "data" / "gcn_golden.npz"
@@ -473,6 +474,29 @@ class TestTrainEvaluate:
         res = evaluate(model, data)
         assert res.accuracy == 1.0
         assert np.all(res.confusion == np.diag(np.diag(res.confusion)))
+
+    def test_zero_classes_rejected(self):
+        data = random_dataset(np.random.default_rng(46), count=3, dim=10)
+        with pytest.raises(ValidationError, match="num_classes must be >= 1, got 0"):
+            train(data, TrainConfig(epochs=1, num_classes=0))
+
+    @pytest.mark.parametrize("bad, message", [
+        (ImageGraph(np.ones((2, 9)), label=0, slide_id="narrow"),
+         "slide narrow has 9 features per node, but the model takes 10"),
+        (ImageGraph(np.ones((2, 10)), label=3, slide_id="high"),
+         "slide high has label 3, but the model has 3 classes"),
+        (ImageGraph(np.ones((2, 10)), label=-1, slide_id="unlabelled"),
+         "slide unlabelled has no label"),
+    ])
+    def test_train_and_evaluate_name_the_bad_slide(self, bad, message):
+        data = random_dataset(np.random.default_rng(47), count=3, dim=10)
+        cfg = TrainConfig(epochs=1, gcn_dims=(4,), head_dims=(3,), num_classes=3)
+        with pytest.raises(ValidationError, match=message):
+            train(data + [bad], cfg)
+        model, _ = train(data, cfg)
+        if bad.label >= 0:      # evaluation takes unlabelled slides
+            with pytest.raises(ValidationError, match=message):
+                evaluate(model, data + [bad])
 
 
 class TestCheckpoint:
