@@ -272,10 +272,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(message)s")
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, FileNotFoundError) as e:
-        log.error("%s", e)
-        return 1
-    except Exception as e:      # runtime failure
+    except Exception as e:
+        # a bad input, or a path that cannot be opened (an OSError naming its file)
+        if isinstance(e, ValidationError) or (isinstance(e, OSError) and e.filename is not None):
+            log.error("%s", e)
+            return 1
         log.exception("runtime failure: %s", e)
         return 2
 

@@ -122,10 +122,8 @@ def bank_response(img: GrayImage, bank: GLoGBank) -> np.ndarray:
     and a single FFT convolution; the image is reflect-padded to avoid fake
     border maxima.
     """
-    half = bank.half_width
-    padded = np.pad(img.pixels, half, mode="reflect")
-    resp = fftconvolve(padded, bank.pooled_kernel(), mode="same")
-    return resp[half:-half, half:-half]
+    padded = np.pad(img.pixels, bank.half_width, mode="reflect")
+    return fftconvolve(padded, bank.pooled_kernel(), mode="valid")
 
 
 def detect_nuclei(img: GrayImage, bank: GLoGBank,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,3 +28,19 @@ def open_text(path):
             f"{path}: not UTF-8 text (byte 0x{e.object[e.start]:02x}: {e.reason})") from e
     except csv.Error as e:
         raise ValidationError(f"{path}: {e}") from e
+
+
+def json_object(text: str, where, format_version=None) -> dict:
+    """Decode `text` as one JSON object, carrying `format_version` when one is given.
+
+    Each failure raises ValidationError at `where` (a file, or file:line).
+    """
+    try:
+        rec = json.loads(text)
+    except (ValueError, RecursionError) as e:   # also an over-long integer, or deep nesting
+        raise ValidationError(f"{where}: invalid JSON ({e})") from e
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{where}: not a JSON object")
+    if format_version is not None and rec.get("format_version") != format_version:
+        raise ValidationError(f"{where}: unsupported format_version {rec.get('format_version')}")
+    return rec

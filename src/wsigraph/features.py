@@ -179,7 +179,7 @@ def voronoi_features(cells: VoronoiCells | None) -> np.ndarray:
     Chord lengths are all pairwise vertex distances of each cell, pooled
     over all cells before summarization.
     """
-    if cells is None or len(cells.sizes) == 0:
+    if cells is None:
         return np.zeros(12)
     return np.concatenate([
         stat_summary(cells.areas()),
@@ -194,7 +194,7 @@ def delaunay_features(t: Triangulation | None) -> np.ndarray:
     Sides are pooled per triangle (interior edges contribute once per
     adjacent triangle).
     """
-    if t is None or len(t.triangles) == 0:
+    if t is None:
         return np.zeros(8)
     return np.concatenate([
         stat_summary(t.side_lengths()),
@@ -204,26 +204,23 @@ def delaunay_features(t: Triangulation | None) -> np.ndarray:
 
 def mst_features(tree: UndirectedGraph) -> np.ndarray:
     """4 MST statistics: stat_summary of the tree edge lengths."""
-    if tree.edge_count == 0:
-        return np.zeros(4)
     return stat_summary(tree.w)
 
 
-def density_features(points: PointSet, cells: VoronoiCells | None = None) -> np.ndarray:
+def density_features(points: PointSet, cells: VoronoiCells | None) -> np.ndarray:
     """27 nuclei density statistics.
 
     Order: total clipped Voronoi area; nuclei count; count per patch area;
     then (mean, SD, disorder) of the distance to the k-th nearest neighbor
     for k in (3, 5, 7); then (mean, SD, disorder) of the number of neighbors
     within radius r for r in (10, 20, 30, 40, 50) pixels.  The k-NN block is
-    zero whenever n <= k.  `cells` may pass a precomputed Voronoi diagram.
+    zero whenever n <= k.  `cells` is the Voronoi diagram of `points`, None
+    for an empty patch.
     """
     n = len(points)
     out = np.zeros(27)
     if n == 0:
         return out
-    if cells is None:
-        cells = voronoi_cells(points)
     out[0] = cells.total_area()
     out[1] = n
     out[2] = n / points.area

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, json_object, open_text
 from .image_graph import ImageGraph
 
 FORMAT_VERSION = 1
@@ -184,17 +184,16 @@ class FeatureScaler:
         return (x - self.mean) * inv
 
 
-def standardize_features(train_matrix) -> tuple[FeatureScaler, "callable"]:
+def standardize_features(train_matrix) -> FeatureScaler:
     """Fit standardization stats on the training matrix.
 
-    Returns (stats, transform); constant columns transform to exactly 0 and
-    the same transform must be applied to validation/test features.
+    Constant columns transform to exactly 0, and the same scaler must
+    transform validation/test features.
     """
     x = np.asarray(train_matrix, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("training matrix must be non-empty and 2-D")
-    scaler = FeatureScaler(mean=x.mean(axis=0), std=x.std(axis=0))
-    return scaler, scaler.transform
+    return FeatureScaler(mean=x.mean(axis=0), std=x.std(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +508,7 @@ def train(dataset, config: TrainConfig):
     num_classes = int(labels.max()) + 1 if config.num_classes is None else config.num_classes
     input_dim = dataset[0].node_features.shape[1]
     _check_graphs(dataset, input_dim, range(num_classes))
-    scaler, _ = standardize_features(np.vstack([g.node_features for g in dataset]))
+    scaler = standardize_features(np.vstack([g.node_features for g in dataset]))
 
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(3))
@@ -596,16 +595,8 @@ def save_model(model: GcnModel, path, config: TrainConfig | None = None) -> None
 
 def load_model(path) -> GcnModel:
     """Read a checkpoint written by save_model; malformed files raise ValidationError."""
-    try:
-        with open_text(path) as fh:
-            rec = json.loads(fh.read())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: invalid JSON ({e})") from e
-    if not isinstance(rec, dict):
-        raise ValidationError(f"{path}: checkpoint must be a JSON object")
-    if rec.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"{path}: unsupported checkpoint format_version {rec.get('format_version')}")
+    with open_text(path) as fh:
+        rec = json_object(fh.read(), path, FORMAT_VERSION)
     try:
         scaler = None
         if rec.get("standardization"):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, json_object, open_text
 from .graph import canonical_edges
 
 FORMAT_VERSION = 1
@@ -140,15 +140,7 @@ def load_image_graphs(path) -> list[ImageGraph]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            if not isinstance(rec, dict):
-                raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
-            version = rec.get("format_version")
-            if version != FORMAT_VERSION:
-                raise ValidationError(f"{path}:{lineno}: unsupported format_version {version}")
+            rec = json_object(line, f"{path}:{lineno}", FORMAT_VERSION)
             try:
                 g = ImageGraph(
                     node_features=rec["features"],

@@ -25,7 +25,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .detection import DetectionParams  # noqa: F401  (the CLI and perfbench read it here)
-from .errors import ValidationError, open_text
+from .errors import ValidationError, json_object, open_text
 from .features import (
     DEFAULT_CELL_GRAPH_RADIUS,
     FEATURE_NAMES,
@@ -207,13 +207,8 @@ def _config_from_dict(cls, data: dict, path: str = ""):
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from a JSON file (documented in the README)."""
-    try:
-        with open_text(path) as fh:
-            data = json.loads(fh.read())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValidationError(f"cannot read config {path}: {e}") from e
-    if not isinstance(data, dict):
-        raise ValidationError("config file must contain a JSON object")
+    with open_text(path) as fh:
+        data = json_object(fh.read(), path)
     cfg = _config_from_dict(ExperimentConfig, data)
     cfg.validate()
     return cfg
@@ -513,11 +508,9 @@ def export_pointsets(slides, path) -> None:
                                      for x, y in patch.points.coords))
 
 
-def import_pointsets(path, patch_size: int = SynthParams.patch_size,
-                     labels: dict | None = None) -> list:
-    """Read a point-set CSV back into SlideRecords.
+def import_pointsets(path, patch_size: int = SynthParams.patch_size) -> list:
+    """Read a point-set CSV back into unlabelled SlideRecords.
 
-    Labels come from the optional {slide_id: label} mapping (default -1).
     Malformed rows are rejected with their line number; a zero-byte file
     warns and reads as no slides.
     """
@@ -539,7 +532,7 @@ def import_pointsets(path, patch_size: int = SynthParams.patch_size,
     return assemble_slides({
         key: PatchRecord(row=key[1], col=key[2],
                          points=PointSet(np.array(xy), patch_size, patch_size))
-        for key, xy in points.items()}, labels)
+        for key, xy in points.items()})
 
 
 def export_features(slides, path) -> None:

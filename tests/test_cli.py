@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import os
@@ -360,6 +361,11 @@ REJECTED_INPUTS = [
     ("featurize --points {d}/points.csv --workers -3", "workers must be >= 0, got -3"),
     ("run --config {d}/workers.json --slides-per-class 3 --epochs 1",
      "workers must be >= 0, got -2"),
+    ("run --config {d}/list.json", "{d}/list.json: not a JSON object"),
+    ("run --config {d}/deep.json", "{d}/deep.json: invalid JSON (maximum recursion depth"),
+    ("featurize --points {d}/tiled", "Is a directory: '{d}/tiled'"),
+    ("build-graph --features {d}/tiled", "Is a directory: '{d}/tiled'"),
+    ("detect --images {d}/nested", "Is a directory: '{d}/nested/x.pgm'"),
 ]
 
 
@@ -388,6 +394,9 @@ def test_rejected_input_exits_one_and_names_it(tmp_path, caplog, command, messag
     (tmp_path / "min_nuclei.json").write_text('{"min_nuclei_per_patch": -3}')
     (tmp_path / "points.csv").write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
     (tmp_path / "workers.json").write_text('{"workers": -2}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "nested" / "x.pgm").mkdir(parents=True)
     out = tmp_path / "out"
     argv = command.format(d=tmp_path).split() + ["--out", str(out)]
     assert main(argv) == 1
@@ -592,6 +601,24 @@ class TestMalformedInterchange:
         assert rc == 1
         assert f"{graphs}:2: {message}" in caplog.text
 
+    @pytest.mark.parametrize("command, flag", [("train", "--graphs"), ("eval", "--model"),
+                                               ("featurize", "--out")])
+    def test_directory_where_a_file_must_be(self, tmp_path, caplog, command, flag):
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text(graph_record() + "\n")
+        points = tmp_path / "points.csv"
+        points.write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
+        argv = {"train": ["--graphs", graphs, "--model", tmp_path / "m.json"],
+                "eval": ["--graphs", graphs, "--model", tmp_path / "m.json"],
+                "featurize": ["--points", points, "--out", tmp_path / "f.csv",
+                              "--workers", "1"]}[command]
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        argv[argv.index(flag) + 1] = directory
+        assert main([command, *map(str, argv)]) == 1
+        assert f"Is a directory: '{directory}'" in caplog.text
+        assert "Traceback" not in caplog.text
+
     @pytest.mark.parametrize("reader", ["points", "features", "labels", "graphs"])
     def test_file_that_is_not_utf8(self, tmp_path, caplog, reader):
         path = tmp_path / "input"
@@ -617,6 +644,15 @@ class TestMalformedInterchange:
         monkeypatch.setitem(cli._COMMANDS, "eval", boom)
         assert main(["eval", "--graphs", "g", "--model", "m"]) == 2
         assert "runtime failure: disk on fire" in caplog.text
+        assert "Traceback" in caplog.text
+
+    def test_os_error_naming_no_file_logs_traceback(self, monkeypatch, caplog):
+        def fork_fails(args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", fork_fails)
+        assert main(["eval", "--graphs", "g", "--model", "m"]) == 2
+        assert "runtime failure: [Errno 12] Cannot allocate memory" in caplog.text
         assert "Traceback" in caplog.text
 
 

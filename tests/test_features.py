@@ -188,7 +188,8 @@ class TestTessellationFeatures:
 
 class TestDensityFeatures:
     def test_single_point(self):
-        f = density_features(pset([(100, 100)]))
+        points = pset([(100, 100)])
+        f = density_features(points, voronoi_cells(points))
         assert f[1] == 1
         assert f[0] == pytest.approx(768 * 768)
         assert np.all(f[3:] == 0)           # all k-NN and radius blocks empty
@@ -198,7 +199,8 @@ class TestDensityFeatures:
         for _ in range(100):
             n = int(rng.integers(2, 30))
             pts = rng.uniform(0, 768, (n, 2))
-            f = density_features(pset(pts))
+            points = pset(pts)
+            f = density_features(points, voronoi_cells(points))
             d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
             pos = 3
             for k in (3, 5, 7):
@@ -215,7 +217,8 @@ class TestDensityFeatures:
         # others within r=10 and the SD is exactly 0
         xs, ys = np.meshgrid(np.arange(7), np.arange(7))
         pts = np.stack([xs.ravel(), ys.ravel()], 1) + 100.0
-        f = density_features(pset(pts))
+        points = pset(pts)
+        f = density_features(points, voronoi_cells(points))
         names_base = 3 + 9
         assert f[names_base] == pytest.approx(48.0)    # r=10 mean count
         assert f[names_base + 1] == 0.0                # r=10 SD
@@ -223,7 +226,8 @@ class TestDensityFeatures:
     def test_radius_counts_full_grid_against_counting(self):
         xs, ys = np.meshgrid(np.arange(10), np.arange(10))
         pts = np.stack([xs.ravel(), ys.ravel()], 1) * 1.0 + 50
-        f = density_features(pset(pts))
+        points = pset(pts)
+        f = density_features(points, voronoi_cells(points))
         d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
         pos = 3 + 9
         for r in (10, 20, 30, 40, 50):

@@ -66,23 +66,20 @@ class TestNormalizeAdjacency:
 class TestStandardize:
     def test_constant_column_maps_to_zero(self):
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        scaler, transform = standardize_features(x)
-        z = transform(x)
+        z = standardize_features(x).transform(x)
         assert np.all(z[:, 1] == 0.0)
 
     def test_train_matrix_is_standardized(self):
         rng = np.random.default_rng(1)
         x = rng.normal(3, 2, (50, 7))
-        _, transform = standardize_features(x)
-        z = transform(x)
+        z = standardize_features(x).transform(x)
         assert np.allclose(z.mean(axis=0), 0, atol=1e-9)
         assert np.allclose(z.std(axis=0), 1, atol=1e-9)
 
     def test_test_set_uses_train_stats(self):
         train_m = np.array([[0.0], [2.0]])      # mean 1, sd 1
         test_m = np.array([[5.0]])
-        _, transform = standardize_features(train_m)
-        assert transform(test_m).tolist() == [[4.0]]
+        assert standardize_features(train_m).transform(test_m).tolist() == [[4.0]]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
