@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: synth, detect, featurize,
-build-graph, train, eval, and run (the full cross-validation experiment).
+build-graph, train, eval, and run (k-fold cross-validation of synthetic
+slides, or of a graph file).
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -103,11 +106,13 @@ def _add_eval(sub):
 
 
 def _add_run(sub):
-    p = sub.add_parser("run", help="full synthetic cross-validation experiment")
+    p = sub.add_parser("run", help="k-fold cross-validation of synthetic slides or --graphs")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default=None, help="override output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--slides-per-class", type=int, default=None)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graphs", help="JSON-lines graph file to cross-validate")
+    source.add_argument("--slides-per-class", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
 
@@ -146,6 +151,7 @@ _PATCH_FILE = re.compile(r"^(?P<slide>.+)_r(?P<row>\d+)_c(?P<col>\d+)$")
 
 
 def _cmd_detect(args) -> int:
+    _check_outputs(args.out)
     src = Path(args.images)
     files = sorted(src.glob("*.pgm")) if src.is_dir() else [src]
     if not files:
@@ -181,6 +187,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    _check_outputs(args.out)
     slides = pipeline.import_pointsets(args.points, patch_size=args.patch_size)
     slides = pipeline.featurize_slides(slides, args.d_p, workers=args.workers)
     pipeline.export_features(slides, args.out)
@@ -198,6 +205,7 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_outputs(args.model, args.history)
     cfg = gcn.TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
                           epochs=args.epochs, dropout_p=args.dropout, seed=args.seed,
                           num_classes=args.num_classes)
@@ -213,6 +221,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs(args.out)
     graphs = load_image_graphs(args.graphs)
     model = gcn.load_model(args.model)
     result = _in_file(args.graphs, gcn.evaluate, model, graphs)
@@ -227,17 +236,19 @@ def _cmd_eval(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.slides_per_class is not None:
-        cfg.slides_per_class = args.slides_per_class
-    if args.epochs is not None:
-        cfg.train.epochs = args.epochs
-    if args.workers is not None:
-        cfg.workers = args.workers
-    report = pipeline.run_experiment(cfg)
+    for target, name, value in ((cfg, "output_dir", args.out), (cfg, "seed", args.seed),
+                                (cfg, "slides_per_class", args.slides_per_class),
+                                (cfg, "workers", args.workers),
+                                (cfg.train, "epochs", args.epochs)):
+        if value is not None:
+            setattr(target, name, value)
+    if args.graphs is None:
+        report = pipeline.run_experiment(cfg)
+    else:
+        cfg.validate()      # before the graph file's name goes on every message
+        graphs = load_image_graphs(args.graphs)
+        report = _in_file(args.graphs, pipeline.cross_validate, graphs, cfg)
+        pipeline.write_report(report, cfg.output_dir)
     print(pipeline.format_report(report))
     return 0
 
@@ -265,6 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
                 _add_train, _add_eval, _add_run):
         add(sub)
     return parser
+
+
+def _check_outputs(*paths) -> None:
+    """Raise, before the work, the OSError that writing each given path would:
+    a path that is a directory, or whose parent directory is missing."""
+    for path in filter(None, paths):
+        p = Path(path)
+        if p.is_dir():
+            code = errno.EISDIR
+        elif not p.parent.is_dir():
+            code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
 
 
 def main(argv=None) -> int:

@@ -458,7 +458,7 @@ class Adam:
 # ---------------------------------------------------------------------------
 # training and evaluation
 
-def _check_graphs(dataset, input_dim: int, labels: range) -> None:
+def check_graphs(dataset, input_dim: int, labels: range) -> None:
     """Reject the first slide graph that a model of `input_dim` inputs cannot take.
 
     Each graph needs `input_dim` features per node and a label in `labels`:
@@ -507,7 +507,7 @@ def train(dataset, config: TrainConfig):
     labels = np.array([int(g.label) for g in dataset])
     num_classes = int(labels.max()) + 1 if config.num_classes is None else config.num_classes
     input_dim = dataset[0].node_features.shape[1]
-    _check_graphs(dataset, input_dim, range(num_classes))
+    check_graphs(dataset, input_dim, range(num_classes))
     scaler = standardize_features(np.vstack([g.node_features for g in dataset]))
 
     ss = np.random.SeedSequence(config.seed)
@@ -557,7 +557,7 @@ def evaluate(model: GcnModel, dataset) -> EvalResult:
     Slides labelled -1 are predicted but neither counted nor scored.
     """
     c = model.num_classes
-    _check_graphs(dataset, model.input_dim, range(-1, c))
+    check_graphs(dataset, model.input_dim, range(-1, c))
     sizes = [len(g.node_features) for g in dataset]
     probs = [_forward(model, _prepare([dataset[i] for i in run], model))["probs"]
              for run in _passes(range(len(dataset)), sizes)]

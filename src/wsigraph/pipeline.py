@@ -32,7 +32,7 @@ from .features import (
     MAX_PATCH_NUCLEI,
     patch_feature_vector,
 )
-from .gcn import TrainConfig, evaluate, train
+from .gcn import TrainConfig, check_graphs, evaluate, train
 from .graph import check_d_p
 from .image_graph import ImageGraph, build_image_graph, check_theta
 from .points import PointSet
@@ -102,10 +102,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.validate_dataset()
-        if self.folds < 2:
-            raise ValidationError("folds must be >= 2")
-        if self.slides_per_class < self.folds:
-            raise ValidationError("need at least one slide per class per fold")
+        check_folds(self.folds)
         if len(self.class_names) < 2:
             raise ValidationError("need at least two classes")
         check_theta(self.theta)
@@ -126,19 +123,14 @@ class ExperimentConfig:
         """The checks on what `synth_dataset` reads, all that `wsigraph synth` needs.
 
         There is at least one class and one slide per class, every synth
-        rate and spread is a finite number >= 0, `dense_sds` holds the tight
-        and the loose spread, and `class_names` holds no more classes than
-        the generator draws.
+        rate and spread is a finite number >= 0, and `dense_sds` holds the
+        tight and the loose spread.  `synth_dataset` itself rejects more
+        classes than the generator draws, a limit slide graphs do not have.
         """
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        k = len(self.class_names)
-        if k < 1 or self.slides_per_class < 1:
+        if len(self.class_names) < 1 or self.slides_per_class < 1:
             raise ValidationError("need at least one class and one slide per class")
-        if k > SYNTH_CLASSES:
-            raise ValidationError(
-                f"class_names holds {k} classes (synth --classes {k}), but the synthetic "
-                f"generator draws at most {SYNTH_CLASSES}")
         s = self.synth
         if s.patch_size <= 0:
             raise ValidationError("patch_size must be positive")
@@ -287,8 +279,13 @@ def synth_slide(class_id: int, params: SynthParams, seed, slide_id: str = "") ->
 
 def synth_dataset(config: ExperimentConfig) -> list:
     """One SlideRecord per (class, index), with per-slide derived seeds."""
+    k = len(config.class_names)
+    if k > SYNTH_CLASSES:
+        raise ValidationError(
+            f"class_names holds {k} classes (synth --classes {k}), but the synthetic "
+            f"generator draws at most {SYNTH_CLASSES}")
     slides = []
-    for c in range(len(config.class_names)):
+    for c in range(k):
         for i in range(config.slides_per_class):
             seed = np.random.SeedSequence([config.seed, c, i])
             slides.append(synth_slide(c, config.synth, seed, slide_id=f"synth-c{c}-{i:04d}"))
@@ -356,22 +353,21 @@ class WorkerPool:
         return False
 
 
+def _worker_pool(workers: int, jobs: int, pool: WorkerPool | None = None):
+    """The open `pool`, left open; else a new pool if >1 worker and >1 job; else None."""
+    if pool is not None:
+        return contextlib.nullcontext(pool)
+    workers = _resolve_workers(workers)
+    return WorkerPool(workers) if workers > 1 and jobs > 1 else contextlib.nullcontext()
+
+
 def featurize_slides(slides, d_p: float, workers: int = 0,
                      pool: WorkerPool | None = None) -> list:
-    """Fill PatchRecord.features for every patch, optionally in parallel.
-
-    An open `pool` is used and left open; without one, more than one worker
-    and more than one slide open a pool for this call.
-    """
+    """Fill PatchRecord.features for every patch, in the pool of `_worker_pool`."""
     check_d_p(d_p)
     jobs = [(s, d_p) for s in slides]
-    if pool is not None:
-        return pool.map(_featurize_slide, jobs)
-    workers = _resolve_workers(workers)
-    if workers <= 1 or len(slides) <= 1:
-        return [_featurize_slide(j) for j in jobs]
-    with WorkerPool(workers) as pool:
-        return pool.map(_featurize_slide, jobs)
+    with _worker_pool(workers, len(jobs), pool) as pool:
+        return pool.map(_featurize_slide, jobs) if pool else [_featurize_slide(j) for j in jobs]
 
 
 def check_min_nuclei(min_nuclei) -> None:
@@ -406,13 +402,21 @@ def build_slide_graph(slide: SlideRecord, theta: float,
 # ---------------------------------------------------------------------------
 # folds
 
+def check_folds(folds: int, class_sizes: dict | None = None) -> None:
+    """Reject fewer than two folds, or a class (name: slide count) with fewer slides."""
+    if folds < 2:
+        raise ValidationError("folds must be >= 2")
+    for name, n in (class_sizes or {}).items():
+        if n < folds:
+            raise ValidationError(f"class {name} has {n} slides, fewer than the {folds} folds")
+
+
 def stratified_folds(labels, k: int, seed) -> list:
     """Disjoint covering folds with per-class proportions within one slide.
 
     Returns k lists of dataset indices; deterministic in seed.
     """
-    if k < 2:
-        raise ValidationError("folds must be >= 2")
+    check_folds(k)
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
@@ -604,44 +608,29 @@ def _run_fold(fold_idx: int, train_graphs, val_graphs, cfg: TrainConfig) -> dict
 
 
 @one_blas_thread()
-def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict:
-    """Synthetic k-fold cross-validation experiment.
+def cross_validate(graphs, config: ExperimentConfig, pool: WorkerPool | None = None) -> dict:
+    """Stratified k-fold cross-validation of labelled slide graphs; returns the report.
 
-    synthesize point sets -> featurize -> build slide graphs -> stratified
-    folds -> per-fold standardize/train/evaluate.  With more than one
-    worker, one pool featurizes the slides and then trains folds 1..k-1
-    while this process trains fold 0.  Returns the report dict; also writes
-    report.json, report.txt and summary.csv under config.output_dir unless
-    write_outputs is False.  Deterministic given (config, seed), timings
-    excluded, whatever the worker count.
+    `config` must pass `validate`.  Every slide meets `train`'s rules and
+    the fold rule before any fold trains; folds 1..k-1 train in the pool of
+    `_worker_pool`, if any, while this process trains fold 0.  Deterministic
+    given (graphs, config), timings excluded, whatever the worker count.
     """
-    config.validate()
     t_start = time.time()
+    classes = len(config.class_names)
+    check_graphs(graphs, graphs[0].node_features.shape[1] if graphs else 0, range(classes))
+    labels = [g.label for g in graphs]
+    check_folds(config.folds, {name: labels.count(c) for c, name in enumerate(config.class_names)})
+    folds = stratified_folds(labels, config.folds, np.random.SeedSequence([config.seed, 7]))
+    jobs = []
+    for fold_idx, val_idx in enumerate(folds):
+        val_set = set(val_idx)
+        fold_seed = np.random.SeedSequence([config.train.seed, fold_idx]).generate_state(1)[0]
+        fold_cfg = replace(config.train, seed=int(fold_seed), num_classes=classes)
+        jobs.append((fold_idx, [g for i, g in enumerate(graphs) if i not in val_set],
+                     [graphs[i] for i in val_idx], fold_cfg))
 
-    log.info("generating %d synthetic slides", config.slides_per_class * len(config.class_names))
-    slides = synth_dataset(config)
-
-    workers = _resolve_workers(config.workers)
-    with WorkerPool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        t_feat = time.time()
-        slides = featurize_slides(slides, config.d_p, workers=config.workers, pool=pool)
-        featurize_seconds = time.time() - t_feat
-
-        graphs = [build_slide_graph(s, config.theta, config.min_nuclei_per_patch)
-                  for s in slides]
-        labels = [g.label for g in graphs]
-        folds = stratified_folds(labels, config.folds, np.random.SeedSequence([config.seed, 7]))
-
-        jobs = []
-        for fold_idx, val_idx in enumerate(folds):
-            val_set = set(val_idx)
-            fold_seed = np.random.SeedSequence([config.train.seed, fold_idx]).generate_state(1)[0]
-            fold_cfg = replace(config.train, seed=int(fold_seed),
-                               num_classes=len(config.class_names))
-            jobs.append((fold_idx, [g for i, g in enumerate(graphs) if i not in val_set],
-                         [graphs[i] for i in val_idx], fold_cfg))
-
-        t_train = time.time()
+    with _worker_pool(config.workers, len(jobs), pool) as pool:
         pending = {i: pool.apply_async(_run_fold, job)
                    for i, job in enumerate(jobs) if pool is not None and i > 0}
         fold_reports = []
@@ -649,23 +638,43 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict
             fold = pending[fold_idx].get() if fold_idx in pending else _run_fold(*job)
             log.info("fold %d: accuracy %.4f", fold_idx, fold["accuracy"])
             fold_reports.append(fold)
-        train_seconds = time.time() - t_train
 
     acc = np.array([f["accuracy"] for f in fold_reports])
-    report = {
+    return {
         "format_version": 1,
         "config": asdict(config),
-        "num_slides": len(slides),
+        "num_slides": len(graphs),
         "classes": list(config.class_names),
         "folds": fold_reports,
         "accuracy_mean": float(acc.mean()),
         "accuracy_sd": float(acc.std()),
-        "timings": {
-            "featurize_seconds": featurize_seconds,
-            "train_seconds": train_seconds,
-            "total_seconds": time.time() - t_start,
-        },
+        "timings": {"train_seconds": time.time() - t_start},
     }
+
+
+@one_blas_thread()
+def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict:
+    """synth -> featurize -> slide graphs -> `cross_validate`, in one pool; returns the report.
+
+    With write_outputs, also writes report.json, report.txt and summary.csv to config.output_dir.
+    """
+    config.validate()
+    check_folds(config.folds, dict.fromkeys(config.class_names, config.slides_per_class))
+    t_start = time.time()
+    log.info("generating %d synthetic slides", config.slides_per_class * len(config.class_names))
+    slides = synth_dataset(config)
+
+    with _worker_pool(config.workers, len(slides)) as pool:
+        t_feat = time.time()
+        # the pool makes `workers` moot here; perfbench's featurize span still reads it
+        slides = featurize_slides(slides, config.d_p, workers=config.workers, pool=pool)
+        featurize_seconds = time.time() - t_feat
+        graphs = [build_slide_graph(s, config.theta, config.min_nuclei_per_patch)
+                  for s in slides]
+        report = cross_validate(graphs, config, pool)
+
+    report["timings"] = {"featurize_seconds": featurize_seconds, **report["timings"],
+                         "total_seconds": time.time() - t_start}
     if write_outputs:
         write_report(report, Path(config.output_dir))
     return report
@@ -687,22 +696,14 @@ def write_report(report: dict, outdir: Path) -> None:
 
 
 def format_report(report: dict) -> str:
-    lines = []
-    lines.append("cross-validation report")
-    lines.append(f"  slides: {report['num_slides']}   classes: {', '.join(report['classes'])}")
-    lines.append("")
-    lines.append(f"  {'fold':>4}  {'val size':>8}  {'accuracy':>9}")
-    for f in report["folds"]:
-        lines.append(f"  {f['fold']:>4}  {f['val_size']:>8}  {f['accuracy']:>9.4f}")
-    lines.append("")
-    lines.append(
-        f"  accuracy {100 * report['accuracy_mean']:.2f} +/- {100 * report['accuracy_sd']:.2f} %"
-    )
-    t = report.get("timings", {})
-    if t:
-        lines.append(
-            f"  timings: featurize {t['featurize_seconds']:.1f}s,"
-            f" train {t['train_seconds']:.1f}s, total {t['total_seconds']:.1f}s"
-        )
-    lines.append("")
-    return "\n".join(lines)
+    lines = ["cross-validation report",
+             f"  slides: {report['num_slides']}   classes: {', '.join(report['classes'])}",
+             "", f"  {'fold':>4}  {'val size':>8}  {'accuracy':>9}"]
+    lines += [f"  {f['fold']:>4}  {f['val_size']:>8}  {f['accuracy']:>9.4f}"
+              for f in report["folds"]]
+    lines += ["", f"  accuracy {100 * report['accuracy_mean']:.2f} +/- "
+                  f"{100 * report['accuracy_sd']:.2f} %"]
+    if report.get("timings"):
+        lines.append("  timings: " + ", ".join(f"{k.removesuffix('_seconds')} {v:.1f}s"
+                                               for k, v in report["timings"].items()))
+    return "\n".join(lines + [""])

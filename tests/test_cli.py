@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from wsigraph import cli, pipeline
+from wsigraph import cli, detection, gcn, pipeline
 from wsigraph.cli import build_parser, main
 from wsigraph.detection import GrayImage, detect_nuclei, render_nuclei_image, write_pgm
 from wsigraph.features import FEATURE_NAMES, patch_feature_vector
@@ -654,6 +654,129 @@ class TestMalformedInterchange:
         assert main(["eval", "--graphs", "g", "--model", "m"]) == 2
         assert "runtime failure: [Errno 12] Cannot allocate memory" in caplog.text
         assert "Traceback" in caplog.text
+
+
+def test_run_graphs_folds_match_run_on_the_staged_chain(tmp_path):
+    """synth -> featurize -> build-graph --labels -> run --graphs cross-validates the
+    graphs that `run` builds in memory, so its folds are bitwise the same."""
+    data, graphs = tmp_path / "data", tmp_path / "graphs.jsonl"
+    for argv in (["synth", "--out", data, "--slides-per-class", 3, "--seed", 2],
+                 ["featurize", "--points", data / "points.csv", "--out", tmp_path / "f.csv",
+                  "--workers", 1],
+                 ["build-graph", "--features", tmp_path / "f.csv",
+                  "--labels", data / "labels.csv", "--out", graphs],
+                 ["run", "--graphs", graphs, "--seed", 2, "--epochs", 20, "--workers", 2,
+                  "--out", tmp_path / "from_graphs"],
+                 ["run", "--slides-per-class", 3, "--seed", 2, "--epochs", 20,
+                  "--workers", 1, "--out", tmp_path / "from_synth"]):
+        assert main(list(map(str, argv))) == 0
+    from_graphs, from_synth = (json.loads((tmp_path / run / "report.json").read_text())
+                               for run in ("from_graphs", "from_synth"))
+    for key in ("folds", "accuracy_mean", "accuracy_sd", "num_slides"):
+        assert json.dumps(from_graphs[key]) == json.dumps(from_synth[key])
+    assert from_graphs["num_slides"] == 9
+
+
+def graphs_file(path, labels) -> Path:
+    path.write_text("".join(graph_record(slide_id=f"s{i}", label=label) + "\n"
+                            for i, label in enumerate(labels)))
+    return path
+
+
+def test_run_graphs_ignores_the_synthetic_generators_rules(tmp_path):
+    # fewer slides per class than folds, and more classes than the generator draws
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"slides_per_class": 1, "class_names": ["a", "b", "c", "d"]}')
+    graphs = graphs_file(tmp_path / "graphs.jsonl", [0, 1, 2, 3] * 3)
+    assert main(["run", "--graphs", str(graphs), "--config", str(cfg), "--epochs", "1",
+                 "--workers", "1", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (report["num_slides"], len(report["folds"][0]["confusion"])) == (12, 4)
+
+
+# each way `run --graphs` rejects its input: the graph labels (None: from
+# build-graph without --labels), further flags, the exit code and the message
+RUN_GRAPHS_REJECTIONS = {
+    "unlabelled": (None, [], 1,
+                   "{g}: slide s1 has no label (build-graph without --labels writes -1)"),
+    "too-few": ([0, 1, 2] * 2 + [0, 1], [], 1,
+                "{g}: class high_grade has 2 slides, fewer than the 3 folds"),
+    "label-too-high": ([0, 1, 2] * 3 + [3], [], 1,
+                       "{g}: slide s9 has label 3, but the model has 3 classes"),
+    "with-slides-per-class": ([0, 1, 2] * 3, ["--slides-per-class", "3"], 2,
+                              "argument --slides-per-class: not allowed with argument --graphs"),
+}
+
+
+@pytest.mark.parametrize("case", RUN_GRAPHS_REJECTIONS)
+def test_run_graphs_rejects_before_any_fold_trains(tmp_path, monkeypatch, caplog, capsys,
+                                                    case):
+    def no_training(*args):
+        raise AssertionError("a fold trained")
+
+    monkeypatch.setattr(gcn, "train", no_training)
+    monkeypatch.setattr(pipeline, "train", no_training)
+    labels, extra, expected_code, message = RUN_GRAPHS_REJECTIONS[case]
+    graphs = tmp_path / "graphs.jsonl"
+    if labels is None:
+        features = tmp_path / "features.csv"
+        features.write_text(",".join(["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES)
+                            + "\n" + "".join(",".join([f"s{i}", "0", "0"] + ["0.5"] * 69)
+                                             + "\n" for i in range(1, 10)))
+        assert main(["build-graph", "--features", str(features), "--out", str(graphs)]) == 0
+    else:
+        graphs_file(graphs, labels)
+    out = tmp_path / "out"
+    try:
+        code = main(["run", "--graphs", str(graphs), "--workers", "2", "--out", str(out)]
+                    + extra)
+    except SystemExit as e:     # argparse's usage error
+        code = e.code
+    assert code == expected_code
+    assert message.format(g=graphs) in caplog.text + capsys.readouterr().err
+    assert not out.exists()
+
+
+# each output flag checked before the work, and the work function it must not reach
+OUTPUT_FLAGS = [("train", "--model", gcn, "train"), ("train", "--history", gcn, "train"),
+                ("featurize", "--out", pipeline, "featurize_slides"),
+                ("detect", "--out", detection, "detect_nuclei"),
+                ("eval", "--out", gcn, "evaluate")]
+
+
+# what is wrong with the output path, the path, and the system's reason
+BAD_OUTPUTS = {"missing parent": ("nodir/x", "No such file or directory"),
+               "directory": (".", "Is a directory"),
+               "file as parent": ("points.csv/x", "Not a directory")}
+
+
+@pytest.mark.parametrize("problem", BAD_OUTPUTS)
+@pytest.mark.parametrize("command, flag, module, work", OUTPUT_FLAGS,
+                         ids=[f"{c} {f}" for c, f, _, _ in OUTPUT_FLAGS])
+def test_bad_output_path_exits_one_before_the_work(tmp_path, monkeypatch, caplog, command,
+                                                   flag, module, work, problem):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(module, work, no_work)
+    graphs = graphs_file(tmp_path / "graphs.jsonl", [0, 1])
+    model = tmp_path / "m.json"
+    save_model(init_model(2, (4,), (3,), num_classes=2), model)
+    (tmp_path / "points.csv").write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
+    write_pgm(GrayImage(np.ones((32, 32))), tmp_path / "img.pgm")
+    argv = {"train": ["--graphs", graphs, "--model", tmp_path / "new.json",
+                      "--history", tmp_path / "h.json"],
+            "featurize": ["--points", tmp_path / "points.csv", "--out", tmp_path / "f.csv",
+                          "--workers", 1],
+            "detect": ["--images", tmp_path / "img.pgm", "--out", tmp_path / "p.csv",
+                       "--patch-size", 32],
+            "eval": ["--graphs", graphs, "--model", model, "--out", tmp_path / "m.out"]}[command]
+    name, reason = BAD_OUTPUTS[problem]
+    bad = tmp_path / name
+    argv[argv.index(flag) + 1] = bad
+    assert main([command, *map(str, argv)]) == 1
+    assert f"{reason}: '{bad}'" in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 def test_log_level_warning_silences_the_fold_lines(tmp_path):

@@ -128,6 +128,34 @@ class TestFolds:
         with pytest.raises(ValidationError):
             stratified_folds([0, 1], 1, seed=0)
 
+    def test_too_few_synthetic_slides_rejected_before_synthesis(self, monkeypatch):
+        def fail(config):
+            raise AssertionError("slides were generated before the fold rule was checked")
+
+        monkeypatch.setattr(pipeline, "synth_dataset", fail)
+        cfg = ExperimentConfig(slides_per_class=2, workers=1)
+        cfg.validate()      # slides_per_class is a rule of the synthetic path only
+        with pytest.raises(ValidationError,
+                           match="class normal has 2 slides, fewer than the 3 folds"):
+            run_experiment(cfg, write_outputs=False)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1, 2] * 2 + [0, 1], "class high_grade has 2 slides, fewer than the 3 folds"),
+        ([0, 1] * 3, "class high_grade has 0 slides, fewer than the 3 folds"),
+        ([], "class normal has 0 slides, fewer than the 3 folds"),
+        ([0, 1, 2] * 3 + [-1], "slide g9 has no label"),
+    ])
+    def test_cross_validate_checks_every_slide_before_a_fold_trains(self, monkeypatch,
+                                                                    labels, message):
+        def fail(*args):
+            raise AssertionError("a fold trained")
+
+        monkeypatch.setattr(pipeline, "train", fail)
+        graphs = [pipeline.ImageGraph(np.eye(2), label=label, slide_id=f"g{i}")
+                  for i, label in enumerate(labels)]
+        with pytest.raises(ValidationError, match=message):
+            pipeline.cross_validate(graphs, ExperimentConfig(workers=1))
+
 
 class TestCsvRoundTrips:
     def _small_dataset(self):
