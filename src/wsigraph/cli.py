@@ -248,6 +248,7 @@ def _cmd_run(args) -> int:
         cfg.validate()      # before the graph file's name goes on every message
         graphs = load_image_graphs(args.graphs)
         report = _in_file(args.graphs, pipeline.cross_validate, graphs, cfg)
+        report["config"]["graphs"] = args.graphs
         pipeline.write_report(report, cfg.output_dir)
     print(pipeline.format_report(report))
     return 0

@@ -607,6 +607,11 @@ def _run_fold(fold_idx: int, train_graphs, val_graphs, cfg: TrainConfig) -> dict
     }
 
 
+# the config fields that make the slides and their graphs; `cross_validate`
+# reads none of them, so only `run_experiment`'s report records them
+SLIDE_GRAPH_FIELDS = ("slides_per_class", "synth", "d_p", "theta", "min_nuclei_per_patch")
+
+
 @one_blas_thread()
 def cross_validate(graphs, config: ExperimentConfig, pool: WorkerPool | None = None) -> dict:
     """Stratified k-fold cross-validation of labelled slide graphs; returns the report.
@@ -642,7 +647,7 @@ def cross_validate(graphs, config: ExperimentConfig, pool: WorkerPool | None = N
     acc = np.array([f["accuracy"] for f in fold_reports])
     return {
         "format_version": 1,
-        "config": asdict(config),
+        "config": {k: v for k, v in asdict(config).items() if k not in SLIDE_GRAPH_FIELDS},
         "num_slides": len(graphs),
         "classes": list(config.class_names),
         "folds": fold_reports,
@@ -673,6 +678,7 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict
                   for s in slides]
         report = cross_validate(graphs, config, pool)
 
+    report["config"] = asdict(config)
     report["timings"] = {"featurize_seconds": featurize_seconds, **report["timings"],
                          "total_seconds": time.time() - t_start}
     if write_outputs:

@@ -694,6 +694,16 @@ def test_run_graphs_ignores_the_synthetic_generators_rules(tmp_path):
     assert (report["num_slides"], len(report["folds"][0]["confusion"])) == (12, 4)
 
 
+def test_run_graphs_report_records_the_graph_file_not_the_graph_builders(tmp_path):
+    graphs = graphs_file(tmp_path / "graphs.jsonl", [0, 1, 2] * 3)
+    assert main(["run", "--graphs", str(graphs), "--epochs", "1", "--workers", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert config["graphs"] == str(graphs)
+    assert not set(config) & set(pipeline.SLIDE_GRAPH_FIELDS)
+    assert {"folds", "seed", "class_names", "workers", "output_dir", "train"} <= set(config)
+
+
 # each way `run --graphs` rejects its input: the graph labels (None: from
 # build-graph without --labels), further flags, the exit code and the message
 RUN_GRAPHS_REJECTIONS = {

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
+from wsigraph import detection
 from wsigraph.detection import (
     GrayImage,
     _merge_maxima,
@@ -143,6 +147,68 @@ class TestDetect:
         assert len(det) == 1
 
 
+def fftconvolve_response(img, bank):
+    """The one-call response that the blocked `bank_response` replaced."""
+    padded = np.pad(img.pixels, bank.half_width, mode="reflect")
+    return fftconvolve(padded, bank.pooled_kernel(), mode="valid")
+
+
+def rendered_patch(size, n, seed):
+    """An 8-bit rendered patch of n nuclei, overlaps allowed, as `detect` reads one."""
+    rng = np.random.default_rng(seed)
+    img = render_nuclei_image(PointSet(rng.uniform(8, size - 8, (n, 2)), size, size),
+                              blob_sigma=rng.uniform(4, 6, n), amplitude=rng.uniform(0.5, 0.8, n))
+    return GrayImage(np.round(img.pixels * 255) / 255)
+
+
+class TestBlockedResponse:
+    """`bank_response` is bitwise `fftconvolve` of the reflect-padded image."""
+
+    bank = build_glog_bank(8, 4, 9, 7)
+
+    # under the 24-px half width the reflection repeats; then odd, non-square
+    # and sizes that span several row and column blocks
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 30), (2, 5), (7, 9),
+                                       (50, 61), (97, 200), (333, 128)])
+    def test_random_images(self, shape):
+        rng = np.random.default_rng(list(shape))
+        img = GrayImage(rng.integers(0, 256, shape) / 255.0)
+        got = bank_response(img, self.bank)
+        assert got.shape == shape
+        assert np.array_equal(got, fftconvolve_response(img, self.bank))
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_sizes_leave_the_bits(self, monkeypatch, block):
+        img = GrayImage(np.random.default_rng(3).uniform(0, 1, (70, 90)))
+        monkeypatch.setattr(detection, "ROW_BLOCK", block)
+        monkeypatch.setattr(detection, "COL_BLOCK", block)
+        assert np.array_equal(bank_response(img, self.bank), fftconvolve_response(img, self.bank))
+
+    def test_rendered_1024_patch(self):
+        img = rendered_patch(1024, 1000, seed=5)
+        assert np.array_equal(bank_response(img, self.bank), fftconvolve_response(img, self.bank))
+
+    @pytest.mark.parametrize("size, n, seed", [(1024, 1000, 5), (300, 120, 6), (257, 60, 7)])
+    def test_detections_on_rendered_images(self, monkeypatch, size, n, seed):
+        img = rendered_patch(size, n, seed)
+        got = detect_nuclei(img, self.bank)
+        monkeypatch.setattr(detection, "bank_response", fftconvolve_response)
+        want = detect_nuclei(img, self.bank)
+        assert len(got) > 0 and np.array_equal(got.coords, want.coords)
+
+    def test_detection_peak_memory_is_bounded_by_the_image(self):
+        img = rendered_patch(1024, 1000, seed=5)
+        detect_nuclei(img, self.bank)
+        tracemalloc.start()
+        try:
+            detect_nuclei(img, self.bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the one-call fftconvolve peaked near 5.9 times the float64 image
+        assert peak <= 3 * img.pixels.nbytes
+
+
 def brute_force_merge(rows, cols, values, merge_radius):
     """Greedy merge by definition: strongest first (ties by row, then column),
     keep a maximum unless a kept one is strictly closer than merge_radius."""
@@ -219,6 +285,12 @@ class TestPgm:
         back = read_pgm(path)
         assert back.width == 40 and back.height == 30
         assert np.allclose(back.pixels, img.pixels, atol=1e-12)
+
+    def test_every_byte_reads_as_its_value_over_255(self, tmp_path):
+        path = tmp_path / "all.pgm"
+        path.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+        want = np.arange(256, dtype=np.uint8).reshape(16, 16).astype(np.float64) / 255.0
+        assert np.array_equal(read_pgm(path).pixels, want)
 
     def test_reads_header_with_comment(self, tmp_path):
         path = tmp_path / "c.pgm"
