@@ -464,6 +464,8 @@ def check_graphs(dataset, input_dim: int, labels: range) -> None:
     Each graph needs `input_dim` features per node and a label in `labels`:
     range(classes) for training, which needs every slide labelled, and
     range(-1, classes) for evaluation, where -1 marks an unlabelled slide.
+    Every node needs 1 + its weighted degree > 0, the square-rooted
+    normalizer of `normalize_adjacency`; negative edge weights can break it.
     """
     for g in dataset:
         width = g.node_features.shape[1]
@@ -476,6 +478,12 @@ def check_graphs(dataset, input_dim: int, labels: range) -> None:
         if g.label >= labels.stop:
             raise ValidationError(f"slide {g.slide_id} has label {g.label}, "
                                   f"but the model has {labels.stop} classes")
+        deg = 1.0 + np.bincount(g.u, g.w, g.num_nodes) + np.bincount(g.v, g.w, g.num_nodes)
+        bad = np.flatnonzero(deg <= 0)
+        if bad.size:
+            raise ValidationError(f"slide {g.slide_id} node {bad[0]} has 1 + weighted degree "
+                                  f"{deg[bad[0]]:.6g} <= 0, so its GCN normalization is "
+                                  "undefined")
 
 
 def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,

@@ -59,7 +59,11 @@ class ImageGraph:
 
 
 def cosine_similarity(u, v) -> float:
-    """u.v / (|u||v|); zero-norm vectors get similarity 0 so they stay isolated."""
+    """u.v / (|u||v|), and 0 for a zero-norm vector.
+
+    A zero-norm row is isolated only at theta >= 0: below that,
+    `build_image_graph` gives it weight-0 edges to every other row.
+    """
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.shape != v.shape:

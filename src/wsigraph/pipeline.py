@@ -13,12 +13,11 @@ import contextlib
 import csv
 import json
 import logging
-import math
 import multiprocessing
 import os
 import time
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,27 +62,11 @@ class SlideRecord:
 
 @dataclass
 class SynthParams:
-    """Class-conditional point processes for desk-scale synthetic slides.
-
-    class 0: homogeneous Poisson scatter (regular tissue stand-in)
-    class 1: Thomas-style parent/offspring clusters over a sparse background
-    class 2: denser parents with two offspring scales (tight + loose), so the
-             pattern is both denser and more irregular
-    """
+    """Slide and patch sizes of synthetic slides; `SYNTH_PROCESSES` draws their nuclei."""
 
     slide_width: int = 1536
     slide_height: int = 1536
     patch_size: int = 768
-    poisson_mean: float = 220.0
-    parent_mean: float = 10.0
-    offspring_mean: float = 20.0
-    cluster_sd: float = 40.0
-    background_mean: float = 40.0
-    dense_parent_mean: float = 16.0
-    dense_offspring_mean: float = 13.0
-    dense_sds: tuple = (12.0, 44.0)
-    dense_loose_mean: float = 8.0
-    dense_background_mean: float = 50.0
 
 
 @dataclass
@@ -105,6 +88,9 @@ class ExperimentConfig:
         check_folds(self.folds)
         if len(self.class_names) < 2:
             raise ValidationError("need at least two classes")
+        repeated = [n for i, n in enumerate(self.class_names) if n in self.class_names[:i]]
+        if repeated:
+            raise ValidationError(f"class_names names class {repeated[0]!r} twice")
         check_theta(self.theta)
         check_d_p(self.d_p)
         check_min_nuclei(self.min_nuclei_per_patch)
@@ -122,10 +108,9 @@ class ExperimentConfig:
     def validate_dataset(self) -> None:
         """The checks on what `synth_dataset` reads, all that `wsigraph synth` needs.
 
-        There is at least one class and one slide per class, every synth
-        rate and spread is a finite number >= 0, and `dense_sds` holds the
-        tight and the loose spread.  `synth_dataset` itself rejects more
-        classes than the generator draws, a limit slide graphs do not have.
+        There is at least one class and one slide per class, and the patch
+        fits the slide.  `synth_dataset` itself rejects more classes than the
+        generator draws, a limit slide graphs do not have.
         """
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
@@ -136,13 +121,6 @@ class ExperimentConfig:
             raise ValidationError("patch_size must be positive")
         if s.patch_size > min(s.slide_width, s.slide_height):
             raise ValidationError("patch_size exceeds slide dimensions")
-        if len(s.dense_sds) != 2:
-            raise ValidationError(f"synth.dense_sds must hold 2 values, got {list(s.dense_sds)}")
-        for f in fields(SynthParams):
-            value = getattr(s, f.name)
-            if not all(0 <= v < math.inf for v in np.atleast_1d(value).tolist()):
-                raise ValidationError(
-                    f"synth.{f.name} must be a finite number >= 0, got {value!r}")
 
 
 # what a JSON value must be to fill a config field of each declared type
@@ -241,36 +219,35 @@ def _cluster_scatter(rng, parent_mean, offspring_mean, sd, size):
     return np.vstack(pts) if pts else np.zeros((0, 2))
 
 
-# class ids 0..SYNTH_CLASSES-1: Poisson, clustered, and dense clustered nuclei
-SYNTH_CLASSES = 3
+# for each class id, the point processes drawn into every patch, in draw order:
+# (draw, *rates), called with the patch size appended; the rates are a mean
+# count, or mean parent and offspring counts and an offspring spread in px.
+# Class 0 is homogeneous Poisson scatter (regular tissue stand-in); class 1
+# Thomas-style parent/offspring clusters over a sparse background; class 2
+# denser parents with a tight and a loose offspring scale, so the pattern is
+# both denser and more irregular.
+SYNTH_PROCESSES = (
+    ((_poisson_scatter, 220.0),),
+    ((_cluster_scatter, 10.0, 20.0, 40.0), (_poisson_scatter, 40.0)),
+    ((_cluster_scatter, 16.0, 13.0, 12.0), (_cluster_scatter, 16.0, 8.0, 44.0),
+     (_poisson_scatter, 50.0)),
+)
+SYNTH_CLASSES = len(SYNTH_PROCESSES)
 
 
-def _synth_patch_points(class_id: int, params: SynthParams, rng) -> np.ndarray:
-    size = float(params.patch_size)
-    if class_id == 0:
-        return _poisson_scatter(rng, params.poisson_mean, size)
-    if class_id == 1:
-        clustered = _cluster_scatter(rng, params.parent_mean, params.offspring_mean,
-                                     params.cluster_sd, size)
-        bg = _poisson_scatter(rng, params.background_mean, size)
-        return np.vstack([clustered, bg])
-    if class_id == 2:
-        tight = _cluster_scatter(rng, params.dense_parent_mean,
-                                 params.dense_offspring_mean, params.dense_sds[0], size)
-        loose = _cluster_scatter(rng, params.dense_parent_mean,
-                                 params.dense_loose_mean, params.dense_sds[1], size)
-        bg = _poisson_scatter(rng, params.dense_background_mean, size)
-        return np.vstack([tight, loose, bg])
-    raise ValidationError(f"unknown class id {class_id}")
+def _synth_patch_points(class_id: int, size: float, rng) -> np.ndarray:
+    return np.vstack([draw(rng, *rates, size) for draw, *rates in SYNTH_PROCESSES[class_id]])
 
 
 def synth_slide(class_id: int, params: SynthParams, seed, slide_id: str = "") -> SlideRecord:
     """Generate one synthetic slide: a point set per patch, deterministic in seed."""
+    if class_id not in range(SYNTH_CLASSES):
+        raise ValidationError(f"unknown class id {class_id}")
     rng = np.random.default_rng(seed)
     size = params.patch_size
     patches = []
     for x, y in tile_image(params.slide_width, params.slide_height, size, size):
-        pts = _synth_patch_points(class_id, params, rng)
+        pts = _synth_patch_points(class_id, float(size), rng)
         patches.append(PatchRecord(row=y // size, col=x // size,
                                    points=PointSet(pts, size, size)))
     return SlideRecord(slide_id=slide_id or f"synth-c{class_id}", label=int(class_id),

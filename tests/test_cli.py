@@ -15,6 +15,7 @@ from wsigraph.cli import build_parser, main
 from wsigraph.detection import GrayImage, detect_nuclei, render_nuclei_image, write_pgm
 from wsigraph.features import FEATURE_NAMES, patch_feature_vector
 from wsigraph.gcn import GcnModel, TrainConfig, init_model, save_model
+from wsigraph.image_graph import build_image_graph, save_image_graphs
 from wsigraph.pipeline import (
     DetectionParams,
     ExperimentConfig,
@@ -23,6 +24,7 @@ from wsigraph.pipeline import (
     import_pointsets,
     synth_slide,
 )
+from wsigraph.points import PointSet
 
 
 def graph_record(**changes):
@@ -115,13 +117,12 @@ class TestDetectCommand:
         imgdir.mkdir()
         slide = synth_slide(
             0,
-            SynthParams(slide_width=256, slide_height=256, patch_size=256,
-                        poisson_mean=25.0),
+            SynthParams(slide_width=256, slide_height=256, patch_size=256),
             seed=9,
             slide_id="demo",
         )
-        img = render_nuclei_image(slide.patches[0].points, blob_sigma=5.0,
-                                  amplitude=0.7)
+        truth = PointSet(slide.patches[0].points.coords[:25], 256, 256)
+        img = render_nuclei_image(truth, blob_sigma=5.0, amplitude=0.7)
         write_pgm(img, imgdir / "demo.pgm")
         out = tmp_path / "points.csv"
         rc = main(["detect", "--images", str(imgdir), "--out", str(out),
@@ -130,7 +131,6 @@ class TestDetectCommand:
         back = import_pointsets(out, patch_size=256)
         assert len(back) == 1
         detected = back[0].patches[0].points
-        truth = slide.patches[0].points
         # Poisson-placed blobs may overlap and merge, so only require that
         # the bulk of them come back
         assert len(detected) >= 0.7 * len(truth)
@@ -139,11 +139,11 @@ class TestDetectCommand:
     def test_patch_named_files_group_into_one_slide(self, tmp_path):
         imgdir = tmp_path / "imgs"
         imgdir.mkdir()
-        params = SynthParams(slide_width=512, slide_height=256, patch_size=256,
-                             poisson_mean=20.0)
+        params = SynthParams(slide_width=512, slide_height=256, patch_size=256)
         slide = synth_slide(0, params, seed=2, slide_id="s")
         for patch in slide.patches:
-            img = render_nuclei_image(patch.points, blob_sigma=5.0, amplitude=0.7)
+            truth = PointSet(patch.points.coords[:20], 256, 256)
+            img = render_nuclei_image(truth, blob_sigma=5.0, amplitude=0.7)
             write_pgm(img, imgdir / f"s_r{patch.row}_c{patch.col}.pgm")
         out = tmp_path / "points.csv"
         rc = main(["detect", "--images", str(imgdir), "--out", str(out),
@@ -196,7 +196,7 @@ class TestExitCodes:
         ('{"folds": true}', "folds"),
         ('{"seed": [1]}', "seed"),
         ('{"class_names": ["a", 2]}', "class_names"),
-        ('{"synth": {"dense_sds": ["12", 44.0]}}', "synth.dense_sds"),
+        ('{"train": {"gcn_dims": ["12", 44]}}', "train.gcn_dims"),
         ('{"train": {"epochs": "3"}}', "train.epochs"),
         ('{"train": {"num_classes": "3"}}', "train.num_classes"),
         ('{"synth": 3}', "synth"),
@@ -208,10 +208,6 @@ class TestExitCodes:
         assert f"config key '{key}' must be" in caplog.text
 
     @pytest.mark.parametrize("text, key", [
-        ('{"synth": {"cluster_sd": -1}}', "synth.cluster_sd"),
-        ('{"synth": {"poisson_mean": -5}}', "synth.poisson_mean"),
-        ('{"synth": {"dense_background_mean": NaN}}', "synth.dense_background_mean"),
-        ('{"synth": {"dense_sds": [12]}}', "synth.dense_sds"),
         ('{"seed": -1}', "seed"),
         ('{"train": {"seed": -1}}', "train.seed"),
         ('{"train": {"gcn_dims": []}}', "train.gcn_dims"),
@@ -254,6 +250,21 @@ class TestExitCodes:
                 "generator draws at most 3") in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", [["--slides-per-class", "3"], ["--graphs", "GRAPHS"]])
+    def test_repeated_class_name_returns_one_before_the_work(self, tmp_path, caplog,
+                                                             monkeypatch, source):
+        def fail(*args, **kwargs):
+            raise AssertionError("the work began before the class names were checked")
+        monkeypatch.setattr(pipeline, "synth_dataset", fail)
+        monkeypatch.setattr(pipeline, "cross_validate", fail)
+        cfg, graphs = tmp_path / "config.json", tmp_path / "graphs.jsonl"
+        cfg.write_text('{"class_names": ["x", "x", "y"]}')
+        graphs.write_text(graph_record() + "\n")
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + [str(graphs) if a == "GRAPHS" else a for a in source]) == 1
+        assert "class_names names class 'x' twice" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_config_num_classes_equal_to_the_class_count_loads(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"train": {"num_classes": 3}}')
@@ -261,11 +272,10 @@ class TestExitCodes:
 
     def test_config_values_of_the_declared_types_load(self, tmp_path):
         cfg = tmp_path / "config.json"
-        cfg.write_text('{"d_p": 64, "train": {"num_classes": null}, '
-                       '"synth": {"dense_sds": [12, 44.5]}}')
+        cfg.write_text('{"d_p": 64, "train": {"num_classes": null, "gcn_dims": [12, 44]}}')
         loaded = pipeline.load_experiment_config(cfg)
-        assert (loaded.d_p, loaded.train.num_classes, loaded.synth.dense_sds) == (
-            64, None, (12, 44.5))
+        assert (loaded.d_p, loaded.train.num_classes, loaded.train.gcn_dims) == (
+            64, None, (12, 44))
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "0", "-1"])
     def test_config_d_p_that_is_not_finite_and_positive_returns_one(self, tmp_path, caplog,
@@ -476,6 +486,20 @@ class TestMalformedInterchange:
         assert rc == 1
         assert message in caplog.text and "Traceback" not in caplog.text
         assert not (tmp_path / "m.json").exists()
+
+    def test_graph_without_a_gcn_normalization_exits_one(self, tmp_path, caplog):
+        # two negative similarities outweigh node 0's self-loop: 1 + degree < 0
+        graphs, model = tmp_path / "graphs.jsonl", tmp_path / "m.json"
+        save_image_graphs([build_image_graph([[1, 0], [-1, 0.1], [-1, -0.1]], theta=-1.0,
+                                             slide_id="neg", label=0)], graphs)
+        message = f"{graphs}: slide neg node 0 has 1 + weighted degree -0.990074 <= 0"
+        assert main(["train", "--graphs", str(graphs), "--model", str(model)]) == 1
+        assert message in caplog.text
+        assert not model.exists()
+        caplog.clear()
+        save_model(init_model(2, (4,), (3,), num_classes=2), model)
+        assert main(["eval", "--graphs", str(graphs), "--model", str(model)]) == 1
+        assert message in caplog.text
 
     def test_train_zero_epochs_writes_the_initial_model(self, tmp_path):
         rc, _ = self._train(tmp_path, graph_record() + "\n")

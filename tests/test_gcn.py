@@ -484,6 +484,9 @@ class TestTrainEvaluate:
          "slide high has label 3, but the model has 3 classes"),
         (ImageGraph(np.ones((2, 10)), label=-1, slide_id="unlabelled"),
          "slide unlabelled has no label"),
+        (ImageGraph(np.ones((2, 10)), [(0, 1, -1.0)], label=0, slide_id="negative"),
+         r"slide negative node 0 has 1 \+ weighted degree 0 <= 0, so its GCN normalization "
+         "is undefined"),
     ])
     def test_train_and_evaluate_name_the_bad_slide(self, bad, message):
         data = random_dataset(np.random.default_rng(47), count=3, dim=10)

@@ -11,6 +11,7 @@ from scipy.spatial import cKDTree
 from wsigraph import pipeline
 from wsigraph.image_graph import load_image_graphs, save_image_graphs
 from wsigraph.pipeline import (
+    SYNTH_PROCESSES,
     ExperimentConfig,
     SlideRecord,
     SynthParams,
@@ -28,6 +29,7 @@ from wsigraph.pipeline import (
     synth_slide,
     tile_image,
 )
+from wsigraph.points import PointSet
 
 
 class TestTiling:
@@ -74,22 +76,63 @@ class TestSynth:
             assert np.array_equal(pa.points.coords, pb.points.coords)
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(ValidationError):
-            synth_slide(5, SynthParams(), seed=0)
+        for class_id in (5, 3, -1):     # -1 would index the last class of the table
+            with pytest.raises(ValidationError, match=f"unknown class id {class_id}"):
+                synth_slide(class_id, SynthParams(), seed=0)
 
     def test_poisson_counts_within_interval(self):
-        # intensity * area = 200: counts over 100 seeds stay in the central
-        # 99% interval except for rare outliers, and the total matches
-        p = SynthParams(slide_width=768, slide_height=768, poisson_mean=200.0)
+        # class 0 is one Poisson scatter of `rate` points per patch: counts
+        # over 100 seeds stay in the central 99% interval except for rare
+        # outliers, and the total matches
+        (_, rate), = SYNTH_PROCESSES[0]
+        p = SynthParams(slide_width=768, slide_height=768)
         counts = [
             len(synth_slide(0, p, seed=s).patches[0].points) for s in range(100)
         ]
-        lo = 200 - 2.576 * np.sqrt(200)
-        hi = 200 + 2.576 * np.sqrt(200)
+        lo = rate - 2.576 * np.sqrt(rate)
+        hi = rate + 2.576 * np.sqrt(rate)
         inside = sum(lo <= c <= hi for c in counts)
         assert inside >= 96
         total = sum(counts)
-        assert abs(total - 20000) <= 3.29 * np.sqrt(20000)
+        assert abs(total - 100 * rate) <= 3.29 * np.sqrt(100 * rate)
+
+    @staticmethod
+    def _reference_patch_points(class_id, size, rng):
+        """The generator as three hand-written branches with literal rates."""
+        def poisson(mean):
+            return rng.uniform(0.0, size, size=(rng.poisson(mean), 2))
+
+        def clusters(parent_mean, offspring_mean, sd):
+            pts = []
+            for _ in range(rng.poisson(parent_mean)):
+                parent = rng.uniform(0.0, size, size=2)
+                offs = parent + rng.normal(0.0, sd, size=(rng.poisson(offspring_mean), 2))
+                pts.append(offs[(offs >= 0.0).all(axis=1) & (offs < size).all(axis=1)])
+            return np.vstack(pts) if pts else np.zeros((0, 2))
+
+        if class_id == 0:
+            return poisson(220.0)
+        if class_id == 1:
+            clustered = clusters(10.0, 20.0, 40.0)
+            return np.vstack([clustered, poisson(40.0)])
+        tight = clusters(16.0, 13.0, 12.0)
+        loose = clusters(16.0, 8.0, 44.0)
+        return np.vstack([tight, loose, poisson(50.0)])
+
+    @pytest.mark.parametrize("params", [SynthParams(),
+                                        SynthParams(slide_width=512, slide_height=256,
+                                                    patch_size=256)])
+    def test_process_table_draws_the_reference_points(self, params):
+        for class_id in range(3):
+            for s in range(20):
+                seed = np.random.SeedSequence([s, class_id])
+                slide = synth_slide(class_id, params, seed)
+                rng = np.random.default_rng(seed)
+                size = params.patch_size
+                for patch in slide.patches:
+                    ref = self._reference_patch_points(class_id, float(size), rng)
+                    assert np.array_equal(patch.points.coords,
+                                          PointSet(ref, size, size).coords)
 
     def test_dense_class_has_smaller_nn_distance(self):
         p = SynthParams(slide_width=768, slide_height=768)
@@ -159,7 +202,7 @@ class TestFolds:
 
 class TestCsvRoundTrips:
     def _small_dataset(self):
-        p = SynthParams(slide_width=768, slide_height=768, poisson_mean=40.0)
+        p = SynthParams(slide_width=768, slide_height=768)
         return [
             synth_slide(c, p, seed=[7, c], slide_id=f"s{c}") for c in (0, 1, 2)
         ]
@@ -265,7 +308,7 @@ class TestCsvRoundTrips:
 
 
 def test_featurize_pool_gives_the_serial_features():
-    p = SynthParams(slide_width=512, slide_height=256, patch_size=256, poisson_mean=60.0)
+    p = SynthParams(slide_width=512, slide_height=256, patch_size=256)
 
     def features(workers):
         slides = [synth_slide(c, p, seed=[5, c]) for c in (0, 1, 2)]
@@ -288,11 +331,13 @@ class TestSlideGraph:
         assert g.num_nodes == len(slide.patches) - 1
 
     def test_keeps_densest_patch_when_all_sparse(self):
-        p = SynthParams(slide_width=768, slide_height=768, poisson_mean=5.0)
-        slide = synth_slide(0, p, seed=4)
+        slide = synth_slide(0, SynthParams(), seed=4)
         slide = featurize_slides([slide], d_p=64.0, workers=1)[0]
-        g = build_slide_graph(slide, theta=0.8, min_nuclei=20)
+        counts = [len(patch.points) for patch in slide.patches]
+        g = build_slide_graph(slide, theta=0.8, min_nuclei=max(counts) + 1)
         assert g.num_nodes == 1
+        densest = slide.patches[int(np.argmax(counts))].features
+        assert np.array_equal(g.node_features[0], densest)
 
     def test_slide_without_patches_rejected_by_name(self):
         slide = SlideRecord(slide_id="empty-slide", label=0)
@@ -314,12 +359,12 @@ class TestConfig:
             "seed": 3,
             "slides_per_class": 6,
             "train": {"epochs": 10, "learning_rate": 0.001},
-            "synth": {"poisson_mean": 100.0},
+            "synth": {"patch_size": 512},
         }))
         cfg = load_experiment_config(path)
         assert cfg.seed == 3
         assert cfg.train.epochs == 10
-        assert cfg.synth.poisson_mean == 100.0
+        assert cfg.synth.patch_size == 512
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -346,6 +391,17 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text('{"detection": {"sigma_x": 8.0}}')
         with pytest.raises(ValidationError, match="unknown config key 'detection'"):
+            load_experiment_config(path)
+
+    # the generator's rates live in SYNTH_PROCESSES, not in the config
+    @pytest.mark.parametrize("key", ["poisson_mean", "parent_mean", "offspring_mean",
+                                     "cluster_sd", "background_mean", "dense_parent_mean",
+                                     "dense_offspring_mean", "dense_sds", "dense_loose_mean",
+                                     "dense_background_mean"])
+    def test_synth_rate_key_rejected(self, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {key: 1}}))
+        with pytest.raises(ValidationError, match=f"unknown config key 'synth.{key}'"):
             load_experiment_config(path)
 
     def test_bad_values_rejected_before_work(self):
