@@ -118,9 +118,11 @@ class ExperimentConfig:
             raise ValidationError("need at least one class and one slide per class")
         s = self.synth
         if s.patch_size <= 0:
-            raise ValidationError("patch_size must be positive")
-        if s.patch_size > min(s.slide_width, s.slide_height):
-            raise ValidationError("patch_size exceeds slide dimensions")
+            raise ValidationError(f"synth.patch_size must be positive, got {s.patch_size}")
+        for side in ("slide_width", "slide_height"):
+            if s.patch_size > getattr(s, side):
+                raise ValidationError(f"synth.patch_size {s.patch_size} exceeds "
+                                      f"synth.{side} {getattr(s, side)}")
 
 
 # what a JSON value must be to fill a config field of each declared type

@@ -315,7 +315,9 @@ def _rectangle_cells(gen: np.ndarray, w: float, h: float):
     pts = np.vstack([gen] + [np.column_stack([ix, iy])[k]
                              for (ix, iy, _), k in zip(images, kept)])
     dl = Delaunay(pts)
+    # only triangles with a generator vertex give a cell vertex
     simp = dl.simplices
+    simp = simp[(simp < m).any(axis=1)]
     centres, ok = _circumcentres(pts[simp])
 
     vert = simp.ravel()
@@ -335,9 +337,10 @@ def _rectangle_cells(gen: np.ndarray, w: float, h: float):
     v, cc = v[keep], cc[keep]
 
     rect = np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]])
-    indptr, nbrs = dl.vertex_neighbor_vertices
     clipped = np.flatnonzero(clip)
     rings = []
+    if len(clipped):    # scipy builds the neighbour lists on first read
+        indptr, nbrs = dl.vertex_neighbor_vertices
     for i in clipped.tolist():
         poly = rect
         for j in nbrs[indptr[i]:indptr[i + 1]].tolist():

@@ -223,6 +223,21 @@ class TestExitCodes:
         assert f"{key} " in caplog.text
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("synth, message", [
+        ({"patch_size": 0}, "synth.patch_size must be positive, got 0"),
+        ({"patch_size": 800, "slide_width": 1536, "slide_height": 768},
+         "synth.patch_size 800 exceeds synth.slide_height 768"),
+        ({"patch_size": 800, "slide_width": 768},
+         "synth.patch_size 800 exceeds synth.slide_width 768"),
+    ])
+    def test_patch_size_out_of_range_names_its_keys(self, tmp_path, caplog, synth, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synth": synth}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                     "--slides-per-class", "3", "--epochs", "1", "--workers", "1"]) == 1
+        assert message in caplog.text
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("argv, key", [
         (["run", "--seed", "-1"], "seed"),
         (["run", "--epochs", "-1"], "train.epochs"),

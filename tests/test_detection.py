@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 from scipy.signal import fftconvolve
 
 from wsigraph import detection
@@ -207,6 +208,88 @@ class TestBlockedResponse:
             tracemalloc.stop()
         # the one-call fftconvolve peaked near 5.9 times the float64 image
         assert peak <= 3 * img.pixels.nbytes
+
+
+def full_filter_detections(resp, merge_radius=8.0):
+    """detect_nuclei's points from one maximum filter over the whole response."""
+    local_max = maximum_filter(resp, size=3, mode="nearest")
+    rows, cols = np.nonzero((resp >= local_max) & (resp > 0.1 * resp.max()))
+    return _merge_maxima(rows, cols, resp[rows, cols], merge_radius)
+
+
+def window_rendering(points, sigmas, amps):
+    """render_nuclei_image's blob sum before the clip: each blob within 4 sigma."""
+    h, w = int(points.patch_height), int(points.patch_width)
+    img = np.ones((h, w))
+    for (x, y), s, a in zip(points.coords, sigmas, amps):
+        r = int(np.ceil(4 * s))
+        x0, x1 = max(0, int(x) - r), min(w, int(x) + r + 1)
+        y0, y1 = max(0, int(y) - r), min(h, int(y) + r + 1)
+        gx = np.arange(x0, x1, dtype=np.float64) - x
+        gy = np.arange(y0, y1, dtype=np.float64) - y
+        img[y0:y1, x0:x1] -= a * np.exp(-(gy[:, None] ** 2 + gx[None, :] ** 2) / (2 * s * s))
+    return img
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceImagesPath:
+    """Blocked maxima, in-place clip and PGM scaling: the same bits in about one image."""
+
+    bank = build_glog_bank(8, 4, 9, 7)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("size, n, seed, levels", [
+        (1024, 1000, 5, None), (300, 120, 6, None), (257, 60, 7, 4)])
+    def test_blocked_maxima_equal_one_full_filter(self, monkeypatch, block, size, n, seed,
+                                                  levels):
+        img = rendered_patch(size, n, seed)
+        resp = bank_response(img, self.bank)
+        if levels is not None:
+            # a response of few levels has plateaus of equal maxima; one
+            # crosses the edge between two blocks of 7 rows
+            resp = np.floor(resp * (levels / resp.max()))
+            is_max = (resp >= maximum_filter(resp, size=3, mode="nearest")) & (resp > 0)
+            edge = np.arange(7, size, 7)
+            assert (is_max[edge - 1] & is_max[edge] & (resp[edge - 1] == resp[edge])).any()
+        monkeypatch.setattr(detection, "bank_response", lambda img, bank: resp.copy())
+        monkeypatch.setattr(detection, "ROW_BLOCK", block)
+        got = detect_nuclei(img, self.bank)
+        assert len(got) > 0 and np.array_equal(got.coords, full_filter_detections(resp))
+
+    def test_pgm_bytes_of_a_rendering_are_the_rounded_clipped_sum(self, tmp_path):
+        rng = np.random.default_rng(21)
+        n = 400
+        points = PointSet(rng.uniform(0, [200, 150], (n, 2)), 200, 150)
+        sigmas = rng.uniform(3, 7, n)
+        # overlapping dark blobs sum below 0 and negative ones lift above 1
+        amps = rng.uniform(-0.6, 0.9, n)
+        want = window_rendering(points, sigmas, amps)
+        assert want.min() < 0 and want.max() > 1
+        path = tmp_path / "r.pgm"
+        write_pgm(render_nuclei_image(points, blob_sigma=sigmas, amplitude=amps), path)
+        pixels = np.round(np.clip(want, 0, 1) * 255).astype(np.uint8)
+        assert path.read_bytes() == b"P5\n200 150\n255\n" + pixels.tobytes()
+
+    def test_image_steps_peak_near_one_image(self, tmp_path):
+        rng = np.random.default_rng(5)
+        points = PointSet(rng.uniform(8, 1016, (1000, 2)), 1024, 1024)
+        img = render_nuclei_image(points)
+        nbytes = img.pixels.nbytes
+        assert traced_peak(lambda: render_nuclei_image(points)) <= 1.5 * nbytes
+        assert traced_peak(lambda: write_pgm(img, tmp_path / "p.pgm")) <= 1.5 * nbytes
+        tile = rendered_patch(1024, 1000, seed=5)
+        detect_nuclei(tile, self.bank)
+        # a full-size inverse, maximum filter and masks peaked at 2.4 times
+        assert traced_peak(lambda: detect_nuclei(tile, self.bank)) <= 1.5 * nbytes
 
 
 def brute_force_merge(rows, cols, values, merge_radius):
