@@ -19,14 +19,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import detection, gcn, pipeline
+from .detection import DetectionParams
+from .errors import ValidationError
 from .image_graph import load_image_graphs, save_image_graphs
-from .pipeline import (
-    DetectionParams,
-    ExperimentConfig,
-    SynthParams,
-    ValidationError,
-    load_experiment_config,
-)
+from .pipeline import ExperimentConfig, SynthParams, load_experiment_config
 
 log = logging.getLogger("wsigraph")
 
@@ -70,7 +66,6 @@ def _add_featurize(sub):
     p = sub.add_parser("featurize", help="compute 69-dim patch features")
     p.add_argument("--points", required=True, help="point-set CSV")
     p.add_argument("--out", required=True, help="output feature CSV")
-    p.add_argument("--patch-size", type=int, default=_SYNTH.patch_size)
     p.add_argument("--d-p", type=float, default=_EXPERIMENT.d_p)
     p.add_argument("--workers", type=int, default=_EXPERIMENT.workers)
 
@@ -188,7 +183,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_featurize(args) -> int:
     _check_outputs(args.out)
-    slides = pipeline.import_pointsets(args.points, patch_size=args.patch_size)
+    slides = pipeline.import_pointsets(args.points)
     slides = pipeline.featurize_slides(slides, args.d_p, workers=args.workers)
     pipeline.export_features(slides, args.out)
     log.info("featurized %d slides -> %s", len(slides), args.out)

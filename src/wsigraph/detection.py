@@ -32,9 +32,10 @@ from scipy.ndimage import maximum_filter
 from .errors import ValidationError
 from .points import PointSet, greedy_merge
 
-# rows per forward and inverse real transform of `bank_response` and per
-# maximum filter of `detect_nuclei`, and half-spectrum columns per pass of
-# `bank_response`; they bound temporaries, not results
+# rows per forward and inverse real transform of `bank_response`, per
+# maximum filter of `detect_nuclei` and per rounding pass of `write_pgm`, and
+# half-spectrum columns per pass of `bank_response`; they bound temporaries,
+# not results
 ROW_BLOCK = 32
 COL_BLOCK = 32
 
@@ -256,9 +257,14 @@ def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
 # 8-bit binary PGM (P5) I/O
 
 def write_pgm(img: GrayImage, path) -> None:
-    """Write an 8-bit binary PGM (P5) file, each pixel round(255 * intensity)."""
-    scaled = img.pixels * 255.0
-    data = np.round(scaled, out=scaled).astype(np.uint8)
+    """Write an 8-bit binary PGM (P5) file, each pixel round(255 * intensity).
+
+    Rows are scaled and rounded `ROW_BLOCK` at a time into the uint8 array,
+    so no float64 copy of the image is held.
+    """
+    data = np.empty(img.pixels.shape, dtype=np.uint8)
+    for r in range(0, img.height, ROW_BLOCK):
+        data[r:r + ROW_BLOCK] = np.round(img.pixels[r:r + ROW_BLOCK] * 255.0)
     with Path(path).open("wb") as fh:
         fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
         fh.write(data)

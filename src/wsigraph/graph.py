@@ -99,11 +99,6 @@ class UndirectedGraph:
                                (np.r_[self.u, self.v], np.r_[self.v, self.u])), shape=(n, n))
 
     @property
-    def edges(self) -> list:
-        """The edges as (u, v, weight) tuples, sorted by (u, v)."""
-        return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
-
-    @property
     def edge_count(self) -> int:
         return len(self.u)
 

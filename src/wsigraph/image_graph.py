@@ -118,7 +118,7 @@ def save_image_graphs(graphs, path) -> None:
                 "num_nodes": int(g.num_nodes),
                 "feature_dim": int(g.node_features.shape[1]),
                 "features": g.node_features.tolist(),
-                "edges": [[i, j, w] for i, j, w in g.edges],
+                "edges": [list(e) for e in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())],
             }
             fh.write(json.dumps(rec) + "\n")
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .detection import DetectionParams  # noqa: F401  (the CLI and perfbench read it here)
+from .detection import DetectionParams  # noqa: F401  (only perfbench reads it here)
 from .errors import ValidationError, json_object, open_text
 from .features import (
     DEFAULT_CELL_GRAPH_RADIUS,
@@ -410,7 +410,7 @@ def stratified_folds(labels, k: int, seed) -> list:
 # ---------------------------------------------------------------------------
 # CSV interchange
 
-POINTS_HEADER = ["slide_id", "patch_row", "patch_col", "x", "y"]
+POINTS_HEADER = ["slide_id", "patch_row", "patch_col", "patch_width", "patch_height", "x", "y"]
 FEATURES_HEADER = ["slide_id", "patch_row", "patch_col"] + FEATURE_NAMES
 LABELS_HEADER = ["slide_id", "label"]
 
@@ -484,18 +484,22 @@ def assemble_slides(patches: dict, labels: dict | None = None) -> list:
 
 
 def export_pointsets(slides, path) -> None:
-    """Write per-patch point sets as CSV (slide_id, patch_row, patch_col, x, y)."""
+    """Write per-patch point sets as CSV, one row per point:
+    slide_id, patch_row, patch_col, patch_width, patch_height, x, y."""
     _write_csv(path, POINTS_HEADER, ([slide.slide_id, patch.row, patch.col,
+                                      repr(float(patch.points.patch_width)),
+                                      repr(float(patch.points.patch_height)),
                                       repr(float(x)), repr(float(y))]
                                      for slide in slides for patch in slide.patches
                                      for x, y in patch.points.coords))
 
 
-def import_pointsets(path, patch_size: int = SynthParams.patch_size) -> list:
+def import_pointsets(path) -> list:
     """Read a point-set CSV back into unlabelled SlideRecords.
 
-    Malformed rows are rejected with their line number; a zero-byte file
-    warns and reads as no slides.
+    Each patch's geometry comes from its rows, which must agree on it, and
+    each point must lie inside its patch.  Malformed rows are rejected with
+    their line number; a zero-byte file warns and reads as no slides.
     """
     path = Path(path)
     # a pipe reports size 0 before it is read, so only a regular file counts as empty
@@ -503,18 +507,24 @@ def import_pointsets(path, patch_size: int = SynthParams.patch_size) -> list:
         log.warning("%s: empty point-set file", path)
         return []
     points: dict[tuple[str, int, int], list] = {}
+    sizes: dict[tuple[str, int, int], tuple] = {}    # key -> (width, height, first line)
     for line, row in _read_csv(path, POINTS_HEADER):
         key = _patch_key(path, line, row)
-        x, y = _numbers(path, line, float, row[3:])
-        if not (0 <= x < patch_size and 0 <= y < patch_size):
-            raise ValidationError(
-                f"{path}:{line}: point ({x}, {y}) outside patch of size {patch_size}")
+        w, h, x, y = _numbers(path, line, float, row[3:])
+        if not (0 < w < np.inf and 0 < h < np.inf):
+            raise ValidationError(f"{path}:{line}: patch size {w}x{h} is not positive and finite")
+        w0, h0, first = sizes.setdefault(key, (w, h, line))
+        if (w, h) != (w0, h0):
+            raise ValidationError(f"{path}:{line}: slide {key[0]} patch ({key[1]}, {key[2]}) "
+                                  f"is {w}x{h}, but {w0}x{h0} at line {first}")
+        if not (0 <= x < w and 0 <= y < h):
+            raise ValidationError(f"{path}:{line}: point ({x}, {y}) outside patch of size {w}x{h}")
         points.setdefault(key, []).append((x, y))
     if not points:
         log.warning("%s: no data rows", path)
     return assemble_slides({
         key: PatchRecord(row=key[1], col=key[2],
-                         points=PointSet(np.array(xy), patch_size, patch_size))
+                         points=PointSet(np.array(xy), *sizes[key][:2]))
         for key, xy in points.items()})
 
 

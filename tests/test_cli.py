@@ -27,6 +27,11 @@ from wsigraph.pipeline import (
 from wsigraph.points import PointSet
 
 
+# a point-set CSV of one point in one 768-px patch
+ONE_POINT_CSV = ("slide_id,patch_row,patch_col,patch_width,patch_height,x,y\n"
+                 "s1,0,0,768.0,768.0,1.0,2.0\n")
+
+
 def graph_record(**changes):
     rec = {"format_version": 1, "slide_id": "s", "label": 0, "num_nodes": 2,
            "feature_dim": 2, "features": [[1.0, 0.0], [0.0, 1.0]],
@@ -53,8 +58,7 @@ class TestStagedWorkflow:
     def test_featurize(self, workdir):
         rc = main([
             "featurize", "--points", str(workdir / "data" / "points.csv"),
-            "--out", str(workdir / "features.csv"), "--patch-size", "256",
-            "--workers", "1",
+            "--out", str(workdir / "features.csv"), "--workers", "1",
         ])
         assert rc == 0
         header = (workdir / "features.csv").read_text().splitlines()[0]
@@ -128,9 +132,10 @@ class TestDetectCommand:
         rc = main(["detect", "--images", str(imgdir), "--out", str(out),
                    "--patch-size", "256"])
         assert rc == 0
-        back = import_pointsets(out, patch_size=256)
+        back = import_pointsets(out)
         assert len(back) == 1
         detected = back[0].patches[0].points
+        assert (detected.patch_width, detected.patch_height) == (256.0, 256.0)
         # Poisson-placed blobs may overlap and merge, so only require that
         # the bulk of them come back
         assert len(detected) >= 0.7 * len(truth)
@@ -149,7 +154,7 @@ class TestDetectCommand:
         rc = main(["detect", "--images", str(imgdir), "--out", str(out),
                    "--patch-size", "256", "--stride", "256"])
         assert rc == 0
-        back = import_pointsets(out, patch_size=256)
+        back = import_pointsets(out)
         assert len(back) == 1
         assert back[0].slide_id == "s"
         assert [(p.row, p.col) for p in back[0].patches] == [(0, 0), (0, 1)]
@@ -308,7 +313,7 @@ class TestExitCodes:
                                            patch_size=256), seed=1, slide_id="s")
         pipeline.export_pointsets([slide], points)
         rc = main(["featurize", "--points", str(points), "--out", str(tmp_path / "f.csv"),
-                   "--patch-size", "256", "--workers", "1", f"--d-p={value}"])
+                   "--workers", "1", f"--d-p={value}"])
         assert rc == 1
         assert "d_p must be a finite positive number" in caplog.text
         assert not (tmp_path / "f.csv").exists()
@@ -384,6 +389,11 @@ REJECTED_INPUTS = [
     ("detect --images {d}/renamed/s_r0_c0.pgm --patch-size 16",
      "{d}/renamed/s_r0_c0.pgm: a pre-cut patch is 32x32, but --patch-size is 16"),
     ("featurize --points {d}/points.csv --workers -3", "workers must be >= 0, got -3"),
+    ("featurize --points {d}/geometry.csv",
+     "{d}/geometry.csv:4: slide s1 patch (0, 0) is 256.0x256.0, but 768.0x768.0 at line 2"),
+    ("featurize --points {d}/unsized.csv",
+     "{d}/unsized.csv:1: expected header slide_id,patch_row,patch_col,patch_width,"),
+    ("featurize --points {d}/no_area.csv", "no_area.csv:2: patch size 0.0x768.0 is not "),
     ("run --config {d}/workers.json --slides-per-class 3 --epochs 1",
      "workers must be >= 0, got -2"),
     ("run --config {d}/list.json", "{d}/list.json: not a JSON object"),
@@ -417,7 +427,11 @@ def test_rejected_input_exits_one_and_names_it(tmp_path, caplog, command, messag
     (tmp_path / "extra.csv").write_text("slide_id,label\ns1,0,x\n")
     (tmp_path / "minus.csv").write_text("slide_id,label\ns1,-3\n")
     (tmp_path / "min_nuclei.json").write_text('{"min_nuclei_per_patch": -3}')
-    (tmp_path / "points.csv").write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
+    (tmp_path / "points.csv").write_text(ONE_POINT_CSV)
+    (tmp_path / "geometry.csv").write_text(ONE_POINT_CSV + "s1,0,1,256.0,256.0,3.0,4.0\n"
+                                           "s1,0,0,256.0,256.0,5.0,6.0\n")
+    (tmp_path / "unsized.csv").write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
+    (tmp_path / "no_area.csv").write_text(ONE_POINT_CSV.replace("768.0,768.0", "0.0,768.0"))
     (tmp_path / "workers.json").write_text('{"workers": -2}')
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
@@ -646,7 +660,7 @@ class TestMalformedInterchange:
         graphs = tmp_path / "graphs.jsonl"
         graphs.write_text(graph_record() + "\n")
         points = tmp_path / "points.csv"
-        points.write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
+        points.write_text(ONE_POINT_CSV)
         argv = {"train": ["--graphs", graphs, "--model", tmp_path / "m.json"],
                 "eval": ["--graphs", graphs, "--model", tmp_path / "m.json"],
                 "featurize": ["--points", points, "--out", tmp_path / "f.csv",
@@ -661,7 +675,7 @@ class TestMalformedInterchange:
     @pytest.mark.parametrize("reader", ["points", "features", "labels", "graphs"])
     def test_file_that_is_not_utf8(self, tmp_path, caplog, reader):
         path = tmp_path / "input"
-        header = {"points": b"slide_id,patch_row,patch_col,x,y\n",
+        header = {"points": b"slide_id,patch_row,patch_col,patch_width,patch_height,x,y\n",
                   "features": ",".join(["slide_id", "patch_row", "patch_col"]
                                        + FEATURE_NAMES).encode() + b"\n",
                   "labels": b"slide_id,label\n",
@@ -693,6 +707,28 @@ class TestMalformedInterchange:
         assert main(["eval", "--graphs", "g", "--model", "m"]) == 2
         assert "runtime failure: [Errno 12] Cannot allocate memory" in caplog.text
         assert "Traceback" in caplog.text
+
+
+def test_featurize_reads_the_patch_size_that_synth_cut(tmp_path):
+    """synth --patch-size 256 -> featurize, with no size restated, gives the
+    features of the same slides featurized in memory, bit for bit."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--slides-per-class", "1", "--seed", "4",
+                 "--patch-size", "256", "--slide-size", "512"]) == 0
+    assert main(["featurize", "--points", str(data / "points.csv"),
+                 "--out", str(tmp_path / "f.csv"), "--workers", "1"]) == 0
+    cfg = ExperimentConfig(seed=4, slides_per_class=1,
+                           class_names=tuple(f"class{c}" for c in range(3)))
+    cfg.synth.patch_size, cfg.synth.slide_width, cfg.synth.slide_height = 256, 512, 512
+    want = pipeline.featurize_slides(pipeline.synth_dataset(cfg), cfg.d_p, workers=1)
+    got = pipeline.import_features(tmp_path / "f.csv")
+    key = lambda slides: {(s.slide_id, p.row, p.col): p.features
+                          for s in slides for p in s.patches}
+    want, got = key(want), key(got)
+    assert list(got) == list(want) and len(got) == 12
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    area = FEATURE_NAMES.index("nn_voronoi_area_total")
+    assert [float(v[area]) for v in got.values()] == pytest.approx([256.0 ** 2] * 12, rel=1e-9)
 
 
 def test_run_graphs_folds_match_run_on_the_staged_chain(tmp_path):
@@ -811,7 +847,7 @@ def test_bad_output_path_exits_one_before_the_work(tmp_path, monkeypatch, caplog
     graphs = graphs_file(tmp_path / "graphs.jsonl", [0, 1])
     model = tmp_path / "m.json"
     save_model(init_model(2, (4,), (3,), num_classes=2), model)
-    (tmp_path / "points.csv").write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
+    (tmp_path / "points.csv").write_text(ONE_POINT_CSV)
     write_pgm(GrayImage(np.ones((32, 32))), tmp_path / "img.pgm")
     argv = {"train": ["--graphs", graphs, "--model", tmp_path / "new.json",
                       "--history", tmp_path / "h.json"],
@@ -858,8 +894,7 @@ def test_flag_defaults_come_from_the_config_dataclasses():
         assert getattr(args, name) == getattr(detection, name)
     assert args.patch_size == synth.patch_size
     args = parser.parse_args(["featurize", "--points", "p", "--out", "o"])
-    assert (args.d_p, args.patch_size, args.workers) == (experiment.d_p, synth.patch_size,
-                                                         experiment.workers)
+    assert (args.d_p, args.workers) == (experiment.d_p, experiment.workers)
     args = parser.parse_args(["build-graph", "--features", "f", "--out", "o"])
     assert (args.theta, args.min_nuclei) == (experiment.theta,
                                              experiment.min_nuclei_per_patch)
@@ -878,7 +913,6 @@ def test_library_defaults_come_from_the_config_dataclasses():
     assert (default(detect_nuclei, "response_threshold"), default(detect_nuclei, "merge_radius")) \
         == (detection.response_threshold, detection.merge_radius)
     assert default(pipeline.build_slide_graph, "min_nuclei") == experiment.min_nuclei_per_patch
-    assert default(import_pointsets, "patch_size") == SynthParams().patch_size
     assert (default(init_model, "gcn_dims"), default(init_model, "head_dims"),
             default(init_model, "dropout_p")) == (train.gcn_dims, train.head_dims,
                                                   train.dropout_p)

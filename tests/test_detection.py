@@ -279,6 +279,26 @@ class TestInPlaceImagesPath:
         pixels = np.round(np.clip(want, 0, 1) * 255).astype(np.uint8)
         assert path.read_bytes() == b"P5\n200 150\n255\n" + pixels.tobytes()
 
+    @pytest.mark.parametrize("height", [1, 31, 32, 33, 257])
+    def test_pgm_bytes_equal_one_rounding_of_the_image(self, tmp_path, height):
+        rng = np.random.default_rng(height)
+        width = 45
+        levels = rng.integers(0, 255, (height, width))
+        halves = (levels + 0.5) / 255.0
+        assert np.array_equal(halves * 255.0, levels + 0.5)     # ties, rounded to even
+        points = PointSet(rng.uniform(0, [width, height], (30, 2)), width, height)
+        for pixels in (rng.uniform(0, 1, (height, width)),
+                       render_nuclei_image(points, amplitude=0.9).pixels, halves):
+            path = tmp_path / "p.pgm"
+            write_pgm(GrayImage(pixels), path)
+            want = np.round(pixels * 255.0).astype(np.uint8)
+            assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + want.tobytes()
+
+    def test_pgm_write_holds_no_float_copy(self, tmp_path):
+        img = GrayImage(np.random.default_rng(8).uniform(0, 1, (1024, 1024)))
+        # the uint8 bytes (1/8 of the image) and one block of scaled rows
+        assert traced_peak(lambda: write_pgm(img, tmp_path / "p.pgm")) <= 0.25 * img.pixels.nbytes
+
     def test_image_steps_peak_near_one_image(self, tmp_path):
         rng = np.random.default_rng(5)
         points = PointSet(rng.uniform(8, 1016, (1000, 2)), 1024, 1024)

@@ -39,6 +39,11 @@ def strip_graph(seed, n, gap=False):
     return build_radius_graph(pset(pts, 4000, 400), 64.0)
 
 
+def triples(g):
+    """The edges of `g` as (u, v, weight) tuples, sorted by (u, v)."""
+    return list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+
+
 def random_graph(rng, n, p=0.2):
     edges = []
     for i in range(n):
@@ -125,11 +130,11 @@ class TestGreedyMerge:
 class TestRadiusGraph:
     def test_pair_below_threshold(self):
         g = build_radius_graph(pset([(0, 0), (10, 0)]), 64)
-        assert g.edges == [(0, 1, 10.0)]
+        assert triples(g) == [(0, 1, 10.0)]
 
     def test_strict_inequality_at_threshold(self):
         g = build_radius_graph(pset([(0, 0), (64, 0)]), 64)
-        assert g.edges == []
+        assert triples(g) == []
 
     def test_three_four_five_triangle(self):
         g = build_radius_graph(pset([(0, 0), (30, 0), (30, 40)]), 64)
@@ -149,9 +154,9 @@ class TestRadiusGraph:
         g2 = build_radius_graph(pset(pts[perm]), 80)
         inv = np.argsort(perm)
         remapped = sorted(
-            (min(inv[u], inv[v]), max(inv[u], inv[v]), w) for u, v, w in g1.edges
+            (min(inv[u], inv[v]), max(inv[u], inv[v]), w) for u, v, w in triples(g1)
         )
-        assert remapped == g2.edges
+        assert remapped == triples(g2)
 
     def test_degree_sum_is_twice_edges(self):
         rng = np.random.default_rng(1)
@@ -188,8 +193,8 @@ class TestCanonicalEdges:
     def test_array_and_triples_agree(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 20, p=0.3)
-        triples = g.edges[::-1]
-        for a, b in zip(canonical_edges(20, triples), canonical_edges(20, np.array(triples))):
+        edges = triples(g)[::-1]
+        for a, b in zip(canonical_edges(20, edges), canonical_edges(20, np.array(edges))):
             assert np.array_equal(a, b)
 
     def test_empty(self):
@@ -370,7 +375,7 @@ class TestClustering:
             n = int(rng.integers(2, 25))
             g = random_graph(rng, n, p=0.3)
             es = set()
-            for u, v, _ in g.edges:
+            for u, v, _ in triples(g):
                 es.add((u, v))
                 es.add((v, u))
             t = triangle_counts(n, es)
@@ -390,7 +395,7 @@ class TestClustering:
         for _ in range(10):
             n = int(rng.integers(3, 40))
             g = random_graph(rng, n, p=0.4)
-            es = {(u, v) for u, v, _ in g.edges} | {(v, u) for u, v, _ in g.edges}
+            es = {(u, v) for u, v, _ in triples(g)} | {(v, u) for u, v, _ in triples(g)}
             links = 2 * triangle_counts(n, es)
             deg = g.degrees()
             expected = [links[i] / (deg[i] * (deg[i] - 1)) if deg[i] >= 2 else 0.0
@@ -406,7 +411,7 @@ class TestMinimumSpanningTree:
 
     def test_collinear_points(self):
         tree = minimum_spanning_tree(pset([(0, 0), (1, 0), (3, 0)]))
-        assert sorted(w for _, _, w in tree.edges) == [1.0, 2.0]
+        assert sorted(w for _, _, w in triples(tree)) == [1.0, 2.0]
 
     def test_small_cases(self):
         assert minimum_spanning_tree(pset([])).edge_count == 0

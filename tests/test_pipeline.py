@@ -211,7 +211,7 @@ class TestCsvRoundTrips:
         slides = self._small_dataset()
         path = tmp_path / "points.csv"
         export_pointsets(slides, path)
-        back = import_pointsets(path, patch_size=768)
+        back = import_pointsets(path)
         assert [s.slide_id for s in back] == [s.slide_id for s in slides]
         for a, b in zip(slides, back):
             assert b.label == -1            # labels join at build-graph
@@ -220,14 +220,26 @@ class TestCsvRoundTrips:
                 assert (pa.row, pa.col) == (pb.row, pb.col)
                 assert np.array_equal(pa.points.coords, pb.points.coords)
 
-    def test_interleaved_rows_group_by_slide_in_first_appearance_order(self, tmp_path):
-        rows = [("b", 1, 0, 1.0, 1.0), ("a", 0, 1, 2.0, 2.0), ("b", 0, 0, 3.0, 3.0),
-                ("c", 0, 0, 4.0, 4.0), ("a", 0, 0, 5.0, 5.0), ("b", 1, 0, 6.0, 6.0),
-                ("a", 0, 1, 7.0, 7.0), ("c", 0, 0, 8.0, 8.0)]
+    @pytest.mark.parametrize("width, height", [(256, 256), (512, 256)])
+    def test_pointsets_round_trip_their_patch_geometry(self, tmp_path, width, height):
+        rng = np.random.default_rng(width)
+        slides = [SlideRecord("s", 0, [pipeline.PatchRecord(
+            row=r, col=c, points=PointSet(rng.uniform(0, 1, (40, 2)) * (width, height),
+                                          width, height)) for r in (0, 1) for c in (0, 1)])]
         path = tmp_path / "points.csv"
-        path.write_text("slide_id,patch_row,patch_col,x,y\n"
-                        + "".join(",".join(map(str, r)) + "\n" for r in rows))
-        back = import_pointsets(path, patch_size=16)
+        export_pointsets(slides, path)
+        back, = import_pointsets(path)
+        for pa, pb in zip(slides[0].patches, back.patches, strict=True):
+            assert np.array_equal(pa.points.coords, pb.points.coords)
+            assert (pb.points.patch_width, pb.points.patch_height) == (width, height)
+
+    def test_interleaved_rows_group_by_slide_in_first_appearance_order(self, tmp_path):
+        rows = [("b", 1, 0, 1.0), ("a", 0, 1, 2.0), ("b", 0, 0, 3.0), ("c", 0, 0, 4.0),
+                ("a", 0, 0, 5.0), ("b", 1, 0, 6.0), ("a", 0, 1, 7.0), ("c", 0, 0, 8.0)]
+        path = tmp_path / "points.csv"
+        path.write_text("slide_id,patch_row,patch_col,patch_width,patch_height,x,y\n"
+                        + "".join(f"{s},{r},{c},16.0,16.0,{x},{x}\n" for s, r, c, x in rows))
+        back = import_pointsets(path)
         assert [s.slide_id for s in back] == ["b", "a", "c"]
         got = {s.slide_id: [((p.row, p.col), p.points.coords[:, 0].tolist())
                             for p in s.patches] for s in back}
@@ -247,14 +259,16 @@ class TestCsvRoundTrips:
     def test_out_of_patch_point_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
-            "slide_id,patch_row,patch_col,x,y\ns0,0,0,10.0,20.0\ns0,0,0,768.0,5.0\n"
+            "slide_id,patch_row,patch_col,patch_width,patch_height,x,y\n"
+            "s0,0,0,768.0,768.0,10.0,20.0\ns0,0,0,768.0,768.0,768.0,5.0\n"
         )
         with pytest.raises(ValidationError, match=":3"):
-            import_pointsets(path, patch_size=768)
+            import_pointsets(path)
 
     def test_malformed_row_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("slide_id,patch_row,patch_col,x,y\ns0,zero,0,1.0,2.0\n")
+        path.write_text("slide_id,patch_row,patch_col,patch_width,patch_height,x,y\n"
+                        "s0,zero,0,768.0,768.0,1.0,2.0\n")
         with pytest.raises(ValidationError, match=":2"):
             import_pointsets(path)
 
@@ -290,7 +304,7 @@ class TestCsvRoundTrips:
     def test_written_file_reads_back_to_the_same_bytes(self, tmp_path, kind):
         slides = featurize_slides(self._small_dataset(), d_p=64.0, workers=1)
         write, read = {
-            "points": (export_pointsets, lambda p: import_pointsets(p, 768)),
+            "points": (export_pointsets, import_pointsets),
             "features": (pipeline.export_features, pipeline.import_features),
             "labels": (export_labels, lambda p: [SlideRecord(sid, label)
                                                  for sid, label in import_labels(p).items()]),

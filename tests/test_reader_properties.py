@@ -47,8 +47,7 @@ def _graphs():
 
 
 CASES = {
-    "points": (lambda path: export_pointsets(_slides(), path),
-               lambda path: import_pointsets(path, patch_size=PATCH)),
+    "points": (lambda path: export_pointsets(_slides(), path), import_pointsets),
     "features": (lambda path: export_features(_slides(), path), import_features),
     "labels": (lambda path: export_labels(_slides(), path), import_labels),
     "graphs": (lambda path: save_image_graphs(_graphs(), path), load_image_graphs),
