@@ -16,6 +16,12 @@ scipy's `fftconvolve(..., mode="valid")`.  The inverse is written into the
 half-spectrum's own buffer, so the response is a view of it, and the maxima
 are found per block of rows: `detect_nuclei` peaks at about 1.2 to 1.4 times
 the float64 image rather than 5.6 times.
+
+An 8-bit image stays 8-bit: `read_pgm` returns the file's uint8 samples s,
+which mean intensity s / 255, and `bank_response` divides each block of rows
+it gathers by 255 as it goes.  That is the division a float64 copy of the
+image would hold, so responses and points are the same bits, and a whole
+slide is held at one byte per pixel while `detect` tiles it.
 """
 
 from __future__ import annotations
@@ -54,16 +60,23 @@ class DetectionParams:
 
 @dataclass
 class GrayImage:
-    """Grayscale image, row-major float64 intensities in [0, 1]."""
+    """Grayscale image, row-major: float64 intensities in [0, 1], or uint8
+    samples s (as an 8-bit PGM holds them), each meaning intensity s / 255.
+
+    uint8 pixels are kept as given and need no range check; any other dtype
+    is converted to float64 and checked.
+    """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.float64)
+        p = np.asarray(self.pixels)
         if p.ndim != 2 or p.size == 0:
             raise ValueError("pixels must be a non-empty 2-D array")
-        if not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0:
-            raise ValueError("intensities must be finite and in [0, 1]")
+        if p.dtype != np.uint8:
+            p = p.astype(np.float64, copy=False)
+            if not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0:
+                raise ValueError("intensities must be finite and in [0, 1]")
         self.pixels = p
 
     @property
@@ -139,7 +152,9 @@ def bank_response(img: GrayImage, bank: GLoGBank) -> np.ndarray:
     transforms per row and per column, taken in blocks so that only the
     half-spectrum of the padded image is full size.  The inverse goes into
     that half-spectrum's own buffer, so the returned (height, width) array is
-    a view whose base is the half-spectrum.
+    a view whose base is the half-spectrum.  uint8 samples are divided by 255
+    a block of rows at a time, so the result is bit for bit that of the
+    float64 image `samples / 255.0`.
     """
     hw = bank.half_width
     kernel = bank.pooled_kernel()
@@ -149,8 +164,10 @@ def bank_response(img: GrayImage, bank: GLoGBank) -> np.ndarray:
     # rfft of the reflect-padded rows, never building the padded image
     spec = np.empty((len(rows), s1 // 2 + 1), dtype=np.complex128)
     for r in range(0, len(rows), ROW_BLOCK):
-        spec[r:r + ROW_BLOCK] = rfft(img.pixels[np.ix_(rows[r:r + ROW_BLOCK], cols)],
-                                     n=s1, axis=1)
+        block = img.pixels[np.ix_(rows[r:r + ROW_BLOCK], cols)]
+        if block.dtype == np.uint8:
+            block = np.divide(block, 255.0, dtype=np.float64)
+        spec[r:r + ROW_BLOCK] = rfft(block, n=s1, axis=1)
     # per block of spectrum columns: the transform down the rows, the product
     # with the kernel's spectrum and the unscaled inverse; the valid rows go
     # back in place
@@ -259,19 +276,26 @@ def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
 def write_pgm(img: GrayImage, path) -> None:
     """Write an 8-bit binary PGM (P5) file, each pixel round(255 * intensity).
 
-    Rows are scaled and rounded `ROW_BLOCK` at a time into the uint8 array,
-    so no float64 copy of the image is held.
+    uint8 samples are written as they are.  float64 rows are scaled and
+    rounded `ROW_BLOCK` at a time into the uint8 array, so no float64 copy of
+    the image is held.
     """
-    data = np.empty(img.pixels.shape, dtype=np.uint8)
-    for r in range(0, img.height, ROW_BLOCK):
-        data[r:r + ROW_BLOCK] = np.round(img.pixels[r:r + ROW_BLOCK] * 255.0)
+    data = img.pixels
+    if data.dtype != np.uint8:
+        data = np.empty(data.shape, dtype=np.uint8)
+        for r in range(0, img.height, ROW_BLOCK):
+            data[r:r + ROW_BLOCK] = np.round(img.pixels[r:r + ROW_BLOCK] * 255.0)
     with Path(path).open("wb") as fh:
         fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
-        fh.write(data)
+        fh.write(np.ascontiguousarray(data))
 
 
 def read_pgm(path) -> GrayImage:
-    """Read an 8-bit binary PGM (P5) file."""
+    """Read an 8-bit binary PGM (P5) file as its uint8 samples.
+
+    The pixels are a read-only view of the bytes read; sample s means
+    intensity s / 255.
+    """
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
         raise ValidationError(f"{path}: not a binary PGM (P5) file")
@@ -293,5 +317,4 @@ def read_pgm(path) -> GrayImage:
     if len(raw) - pos < width * height:
         raise ValidationError(f"{path}: truncated pixel data")
     data = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
-    # one float64 allocation: the cast happens inside the division
-    return GrayImage(np.divide(data.reshape(height, width), 255.0, dtype=np.float64))
+    return GrayImage(data.reshape(height, width))

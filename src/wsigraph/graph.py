@@ -32,9 +32,11 @@ from .points import PointSet
 # reduction costs ~n^2 * bandwidth against ~n^3 for the dense solve; with the
 # two-stage band solver (`blas.band_eigenvalues`) the two break even near a
 # bandwidth of 0.16 n at n = 1000-2000 and 0.13 n at n = 3000 (table in
-# CHANGES.md).  Smaller graphs keep the dense solve: it is as fast there, and
-# the stored golden features pin its roundoff.
-BANDED_MIN_NODES = 1000
+# CHANGES.md).  On radius graphs at the density of 1000 nuclei per 1024^2 px
+# the band solve is the faster from 500-550 nodes up.  Smaller graphs keep
+# the dense solve: it is as fast there, and the stored golden features (up
+# to 504 nodes) pin its roundoff.
+BANDED_MIN_NODES = 550
 BANDED_MAX_WIDTH_RATIO = 0.13
 
 

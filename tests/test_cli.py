@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,32 @@ class TestDetectCommand:
         assert len(back) == 1
         assert back[0].slide_id == "s"
         assert [(p.row, p.col) for p in back[0].patches] == [(0, 0), (0, 1)]
+
+    def test_whole_slide_is_tiled_as_eight_bit_views(self, tmp_path):
+        rng = np.random.default_rng(31)
+        size, n = 2048, 4000
+        write_pgm(render_nuclei_image(PointSet(rng.uniform(8, size - 8, (n, 2)), size, size),
+                                      blob_sigma=rng.uniform(4, 6, n)), tmp_path / "wsi.pgm")
+        pixels = detection.read_pgm(tmp_path / "wsi.pgm").pixels / 255.0
+        out = tmp_path / "points.csv"
+        tracemalloc.start()
+        try:
+            assert main(["detect", "--images", str(tmp_path / "wsi.pgm"), "--out", str(out),
+                         "--patch-size", "256"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the slide alone is pixels.nbytes (32 MiB)
+        assert peak < pixels.nbytes
+        params = DetectionParams()
+        bank = detection.build_glog_bank(params.sigma_x, params.sigma_y,
+                                         params.orientations, params.bandwidth)
+        slide, = import_pointsets(out)
+        assert slide.slide_id == "wsi" and len(slide.patches) == (size // 256) ** 2
+        for patch in slide.patches:
+            y, x = 256 * patch.row, 256 * patch.col
+            want = detect_nuclei(GrayImage(pixels[y:y + 256, x:x + 256]), bank)
+            assert len(want) > 0 and np.array_equal(patch.points.coords, want.coords)
 
     def test_missing_images_is_validation_failure(self, tmp_path):
         rc = main(["detect", "--images", str(tmp_path), "--out",

@@ -312,6 +312,62 @@ class TestInPlaceImagesPath:
         assert traced_peak(lambda: detect_nuclei(tile, self.bank)) <= 1.5 * nbytes
 
 
+def rendered_pgm(path, size, n, seed):
+    """Write an n-nucleus rendering of a size x size patch as PGM; return path."""
+    rng = np.random.default_rng(seed)
+    points = PointSet(rng.uniform(8, size - 8, (n, 2)), size, size)
+    write_pgm(render_nuclei_image(points, blob_sigma=rng.uniform(4, 6, n),
+                                  amplitude=rng.uniform(0.5, 0.8, n)), path)
+    return path
+
+
+class TestEightBitImages:
+    """uint8 samples s stand for the float64 intensities s / 255, bit for bit."""
+
+    bank = build_glog_bank(8, 4, 9, 7)
+
+    def check_same_bits(self, samples):
+        eight = GrayImage(samples)
+        assert eight.pixels.dtype == np.uint8
+        floats = GrayImage(samples / 255.0)
+        assert np.array_equal(bank_response(eight, self.bank), bank_response(floats, self.bank))
+        got, want = detect_nuclei(eight, self.bank), detect_nuclei(floats, self.bank)
+        assert np.array_equal(got.coords, want.coords)
+        return got
+
+    @pytest.mark.parametrize("block", [1, 7, detection.ROW_BLOCK])
+    @pytest.mark.parametrize("shape", [(1, 1), (31, 33), (257, 513)])
+    def test_random_samples(self, monkeypatch, block, shape):
+        samples = np.random.default_rng(list(shape)).integers(0, 256, shape).astype(np.uint8)
+        monkeypatch.setattr(detection, "ROW_BLOCK", block)
+        self.check_same_bits(samples)
+
+    @pytest.mark.parametrize("block", [1, 7, detection.ROW_BLOCK])
+    def test_rendered_1024_pgm(self, tmp_path, monkeypatch, block):
+        samples = read_pgm(rendered_pgm(tmp_path / "p.pgm", 1024, 1000, seed=5)).pixels
+        monkeypatch.setattr(detection, "ROW_BLOCK", block)
+        assert len(self.check_same_bits(samples)) > 0
+
+    def test_detection_from_a_pgm_holds_no_float_image(self, tmp_path):
+        path = rendered_pgm(tmp_path / "p.pgm", 1024, 1000, seed=5)
+        detect_nuclei(read_pgm(path), self.bank)
+        float_image = 1024 * 1024 * 8
+        # a float64 copy of the samples peaked at about 2.3 times
+        assert traced_peak(lambda: detect_nuclei(read_pgm(path), self.bank)) <= 1.5 * float_image
+
+    def test_pgm_rewrites_byte_for_byte(self, tmp_path):
+        every_byte = tmp_path / "all.pgm"
+        every_byte.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+        for path in (every_byte, rendered_pgm(tmp_path / "p.pgm", 300, 120, seed=6)):
+            write_pgm(read_pgm(path), tmp_path / "back.pgm")
+            assert (tmp_path / "back.pgm").read_bytes() == path.read_bytes()
+        # a tile of a slide is a strided view; its rows are written in order
+        tile = GrayImage(read_pgm(every_byte).pixels[2:5, 3:9])
+        write_pgm(tile, tmp_path / "tile.pgm")
+        assert (tmp_path / "tile.pgm").read_bytes() == b"P5\n6 3\n255\n" + bytes(
+            16 * r + c for r in range(2, 5) for c in range(3, 9))
+
+
 def brute_force_merge(rows, cols, values, merge_radius):
     """Greedy merge by definition: strongest first (ties by row, then column),
     keep a maximum unless a kept one is strictly closer than merge_radius."""
@@ -382,18 +438,21 @@ class TestMerge:
 class TestPgm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
-        img = GrayImage(np.round(rng.uniform(0, 1, (30, 40)) * 255) / 255)
+        samples = rng.integers(0, 256, (30, 40)).astype(np.uint8)
+        img = GrayImage(samples / 255)
         path = tmp_path / "img.pgm"
         write_pgm(img, path)
         back = read_pgm(path)
         assert back.width == 40 and back.height == 30
-        assert np.allclose(back.pixels, img.pixels, atol=1e-12)
+        assert back.pixels.dtype == np.uint8 and np.array_equal(back.pixels, samples)
 
     def test_every_byte_reads_as_its_value_over_255(self, tmp_path):
+        # the samples are kept as they are; sample s means intensity s / 255
         path = tmp_path / "all.pgm"
         path.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
-        want = np.arange(256, dtype=np.uint8).reshape(16, 16).astype(np.float64) / 255.0
-        assert np.array_equal(read_pgm(path).pixels, want)
+        pixels = read_pgm(path).pixels
+        assert pixels.dtype == np.uint8
+        assert np.array_equal(pixels, np.arange(256, dtype=np.uint8).reshape(16, 16))
 
     def test_reads_header_with_comment(self, tmp_path):
         path = tmp_path / "c.pgm"
@@ -401,7 +460,7 @@ class TestPgm:
         path.write_bytes(b"P5\n# a comment\n3 2\n255\n" + data)
         img = read_pgm(path)
         assert img.width == 3 and img.height == 2
-        assert np.allclose(img.pixels, 7 / 255)
+        assert img.pixels.dtype == np.uint8 and np.array_equal(img.pixels, np.full((2, 3), 7))
 
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "x.pgm"

@@ -524,7 +524,7 @@ class TestAdjacencyEigenvalues:
         assert bool(calls) == (self.SOLVER == "eigvals_banded")
 
     @pytest.mark.parametrize("seed, n, gap", [
-        (1, graph.BANDED_MIN_NODES, False), (2, 1500, False), (3, 1650, True),
+        (1, 1000, False), (2, 1500, False), (3, 1650, True), (4, graph.BANDED_MIN_NODES, False),
     ])
     def test_band_path_matches_the_dense_spectrum(self, band_solve, seed, n, gap):
         g = strip_graph(seed, n, gap)
