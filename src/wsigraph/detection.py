@@ -17,11 +17,11 @@ half-spectrum's own buffer, so the response is a view of it, and the maxima
 are found per block of rows: `detect_nuclei` peaks at about 1.2 to 1.4 times
 the float64 image rather than 5.6 times.
 
-An 8-bit image stays 8-bit: `read_pgm` returns the file's uint8 samples s,
-which mean intensity s / 255, and `bank_response` divides each block of rows
-it gathers by 255 as it goes.  That is the division a float64 copy of the
-image would hold, so responses and points are the same bits, and a whole
-slide is held at one byte per pixel while `detect` tiles it.
+An image is 8-bit wherever it comes from: a `GrayImage` holds uint8 samples
+s, each meaning intensity s / 255, as an 8-bit PGM holds them.  Float
+intensities are rounded to round(255 * x) when the image is made, so a
+rendered patch detects the same points in memory as through its PGM, and a
+whole slide is held at one byte per pixel while `detect` tiles it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .points import PointSet, greedy_merge
 
 # rows per forward and inverse real transform of `bank_response`, per
-# maximum filter of `detect_nuclei` and per rounding pass of `write_pgm`, and
+# maximum filter of `detect_nuclei` and per rounding pass of `GrayImage`, and
 # half-spectrum columns per pass of `bank_response`; they bound temporaries,
 # not results
 ROW_BLOCK = 32
@@ -60,11 +60,11 @@ class DetectionParams:
 
 @dataclass
 class GrayImage:
-    """Grayscale image, row-major: float64 intensities in [0, 1], or uint8
-    samples s (as an 8-bit PGM holds them), each meaning intensity s / 255.
+    """Grayscale image, row-major, of uint8 samples s, each meaning intensity s / 255.
 
-    uint8 pixels are kept as given and need no range check; any other dtype
-    is converted to float64 and checked.
+    uint8 pixels are kept as given.  Any other pixels are intensities, which
+    must be finite and in [0, 1]; they are rounded to round(255 * x) in
+    float64, `ROW_BLOCK` rows at a time, so no float64 copy is held.
     """
 
     pixels: np.ndarray
@@ -74,9 +74,13 @@ class GrayImage:
         if p.ndim != 2 or p.size == 0:
             raise ValueError("pixels must be a non-empty 2-D array")
         if p.dtype != np.uint8:
-            p = p.astype(np.float64, copy=False)
             if not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0:
                 raise ValueError("intensities must be finite and in [0, 1]")
+            samples = np.empty(p.shape, dtype=np.uint8)
+            for r in range(0, len(p), ROW_BLOCK):
+                samples[r:r + ROW_BLOCK] = np.round(
+                    np.multiply(p[r:r + ROW_BLOCK], 255.0, dtype=np.float64))
+            p = samples
         self.pixels = p
 
     @property
@@ -147,14 +151,12 @@ def bank_response(img: GrayImage, bank: GLoGBank) -> np.ndarray:
 
     Pooling is linear, so the whole bank collapses into one combined kernel
     and a single FFT convolution; the image is reflect-padded to avoid fake
-    border maxima.  The result is bit for bit `fftconvolve(np.pad(pixels, hw,
-    "reflect"), kernel, mode="valid")`: the same FFT sizes and the same
-    transforms per row and per column, taken in blocks so that only the
-    half-spectrum of the padded image is full size.  The inverse goes into
-    that half-spectrum's own buffer, so the returned (height, width) array is
-    a view whose base is the half-spectrum.  uint8 samples are divided by 255
-    a block of rows at a time, so the result is bit for bit that of the
-    float64 image `samples / 255.0`.
+    border maxima.  The result is bit for bit `fftconvolve(np.pad(pixels /
+    255, hw, "reflect"), kernel, mode="valid")`: the same division and FFT
+    sizes and the same transforms per row and per column, taken in blocks so
+    that only the half-spectrum of the padded image is full size.  The
+    inverse goes into that half-spectrum's own buffer, so the returned
+    (height, width) array is a view whose base is the half-spectrum.
     """
     hw = bank.half_width
     kernel = bank.pooled_kernel()
@@ -164,9 +166,7 @@ def bank_response(img: GrayImage, bank: GLoGBank) -> np.ndarray:
     # rfft of the reflect-padded rows, never building the padded image
     spec = np.empty((len(rows), s1 // 2 + 1), dtype=np.complex128)
     for r in range(0, len(rows), ROW_BLOCK):
-        block = img.pixels[np.ix_(rows[r:r + ROW_BLOCK], cols)]
-        if block.dtype == np.uint8:
-            block = np.divide(block, 255.0, dtype=np.float64)
+        block = img.pixels[np.ix_(rows[r:r + ROW_BLOCK], cols)] / 255.0
         spec[r:r + ROW_BLOCK] = rfft(block, n=s1, axis=1)
     # per block of spectrum columns: the transform down the rows, the product
     # with the kernel's spectrum and the unscaled inverse; the valid rows go
@@ -250,7 +250,7 @@ def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
     """Render points as dark Gaussian blobs on a light background.
 
     blob_sigma and amplitude may be scalars or per-point arrays; intensities
-    are clipped to [0, 1].
+    are clipped to [0, 1] and returned as 8-bit samples round(255 * x).
     """
     h, w = int(round(points.patch_height)), int(round(points.patch_width))
     img = np.full((h, w), float(background))
@@ -274,28 +274,14 @@ def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
 # 8-bit binary PGM (P5) I/O
 
 def write_pgm(img: GrayImage, path) -> None:
-    """Write an 8-bit binary PGM (P5) file, each pixel round(255 * intensity).
-
-    uint8 samples are written as they are.  float64 rows are scaled and
-    rounded `ROW_BLOCK` at a time into the uint8 array, so no float64 copy of
-    the image is held.
-    """
-    data = img.pixels
-    if data.dtype != np.uint8:
-        data = np.empty(data.shape, dtype=np.uint8)
-        for r in range(0, img.height, ROW_BLOCK):
-            data[r:r + ROW_BLOCK] = np.round(img.pixels[r:r + ROW_BLOCK] * 255.0)
+    """Write an 8-bit binary PGM (P5) file of the image's samples."""
     with Path(path).open("wb") as fh:
         fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(data))
+        fh.write(np.ascontiguousarray(img.pixels))
 
 
 def read_pgm(path) -> GrayImage:
-    """Read an 8-bit binary PGM (P5) file as its uint8 samples.
-
-    The pixels are a read-only view of the bytes read; sample s means
-    intensity s / 255.
-    """
+    """Read an 8-bit binary PGM (P5) file; the pixels are a read-only view of its bytes."""
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
         raise ValidationError(f"{path}: not a binary PGM (P5) file")

@@ -28,6 +28,7 @@ whole evaluation set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -508,7 +509,9 @@ def train(dataset, config: TrainConfig):
     standardizes node features with statistics fitted on `dataset`.
     Deterministic given config.seed.  Returns (model, history) where
     history has one {epoch, loss, accuracy} entry per epoch from the
-    training passes.
+    training passes.  Training that diverges raises ValidationError: at the
+    first epoch whose mean loss is not finite, or after the last step if a
+    parameter is not finite.
     """
     if not dataset:
         raise ValidationError("no slide graphs to train on")
@@ -543,12 +546,18 @@ def train(dataset, config: TrainConfig):
             losses[batch] = -np.log(np.clip(probs[np.arange(len(y)), y], 1e-12, None))
             correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
             adam.step(model.flat, grad)
-        history.append({
-            "epoch": epoch,
-            "loss": float(losses.mean()),
-            "accuracy": correct / n,
-        })
+        loss = float(losses.mean())
+        if not math.isfinite(loss):
+            _diverged(epoch, f"mean loss is {loss}", config)
+        history.append({"epoch": epoch, "loss": loss, "accuracy": correct / n})
+    if not np.all(np.isfinite(model.flat)):
+        _diverged(config.epochs - 1, "a parameter is not finite", config)
     return model, history
+
+
+def _diverged(epoch: int, what: str, config: TrainConfig):
+    raise ValidationError(f"training diverged at epoch {epoch}: {what} "
+                          f"(learning_rate {config.learning_rate!r})")
 
 
 @dataclass

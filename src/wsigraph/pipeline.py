@@ -332,12 +332,18 @@ class WorkerPool:
         return False
 
 
-def _worker_pool(workers: int, jobs: int, pool: WorkerPool | None = None):
-    """The open `pool`, left open; else a new pool if >1 worker and >1 job; else None."""
+def _worker_pool(workers: int, jobs: int, pool: WorkerPool | None = None, in_process: int = 0):
+    """The open `pool`, left open; else a new pool if >1 worker and >1 job; else None.
+
+    A new pool has a process per job it is handed, `jobs` less the
+    `in_process` ones that this process runs itself, and at most `workers`.
+    """
     if pool is not None:
         return contextlib.nullcontext(pool)
     workers = _resolve_workers(workers)
-    return WorkerPool(workers) if workers > 1 and jobs > 1 else contextlib.nullcontext()
+    if workers > 1 and jobs > 1:
+        return WorkerPool(min(workers, jobs - in_process))
+    return contextlib.nullcontext()
 
 
 def featurize_slides(slides, d_p: float, workers: int = 0,
@@ -624,7 +630,7 @@ def cross_validate(graphs, config: ExperimentConfig, pool: WorkerPool | None = N
         jobs.append((fold_idx, [g for i, g in enumerate(graphs) if i not in val_set],
                      [graphs[i] for i in val_idx], fold_cfg))
 
-    with _worker_pool(config.workers, len(jobs), pool) as pool:
+    with _worker_pool(config.workers, len(jobs), pool, in_process=1) as pool:
         pending = {i: pool.apply_async(_run_fold, job)
                    for i, job in enumerate(jobs) if pool is not None and i > 0}
         fold_reports = []

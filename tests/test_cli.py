@@ -568,6 +568,24 @@ class TestMalformedInterchange:
         assert json.loads(model.read_text())["config"]["epochs"] == 0
         assert json.loads((tmp_path / "h.json").read_text()) == []
 
+    @pytest.mark.parametrize("scale, flags, message", [
+        (1.0, ["--learning-rate", "1e300"], "epoch 1: mean loss is nan (learning_rate 1e+300)"),
+        # the feature sums overflow float64, so the standardization is NaN
+        (1e308, [], "epoch 0: mean loss is nan (learning_rate 0.0002)"),
+    ])
+    def test_diverged_training_exits_one_and_writes_nothing(self, tmp_path, caplog, scale,
+                                                             flags, message):
+        graphs, model, history = (tmp_path / n for n in ("graphs.jsonl", "m.json", "h.json"))
+        graphs.write_text("".join(
+            graph_record(slide_id=s, label=label, features=[[scale, 0.0], [0.0, scale]]) + "\n"
+            for s, label in (("a", 0), ("b", 1))))
+        with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+            assert main(["train", "--graphs", str(graphs), "--model", str(model),
+                         "--history", str(history), "--epochs", "3"] + flags) == 1
+        assert f"{graphs}: training diverged at {message}" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not model.exists() and not history.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_empty_graph_file(self, tmp_path, caplog, command, text):

@@ -16,6 +16,7 @@ from wsigraph.detection import (
     render_nuclei_image,
     write_pgm,
 )
+from wsigraph.pipeline import ExperimentConfig, synth_dataset
 from wsigraph.points import PointSet
 
 from oracles import greedy_match_count
@@ -65,16 +66,15 @@ class TestBank:
     def test_pooled_kernel_equals_per_kernel_sum(self):
         bank = build_glog_bank(6, 3, 4, 3)
         rng = np.random.default_rng(0)
-        img = rng.uniform(0, 1, (40, 40))
-        from scipy.signal import fftconvolve
+        img = GrayImage(rng.uniform(0, 1, (40, 40)))
 
         half = bank.half_width
-        padded = np.pad(img, half, mode="reflect")
+        padded = np.pad(img.pixels / 255.0, half, mode="reflect")
         acc = np.zeros_like(padded)
         for k, w in zip(bank.kernels, bank.scale_weights):
             acc += w * fftconvolve(padded, k, mode="same")
         ref = acc[half:-half, half:-half]
-        got = bank_response(GrayImage(img), bank)
+        got = bank_response(img, bank)
         assert np.allclose(got, ref, atol=1e-9)
 
 
@@ -150,16 +150,15 @@ class TestDetect:
 
 def fftconvolve_response(img, bank):
     """The one-call response that the blocked `bank_response` replaced."""
-    padded = np.pad(img.pixels, bank.half_width, mode="reflect")
+    padded = np.pad(img.pixels / 255.0, bank.half_width, mode="reflect")
     return fftconvolve(padded, bank.pooled_kernel(), mode="valid")
 
 
 def rendered_patch(size, n, seed):
-    """An 8-bit rendered patch of n nuclei, overlaps allowed, as `detect` reads one."""
+    """A rendered patch of n nuclei, overlaps allowed."""
     rng = np.random.default_rng(seed)
-    img = render_nuclei_image(PointSet(rng.uniform(8, size - 8, (n, 2)), size, size),
-                              blob_sigma=rng.uniform(4, 6, n), amplitude=rng.uniform(0.5, 0.8, n))
-    return GrayImage(np.round(img.pixels * 255) / 255)
+    return render_nuclei_image(PointSet(rng.uniform(8, size - 8, (n, 2)), size, size),
+                               blob_sigma=rng.uniform(4, 6, n), amplitude=rng.uniform(0.5, 0.8, n))
 
 
 class TestBlockedResponse:
@@ -207,7 +206,7 @@ class TestBlockedResponse:
         finally:
             tracemalloc.stop()
         # the one-call fftconvolve peaked near 5.9 times the float64 image
-        assert peak <= 3 * img.pixels.nbytes
+        assert peak <= 3 * 8 * img.pixels.size
 
 
 def full_filter_detections(resp, merge_radius=8.0):
@@ -287,8 +286,8 @@ class TestInPlaceImagesPath:
         halves = (levels + 0.5) / 255.0
         assert np.array_equal(halves * 255.0, levels + 0.5)     # ties, rounded to even
         points = PointSet(rng.uniform(0, [width, height], (30, 2)), width, height)
-        for pixels in (rng.uniform(0, 1, (height, width)),
-                       render_nuclei_image(points, amplitude=0.9).pixels, halves):
+        rendering = np.clip(window_rendering(points, np.full(30, 5.0), np.full(30, 0.9)), 0, 1)
+        for pixels in (rng.uniform(0, 1, (height, width)), rendering, halves):
             path = tmp_path / "p.pgm"
             write_pgm(GrayImage(pixels), path)
             want = np.round(pixels * 255.0).astype(np.uint8)
@@ -303,7 +302,7 @@ class TestInPlaceImagesPath:
         rng = np.random.default_rng(5)
         points = PointSet(rng.uniform(8, 1016, (1000, 2)), 1024, 1024)
         img = render_nuclei_image(points)
-        nbytes = img.pixels.nbytes
+        nbytes = 8 * img.pixels.size        # the float64 image
         assert traced_peak(lambda: render_nuclei_image(points)) <= 1.5 * nbytes
         assert traced_peak(lambda: write_pgm(img, tmp_path / "p.pgm")) <= 1.5 * nbytes
         tile = rendered_patch(1024, 1000, seed=5)
@@ -366,6 +365,32 @@ class TestEightBitImages:
         write_pgm(tile, tmp_path / "tile.pgm")
         assert (tmp_path / "tile.pgm").read_bytes() == b"P5\n6 3\n255\n" + bytes(
             16 * r + c for r in range(2, 5) for c in range(3, 9))
+
+
+class TestOnePixelType:
+    """Float intensities become the samples their PGM holds, so an image
+    detects the same in memory as through its file."""
+
+    bank = build_glog_bank(8, 4, 9, 7)
+
+    def test_synthetic_patches_detect_as_their_pgms(self, tmp_path):
+        slides = synth_dataset(ExperimentConfig(seed=7, slides_per_class=2))
+        patches = [patch for slide in slides for patch in slide.patches]
+        assert len(patches) == 24
+        for patch in patches:
+            img = render_nuclei_image(patch.points)
+            write_pgm(img, tmp_path / "p.pgm")
+            got = detect_nuclei(img, self.bank)
+            want = detect_nuclei(read_pgm(tmp_path / "p.pgm"), self.bank)
+            assert len(got) > 0 and np.array_equal(got.coords, want.coords)
+
+    def test_rounding_holds_no_float_copy(self):
+        floats = np.random.default_rng(8).uniform(0, 1, (1024, 1024))
+        made = []
+        peak = traced_peak(lambda: made.append(GrayImage(floats)))
+        assert made[0].pixels.dtype == np.uint8
+        # the uint8 samples (1/8 of the image) and one block of scaled rows
+        assert peak <= 0.25 * floats.nbytes
 
 
 def brute_force_merge(rows, cols, values, merge_radius):

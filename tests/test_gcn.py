@@ -418,6 +418,23 @@ class TestTrainEvaluate:
         losses = [h["loss"] for h in history]
         assert max(losses) - min(losses) < 1e-12
 
+    def test_parameters_that_leave_the_floats_after_the_last_step_raise(self, monkeypatch):
+        data = random_dataset(np.random.default_rng(40), count=4, dim=10)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, dropout_p=0.0, seed=1,
+                          gcn_dims=(6,), head_dims=(5,), num_classes=3)
+        steps, real_step = [], Adam.step
+
+        def step(self, params, grad):
+            real_step(self, params, grad)
+            steps.append(1)
+            if len(steps) == cfg.epochs:
+                params[0] = np.inf     # the last step; every loss was finite
+
+        monkeypatch.setattr(Adam, "step", step)
+        with pytest.raises(ValidationError, match=r"training diverged at epoch 1: a parameter "
+                                                  r"is not finite \(learning_rate 0\.001\)"):
+            train(data, cfg)
+
     def test_same_seed_identical_history(self):
         rng = np.random.default_rng(41)
         data = random_dataset(rng, count=6, dim=12)

@@ -3,6 +3,7 @@ import multiprocessing.pool
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from wsigraph.pipeline import (
     run_experiment,
     report_without_timings,
     stratified_folds,
+    synth_dataset,
     synth_slide,
     tile_image,
 )
@@ -546,6 +548,66 @@ class TestPooledFolds:
         else:
             run_experiment(small_config(1, workers=2), write_outputs=False)
         assert calls == (["terminate", "join"] if fail else ["close", "join"])
+
+    @staticmethod
+    def record_pool_sizes(monkeypatch) -> list:
+        """Swap multiprocessing.Pool for one that runs each job in this process;
+        returns the list of the sizes it is asked for."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def map(self, fn, jobs, chunksize=1):
+                return [fn(job) for job in jobs]
+
+            def apply_async(self, fn, args):
+                result = fn(*args)
+                return SimpleNamespace(get=lambda: result)
+
+            def close(self):
+                pass
+
+            terminate = join = close
+
+        monkeypatch.setattr(pipeline.multiprocessing, "Pool", InProcessPool)
+        return sizes
+
+    def test_pool_sizes_are_capped_by_the_jobs(self, monkeypatch):
+        cfg = small_config(1, workers=1)
+        slides = synth_dataset(cfg)
+        want_features = [p.features for s in featurize_slides(slides[:3], cfg.d_p, workers=1)
+                         for p in s.patches]
+        graphs = [build_slide_graph(s, cfg.theta, cfg.min_nuclei_per_patch)
+                  for s in featurize_slides(slides, cfg.d_p, workers=1)]
+        want_cv = report_without_timings(pipeline.cross_validate(graphs, cfg))
+        want_run = report_without_timings(run_experiment(cfg, write_outputs=False))
+        sizes = self.record_pool_sizes(monkeypatch)
+
+        got = featurize_slides(slides[:3], cfg.d_p, workers=64)
+        assert sizes == [3]
+        assert all(np.array_equal(p.features, f)
+                   for p, f in zip((p for s in got for p in s.patches), want_features))
+        # fold 0 trains in this process, so the pool gets folds - 1 jobs
+        cfg.workers = 64
+        assert report_without_timings(pipeline.cross_validate(graphs, cfg)) == {
+            **want_cv, "config": {**want_cv["config"], "workers": 64}}
+        assert sizes == [3, cfg.folds - 1]
+        report = report_without_timings(run_experiment(cfg, write_outputs=False))
+        assert sizes == [3, cfg.folds - 1, len(slides)]
+        assert report["config"].pop("workers") == 64 and want_run["config"].pop("workers") == 1
+        assert json.dumps(report, sort_keys=True) == json.dumps(want_run, sort_keys=True)
+
+    def test_a_diverged_fold_raises_and_writes_no_report(self, tmp_path):
+        cfg = small_config(1, workers=1)
+        cfg.train.learning_rate = 1e300
+        cfg.output_dir = str(tmp_path / "out")
+        with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+            with pytest.raises(ValidationError, match=r"training diverged at epoch 1: mean "
+                                                      r"loss is nan \(learning_rate 1e\+300\)"):
+                run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_one_worker_opens_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
