@@ -13,10 +13,11 @@ import errno
 import json
 import logging
 import os
-import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import detection, gcn, pipeline
 from .detection import DetectionParams
@@ -43,7 +44,7 @@ def _add_synth(sub):
     p.add_argument("--patch-size", type=int, default=_SYNTH.patch_size)
     p.add_argument("--slide-size", type=int, default=_SYNTH.slide_width)
     p.add_argument("--render", action="store_true",
-                   help="also render each patch as a PGM image")
+                   help="also render each slide as one PGM image")
 
 
 def _add_detect(sub):
@@ -131,18 +132,22 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     pipeline.export_pointsets(slides, out / "points.csv")
     pipeline.export_labels(slides, out / "labels.csv")
-    (out / "manifest.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True,
-                                                  default=list), encoding="utf-8")
+    manifest = {"seed": cfg.seed, "slides_per_class": cfg.slides_per_class,
+                "class_names": cfg.class_names, "synth": asdict(cfg.synth)}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                                       encoding="utf-8")
     if args.render:
+        # each patch rendered alone and copied in at its origin; the rest is background
+        s = cfg.synth
         for slide in slides:
+            pixels = np.full((s.slide_height, s.slide_width), 255, dtype=np.uint8)
             for patch in slide.patches:
-                img = detection.render_nuclei_image(patch.points)
-                detection.write_pgm(img, out / f"{slide.slide_id}_r{patch.row}_c{patch.col}.pgm")
+                y, x = patch.row * s.patch_size, patch.col * s.patch_size
+                pixels[y:y + s.patch_size, x:x + s.patch_size] = \
+                    detection.render_nuclei_image(patch.points).pixels
+            detection.write_pgm(detection.GrayImage(pixels), out / f"{slide.slide_id}.pgm")
     log.info("wrote %d slides to %s", len(slides), out)
     return 0
-
-
-_PATCH_FILE = re.compile(r"^(?P<slide>.+)_r(?P<row>\d+)_c(?P<col>\d+)$")
 
 
 def _cmd_detect(args) -> int:
@@ -155,28 +160,20 @@ def _cmd_detect(args) -> int:
                                      args.orientations, args.bandwidth)
     size = args.patch_size
     stride = size if args.stride is None else args.stride
-    # files named <slide>_r<row>_c<col>.pgm are single pre-cut patches of one
-    # slide (the synth --render convention), tiled as one patch at (row, col);
-    # anything else is a whole slide image tiled from (0, 0)
-    patches, origins = {}, {}     # (slide_id, row, col) -> PatchRecord, and its file
+    # each file is one whole slide, named by its stem, its patches in row-major order
+    slides = []
     for f in files:
         img = detection.read_pgm(f)
-        m = _PATCH_FILE.match(f.stem)
-        if m and (img.width, img.height) != (size, size):
-            raise ValidationError(f"{f}: a pre-cut patch is {img.width}x{img.height}, "
-                                  f"but --patch-size is {size}")
-        slide_id, row0, col0 = (m["slide"], int(m["row"]), int(m["col"])) if m else (f.stem, 0, 0)
+        rec = pipeline.SlideRecord(slide_id=f.stem, label=-1)
         for x, y in _in_file(f, pipeline.tile_image, img.width, img.height, size, stride):
-            key = (slide_id, row0 + y // stride, col0 + x // stride)
-            pipeline.check_new_patch(origins, key, str(f), str(f))
             tile = detection.GrayImage(img.pixels[y:y + size, x:x + size])
             points = detection.detect_nuclei(tile, bank, args.response_threshold,
                                              args.merge_radius)
-            patches[key] = pipeline.PatchRecord(row=key[1], col=key[2], points=points)
-    slides = pipeline.assemble_slides(patches)
-    for rec in slides:
+            rec.patches.append(pipeline.PatchRecord(row=y // stride, col=x // stride,
+                                                    points=points))
         log.info("%s: %d patches, %d nuclei", rec.slide_id, len(rec.patches),
                  sum(len(p.points) for p in rec.patches))
+        slides.append(rec)
     pipeline.export_pointsets(slides, args.out)
     return 0
 

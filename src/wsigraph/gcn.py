@@ -571,14 +571,21 @@ def evaluate(model: GcnModel, dataset) -> EvalResult:
     """Argmax accuracy and confusion matrix (ties resolve to the lowest index).
 
     Predictions come from eval-mode passes, each graph prepared in its pass.
-    Slides labelled -1 are predicted but neither counted nor scored.
+    Slides labelled -1 are predicted but neither counted nor scored.  A
+    slide whose class probabilities are not finite, as a diverged model's
+    are, raises ValidationError.
     """
     c = model.num_classes
     check_graphs(dataset, model.input_dim, range(-1, c))
     sizes = [len(g.node_features) for g in dataset]
     probs = [_forward(model, _prepare([dataset[i] for i in run], model))["probs"]
              for run in _passes(range(len(dataset)), sizes)]
-    preds = np.concatenate(probs).argmax(axis=1) if probs else np.zeros(0, dtype=np.int64)
+    probs = np.concatenate(probs) if probs else np.zeros((0, c))
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"slide {dataset[int(finite.argmin())].slide_id} has class "
+                              "probabilities that are not finite; the model diverged")
+    preds = probs.argmax(axis=1)
     labels = np.array([g.label for g in dataset], dtype=np.int64)
     known = labels >= 0
     confusion = np.zeros((c, c), dtype=np.int64)

@@ -133,11 +133,13 @@ def _integer(rec: dict, key: str) -> int:
 def load_image_graphs(path) -> list[ImageGraph]:
     """Read a JSON-lines ImageGraph file written by save_image_graphs.
 
-    Malformed records, and records whose `num_nodes` and `feature_dim`
-    differ from their features matrix, raise ValidationError naming
-    `path:line`; a file without records raises it naming `path`.
+    Malformed records, records whose `num_nodes` and `feature_dim` differ
+    from their features matrix, and a repeated `slide_id` raise
+    ValidationError naming `path:line`; a file without records raises it
+    naming `path`.
     """
     out = []
+    first = {}      # slide_id -> the line of its record
     path = Path(path)
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -157,6 +159,9 @@ def load_image_graphs(path) -> list[ImageGraph]:
                     rows, cols = g.node_features.shape
                     raise ValueError(f"declares {n} nodes of {d} features, "
                                      f"but holds {rows} of {cols}")
+                if g.slide_id in first:
+                    raise ValueError(f"slide {g.slide_id} repeats line {first[g.slide_id]}")
+                first[g.slide_id] = lineno
                 out.append(g)
             except KeyError as e:
                 raise ValidationError(f"{path}:{lineno}: missing key {e}") from e

@@ -56,6 +56,16 @@ class TestStagedWorkflow:
         assert (workdir / "data" / "points.csv").exists()
         assert (workdir / "data" / "labels.csv").exists()
 
+    def test_synth_manifest_records_only_what_synth_read(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--slides-per-class", "1",
+                     "--seed", "6", "--classes", "2", "--patch-size", "256",
+                     "--slide-size", "512"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest == {"seed": 6, "slides_per_class": 1,
+                            "class_names": ["class0", "class1"],
+                            "synth": {"patch_size": 256, "slide_width": 512,
+                                      "slide_height": 512}}
+
     def test_featurize(self, workdir):
         rc = main([
             "featurize", "--points", str(workdir / "data" / "points.csv"),
@@ -142,23 +152,23 @@ class TestDetectCommand:
         assert len(detected) >= 0.7 * len(truth)
         assert len(detected) <= 1.3 * len(truth)
 
-    def test_patch_named_files_group_into_one_slide(self, tmp_path):
+    def test_patch_named_files_are_slides_of_that_name(self, tmp_path):
+        """A file's name decides only its slide_id: <slide>_r<row>_c<col>.pgm
+        is a whole slide like any other, at any size."""
         imgdir = tmp_path / "imgs"
         imgdir.mkdir()
-        params = SynthParams(slide_width=512, slide_height=256, patch_size=256)
-        slide = synth_slide(0, params, seed=2, slide_id="s")
-        for patch in slide.patches:
-            truth = PointSet(patch.points.coords[:20], 256, 256)
-            img = render_nuclei_image(truth, blob_sigma=5.0, amplitude=0.7)
-            write_pgm(img, imgdir / f"s_r{patch.row}_c{patch.col}.pgm")
+        rng = np.random.default_rng(2)
+        for name, size in (("case_r1_c2", 1024), ("biopsy_r1_c2", 256)):
+            truth = PointSet(rng.uniform(8, size - 8, (size // 8, 2)), size, size)
+            write_pgm(render_nuclei_image(truth), imgdir / f"{name}.pgm")
         out = tmp_path / "points.csv"
-        rc = main(["detect", "--images", str(imgdir), "--out", str(out),
-                   "--patch-size", "256", "--stride", "256"])
-        assert rc == 0
+        assert main(["detect", "--images", str(imgdir), "--out", str(out),
+                     "--patch-size", "256"]) == 0
         back = import_pointsets(out)
-        assert len(back) == 1
-        assert back[0].slide_id == "s"
-        assert [(p.row, p.col) for p in back[0].patches] == [(0, 0), (0, 1)]
+        assert [s.slide_id for s in back] == ["biopsy_r1_c2", "case_r1_c2"]
+        assert [(p.row, p.col) for p in back[0].patches] == [(0, 0)]
+        assert [(p.row, p.col) for p in back[1].patches] == [(r, c) for r in range(4)
+                                                             for c in range(4)]
 
     def test_whole_slide_is_tiled_as_eight_bit_views(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -186,6 +196,29 @@ class TestDetectCommand:
             want = detect_nuclei(GrayImage(pixels[y:y + 256, x:x + 256]), bank)
             assert len(want) > 0 and np.array_equal(patch.points.coords, want.coords)
 
+    def test_overlapping_tiles_are_keyed_by_stride(self, tmp_path):
+        """--stride below --patch-size tiles a slide into overlapping patches,
+        each keyed by its origin in strides and detected on its own window."""
+        rng = np.random.default_rng(5)
+        size, n = 1024, 1000
+        write_pgm(render_nuclei_image(PointSet(rng.uniform(8, size - 8, (n, 2)), size, size)),
+                  tmp_path / "wsi.pgm")
+        out = tmp_path / "points.csv"
+        assert main(["detect", "--images", str(tmp_path / "wsi.pgm"), "--out", str(out),
+                     "--patch-size", "256", "--stride", "128"]) == 0
+        image = detection.read_pgm(tmp_path / "wsi.pgm")
+        params = DetectionParams()
+        bank = detection.build_glog_bank(params.sigma_x, params.sigma_y,
+                                         params.orientations, params.bandwidth)
+        slide, = import_pointsets(out)
+        origins = pipeline.tile_image(size, size, 256, 128)
+        assert len(origins) == 49
+        assert [(p.row, p.col) for p in slide.patches] == [(y // 128, x // 128)
+                                                           for x, y in origins]
+        for patch, (x, y) in zip(slide.patches, origins):
+            want = detect_nuclei(GrayImage(image.pixels[y:y + 256, x:x + 256]), bank)
+            assert len(want) > 0 and np.array_equal(patch.points.coords, want.coords)
+
     def test_missing_images_is_validation_failure(self, tmp_path):
         rc = main(["detect", "--images", str(tmp_path), "--out",
                    str(tmp_path / "x.csv")])
@@ -196,15 +229,21 @@ class TestDetectCommand:
         assert main(["synth", "--out", str(data), "--slides-per-class", "1", "--classes", "1",
                      "--seed", "3", "--patch-size", "768", "--slide-size", "1536",
                      "--render"]) == 0
-        assert sorted(f.name for f in data.glob("*.pgm")) == [
-            f"synth-c0-0000_r{r}_c{c}.pgm" for r in (0, 1) for c in (0, 1)]
+        assert [f.name for f in data.glob("*.pgm")] == ["synth-c0-0000.pgm"]
+        assert detection.read_pgm(data / "synth-c0-0000.pgm").pixels.shape == (1536, 1536)
         out = tmp_path / "detected.csv"
         assert main(["detect", "--images", str(data), "--out", str(out)]) == 0
         truth, = import_pointsets(data / "points.csv")
         detected, = import_pointsets(out)
         assert detected.slide_id == truth.slide_id
+        params = DetectionParams()
+        bank = detection.build_glog_bank(params.sigma_x, params.sigma_y,
+                                         params.orientations, params.bandwidth)
         for t, d in zip(truth.patches, detected.patches, strict=True):
             assert (d.row, d.col) == (t.row, t.col)
+            # the slide's tile holds the bytes of the patch rendered alone
+            want = detect_nuclei(render_nuclei_image(t.points), bank)
+            assert np.array_equal(d.points.coords, want.coords)
             # rendered blobs that overlap merge, so only the bulk comes back,
             # each detection on a true centre
             assert 0.8 * len(t.points) <= len(d.points) <= len(t.points)
@@ -408,13 +447,7 @@ REJECTED_INPUTS = [
      "min_nuclei_per_patch must be >= 0, got -3"),
     ("run --config {d}/min_nuclei.json --slides-per-class 3 --epochs 1",
      "min_nuclei_per_patch must be >= 0, got -3"),
-    ("detect --images {d}/renamed --patch-size 32",
-     "{d}/renamed/s_r0_c0.pgm: slide s patch (0, 0) repeats {d}/renamed/s_r00_c0.pgm"),
-    ("detect --images {d}/tiled --patch-size 32",
-     "{d}/tiled/s_r0_c0.pgm: slide s patch (0, 0) repeats {d}/tiled/s.pgm"),
     ("detect --images {d}/img.pgm", "{d}/img.pgm: patch_size 768 exceeds image bounds 32x32"),
-    ("detect --images {d}/renamed/s_r0_c0.pgm --patch-size 16",
-     "{d}/renamed/s_r0_c0.pgm: a pre-cut patch is 32x32, but --patch-size is 16"),
     ("featurize --points {d}/points.csv --workers -3", "workers must be >= 0, got -3"),
     ("featurize --points {d}/geometry.csv",
      "{d}/geometry.csv:4: slide s1 patch (0, 0) is 256.0x256.0, but 768.0x768.0 at line 2"),
@@ -435,10 +468,7 @@ REJECTED_INPUTS = [
                          ids=[command for command, _ in REJECTED_INPUTS])
 def test_rejected_input_exits_one_and_names_it(tmp_path, caplog, command, message):
     write_pgm(GrayImage(np.ones((32, 32))), tmp_path / "img.pgm")
-    # two files that name one patch: a zero-padded row, and a whole slide tiled onto a patch
-    for name in ("renamed/s_r0_c0", "renamed/s_r00_c0", "tiled/s", "tiled/s_r0_c0"):
-        (tmp_path / name).parent.mkdir(exist_ok=True)
-        write_pgm(GrayImage(np.ones((32, 32))), tmp_path / f"{name}.pgm")
+    (tmp_path / "tiled").mkdir()      # a directory where a file must be
     (tmp_path / "truncated.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(100))
     (tmp_path / "ascii.pgm").write_bytes(b"P2\n2 1\n255\n0 255\n")
     (tmp_path / "wide.pgm").write_bytes(b"P5\n2 1\n65535\n" + bytes(4))
@@ -502,6 +532,18 @@ class TestMalformedInterchange:
         rc, graphs = self._train(tmp_path, graph_record(edges=edges) + "\n")
         assert rc == 1
         assert f"{graphs}:1: " in caplog.text and message in caplog.text
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_repeated_slide_id(self, tmp_path, caplog, command):
+        # a slide twice would sit on both sides of a fold split, and count twice
+        graphs = graphs_file(tmp_path / "graphs.jsonl", [0, 1, 0, 1, 0, 1])
+        graphs.write_text(graphs.read_text() + graph_record(slide_id="s2", label=0) + "\n")
+        out = tmp_path / "out"
+        argv = {"train": ["--model", str(out)],
+                "run": ["--epochs", "1", "--workers", "1", "--out", str(out)]}[command]
+        assert main([command, "--graphs", str(graphs), *argv]) == 1
+        assert f"{graphs}:7: slide s2 repeats line 3" in caplog.text
+        assert not out.exists()
 
     def test_checkpoint_missing_gcn_weights(self, tmp_path, caplog):
         graphs = tmp_path / "graphs.jsonl"
@@ -585,6 +627,28 @@ class TestMalformedInterchange:
         assert f"{graphs}: training diverged at {message}" in caplog.text
         assert "Traceback" not in caplog.text
         assert not model.exists() and not history.exists()
+
+    def test_model_diverged_in_its_last_step_fails_eval_and_run(self, tmp_path, caplog):
+        # one step at this rate leaves finite weights near 1e300 whose forward pass overflows
+        graphs = graphs_file(tmp_path / "graphs.jsonl", [0, 1, 0, 1])
+        model, metrics, config = (tmp_path / n for n in ("m.json", "metrics.json", "c.json"))
+        assert main(["train", "--graphs", str(graphs), "--model", str(model),
+                     "--epochs", "1", "--learning-rate", "1e300"]) == 0
+        message = "slide s0 has class probabilities that are not finite; the model diverged"
+        with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+            assert main(["eval", "--graphs", str(graphs), "--model", str(model),
+                         "--out", str(metrics)]) == 1
+        assert f"{graphs}: {message}" in caplog.text
+        assert not metrics.exists()
+        caplog.clear()
+        config.write_text('{"folds": 2, "class_names": ["a", "b"], '
+                          '"train": {"learning_rate": 1e300, "epochs": 1}}')
+        with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+            assert main(["run", "--graphs", str(graphs), "--config", str(config),
+                         "--workers", "1", "--out", str(tmp_path / "run")]) == 1
+        assert "has class probabilities that are not finite" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("text", ["", "\n\n"])

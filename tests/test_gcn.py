@@ -467,6 +467,16 @@ class TestTrainEvaluate:
         assert np.all(res.predictions == 0)
         assert res.accuracy == pytest.approx(2 / 6)
 
+    def test_non_finite_probabilities_name_the_first_slide(self):
+        rng = np.random.default_rng(43)
+        data = random_dataset(rng, count=3, dim=10)
+        model = init_model(10, (5,), (4,), num_classes=3, dropout_p=0.0, rng=rng)
+        model.flat[:] = 1e300       # finite weights whose forward pass overflows
+        with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+            with pytest.raises(ValidationError, match="slide g0 has class probabilities "
+                                                      "that are not finite"):
+                evaluate(model, data)
+
     def test_confusion_matrix_row_sums(self):
         rng = np.random.default_rng(44)
         data = random_dataset(rng, count=9, dim=10)
