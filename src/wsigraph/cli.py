@@ -50,7 +50,7 @@ def _add_synth(sub):
 def _add_detect(sub):
     p = sub.add_parser("detect", help="detect nuclei in PGM images")
     p.add_argument("--images", required=True,
-                   help="a .pgm file or a directory of .pgm files")
+                   help="a PGM file, or a directory of them (*.pgm, in any case)")
     p.add_argument("--out", required=True, help="output point-set CSV")
     p.add_argument("--sigma-x", type=float, default=_DETECTION.sigma_x)
     p.add_argument("--sigma-y", type=float, default=_DETECTION.sigma_y)
@@ -153,9 +153,15 @@ def _cmd_synth(args) -> int:
 def _cmd_detect(args) -> int:
     _check_outputs(args.out)
     src = Path(args.images)
-    files = sorted(src.glob("*.pgm")) if src.is_dir() else [src]
+    files = sorted(f for f in src.iterdir() if f.name.lower().endswith(".pgm")) \
+        if src.is_dir() else [src]
     if not files:
         raise ValidationError(f"no .pgm files found under {src}")
+    named = {}
+    for f in files:
+        if f.stem in named:
+            raise ValidationError(f"{named[f.stem]} and {f} would both be slide {f.stem}")
+        named[f.stem] = f
     bank = detection.build_glog_bank(args.sigma_x, args.sigma_y,
                                      args.orientations, args.bandwidth)
     size = args.patch_size

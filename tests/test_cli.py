@@ -219,6 +219,26 @@ class TestDetectCommand:
             want = detect_nuclei(GrayImage(image.pixels[y:y + 256, x:x + 256]), bank)
             assert len(want) > 0 and np.array_equal(patch.points.coords, want.coords)
 
+    def test_pgm_suffix_matches_in_any_case(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for name in ("a.pgm", "B.PGM"):
+            write_pgm(render_nuclei_image(PointSet(rng.uniform(8, 56, (6, 2)), 64, 64)),
+                      tmp_path / name)
+        out = tmp_path / "points.csv"
+        assert main(["detect", "--images", str(tmp_path), "--out", str(out),
+                     "--patch-size", "64"]) == 0
+        assert [s.slide_id for s in import_pointsets(out)] == ["B", "a"]
+
+    def test_one_stem_in_two_cases_exits_one_naming_both(self, tmp_path, caplog):
+        for name in ("x.pgm", "x.PGM"):
+            write_pgm(GrayImage(np.full((64, 64), 255, dtype=np.uint8)), tmp_path / name)
+        out = tmp_path / "points.csv"
+        assert main(["detect", "--images", str(tmp_path), "--out", str(out),
+                     "--patch-size", "64"]) == 1
+        assert f"{tmp_path / 'x.PGM'} and {tmp_path / 'x.pgm'} would both be slide x" \
+            in caplog.text
+        assert not out.exists()
+
     def test_missing_images_is_validation_failure(self, tmp_path):
         rc = main(["detect", "--images", str(tmp_path), "--out",
                    str(tmp_path / "x.csv")])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from wsigraph.detection import (
     render_nuclei_image,
     write_pgm,
 )
+from wsigraph.errors import ValidationError
 from wsigraph.pipeline import ExperimentConfig, synth_dataset
 from wsigraph.points import PointSet
 
@@ -391,6 +393,93 @@ class TestOnePixelType:
         assert made[0].pixels.dtype == np.uint8
         # the uint8 samples (1/8 of the image) and one block of scaled rows
         assert peak <= 0.25 * floats.nbytes
+
+
+def edge_crossing_blobs(width, height, n, seed):
+    """n blobs: 80 on every image edge and corner and on the rows where blocks
+    of 7 or 64 rows meet, the rest uniform; per-point sigma in [2, 9] and
+    amplitude in [-0.6, 0.9]."""
+    rng = np.random.default_rng(seed)
+    near = [0.0, 0.4, width - 0.6, width - 0.01]
+    rows = [0.0, 0.3, 6.5, 7.0, 63.2, 64.0, height - 0.5, height - 0.01]
+    edges = [(x, y) for x in near for y in rows if y < height]
+    edges += [(x, y) for x in rng.uniform(0, width, 6) for y in rows if y < height]
+    xy = np.vstack([edges, rng.uniform(0, [width, height], (n - len(edges), 2))])
+    points = PointSet(xy, width, height)
+    return points, rng.uniform(2, 9, len(points)), rng.uniform(-0.6, 0.9, len(points))
+
+
+def rounded_window_rendering(points, sigmas, amps):
+    """The 8-bit samples of `window_rendering`: clipped, then round(255 * x)."""
+    return np.round(np.clip(window_rendering(points, sigmas, amps), 0, 1) * 255).astype(np.uint8)
+
+
+RENDER_CASES = {
+    "edges and block edges": lambda: edge_crossing_blobs(150, 97, 120, seed=3),
+    "non-square": lambda: edge_crossing_blobs(37, 300, 90, seed=4),
+    "one row": lambda: (PointSet([[0.0, 0.0], [20.5, 0.7], [49.9, 0.2]], 50, 1),
+                        np.array([3.0, 6.0, 2.5]), np.array([0.9, -0.4, 0.5])),
+    "no points": lambda: (PointSet(np.zeros((0, 2)), 40, 30), np.zeros(0), np.zeros(0)),
+}
+
+
+class TestBlockedRendering:
+    """`render_nuclei_image` makes a block of rows at a time, with the bytes
+    of one whole float64 render and a fraction of its memory."""
+
+    @pytest.mark.parametrize("block", [1, 7, detection.RENDER_ROWS])
+    @pytest.mark.parametrize("case", RENDER_CASES)
+    def test_bytes_equal_a_whole_render(self, monkeypatch, block, case):
+        points, sigmas, amps = RENDER_CASES[case]()
+        want = rounded_window_rendering(points, sigmas, amps)
+        monkeypatch.setattr(detection, "RENDER_ROWS", block)
+        got = render_nuclei_image(points, blob_sigma=sigmas, amplitude=amps).pixels
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+    def test_windows_cross_every_edge(self):
+        points, sigmas, _ = RENDER_CASES["edges and block edges"]()
+        x, y = points.coords.T
+        r = np.ceil(4 * sigmas)
+        assert (x - r < 0).any() and (x + r >= 150).any()
+        assert (y - r < 0).any() and (y + r >= 97).any()
+        for edge in (7, 14, detection.RENDER_ROWS):
+            assert ((y - r < edge) & (y + r >= edge)).any()
+
+    def test_render_peaks_below_half_the_float64_image(self):
+        rng = np.random.default_rng(5)
+        points = PointSet(rng.uniform(8, 1016, (1000, 2)), 1024, 1024)
+        render_nuclei_image(points)
+        # a whole float64 image, clipped and rounded, peaked at about 1.2 times
+        assert traced_peak(lambda: render_nuclei_image(points)) <= 0.5 * 8 * 1024 * 1024
+
+
+# each bad render_nuclei_image argument and the message it must raise
+BAD_RENDER_ARGUMENTS = [
+    ({"blob_sigma": -2.0}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got -2.0"),
+    ({"blob_sigma": 0.0}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 0.0"),
+    ({"blob_sigma": 1e-200}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 1e-200"),
+    ({"blob_sigma": 1e200}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 1e+200"),
+    ({"blob_sigma": np.nan}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got nan"),
+    ({"blob_sigma": [5.0, -1.0, 5.0]}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, "
+                                       "got -1.0"),
+    ({"amplitude": np.inf}, "amplitude must be finite, got inf"),
+    ({"amplitude": np.nan}, "amplitude must be finite, got nan"),
+    ({"amplitude": [0.5, 0.5, -np.inf]}, "amplitude must be finite, got -inf"),
+    ({"background": np.inf}, "background must be finite, got inf"),
+    ({"background": np.nan}, "background must be finite, got nan"),
+    ({"blob_sigma": [5.0, 5.0]},
+     "blob_sigma must be a scalar or one value per point (3), got shape (2,)"),
+    ({"amplitude": np.full((3, 1), 0.5)},
+     "amplitude must be a scalar or one value per point (3), got shape (3, 1)"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_RENDER_ARGUMENTS,
+                         ids=[message for _, message in BAD_RENDER_ARGUMENTS])
+def test_bad_render_argument_is_named(kwargs, message):
+    points = PointSet([[5.0, 5.0], [10.0, 10.0], [20.0, 15.0]], 32, 24)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        render_nuclei_image(points, **kwargs)
 
 
 def brute_force_merge(rows, cols, values, merge_radius):
