@@ -22,7 +22,7 @@ from .graph import (
     hop_statistics,
     minimum_spanning_tree,
 )
-from .image_graph import ImageGraph, build_image_graph, cosine_similarity
+from .image_graph import ImageGraph, build_image_graph
 from .points import PointSet
 from .tessellation import (
     DegenerateGeometryError,
@@ -52,7 +52,6 @@ __all__ = [
     "cell_graph_features",
     "clustering_coefficients",
     "connected_components",
-    "cosine_similarity",
     "delaunay_features",
     "delaunay_triangulation",
     "density_features",

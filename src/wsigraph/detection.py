@@ -270,7 +270,7 @@ def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
     amps = _per_point("amplitude", amplitude, n)
     with np.errstate(over="ignore"):        # an overflow to inf is rejected next
         two_var = 2 * sigmas * sigmas
-    bad = ~((sigmas > 0) & (two_var > 0) & (two_var < math.inf))
+    bad = ~((sigmas > 0) & (two_var >= np.finfo(np.float64).tiny) & (two_var < math.inf))
     if bad.any():
         raise ValidationError("blob_sigma must be > 0 with 2*sigma**2 finite and > 0, "
                               f"got {float(sigmas[bad][0])!r}")
@@ -335,7 +335,8 @@ def _subtract_blobs(rows, r0, x, y, x0, x1, y0, y1, two_var, amps) -> None:
         rs, re = starts[b0], ends[b1 - 1]
         win = (-gx ** 2)[blob[rs:re] - b0]
         win += neg_gy2[rs:re, None]
-        win /= two_var[point[rs:re], None]
+        with np.errstate(over="ignore"):    # a sub-pixel blob's -inf exponent gives exp 0
+            win /= two_var[point[rs:re], None]
         np.exp(win, out=win)
         win *= amps[point[rs:re], None]
         for j, s, e in zip(order[b0:b1].tolist(), starts[b0:b1].tolist(), ends[b0:b1].tolist()):

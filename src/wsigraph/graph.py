@@ -1,10 +1,11 @@
 """Undirected graphs over nuclei point sets and the measures patch features need.
 
 Edges live in one vectorised store: `canonical_edges` turns (u, v, weight)
-triples into arrays with u < v, sorted by (u, v).  Both the cell graph here
-and the slide graph in `image_graph` use it.  Components and spanning trees
-come from `scipy.sparse.csgraph`, neighbourhoods from `scipy.spatial.cKDTree`.
-Hop measures come from a bit-parallel BFS over all sources at once
+triples into arrays with u < v, sorted by (u, v): int32 ends and float64
+weights, 16 bytes per edge.  Both the cell graph here and the slide graph in
+`image_graph` use it.  Components and spanning trees come from
+`scipy.sparse.csgraph`, neighbourhoods from `scipy.spatial.cKDTree`.  Hop
+measures come from a bit-parallel BFS over all sources at once
 (`hop_statistics`), so no n x n distance matrix is ever built.  The
 adjacency spectrum (`adjacency_eigenvalues`) of a large graph with a thin
 band comes from LAPACK's two-stage band solver, without an n x n matrix
@@ -44,9 +45,13 @@ def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, v, w) arrays with u < v, sorted by (u, v), from triples on n nodes.
 
     `edges` is a sequence of (u, v, weight) triples or an (m, 3) array.
-    Ends that are not node indices 0..n-1, self-loops, repeated pairs (in
-    either orientation) and non-finite weights are rejected.
+    `u` and `v` are int32 and `w` is float64, so an edge costs 16 bytes;
+    n above 2**31 - 1 is rejected.  Ends that are not node indices 0..n-1,
+    self-loops, repeated pairs (in either orientation) and non-finite
+    weights are rejected.
     """
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} nodes exceed the int32 node index range")
     e = np.asarray(edges, dtype=np.float64)
     if e.size == 0:
         e = e.reshape(0, 3)
@@ -67,6 +72,7 @@ def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if bad.any():
         i = bad.argmax()
         raise ValueError(f"edge ({a[i]}, {b[i]}) out of range for {n} nodes")
+    u, v = u.astype(np.int32), v.astype(np.int32)
     order = np.lexsort((v, u))
     u, v, w = u[order], v[order], e[order, 2]
     bad = ~np.isfinite(w)
@@ -83,10 +89,10 @@ def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class UndirectedGraph:
     """Simple undirected graph with nonnegative edge weights.
 
-    Edges are held canonically as arrays `u`, `v`, `w` (see
-    `canonical_edges`), next to `csr`, the symmetric binary adjacency.  Node
-    indices refer to whatever object produced the graph (for cell graphs,
-    the point order of the PointSet).
+    Edges are held canonically as arrays `u`, `v` (int32) and `w` (float64),
+    16 bytes per edge (see `canonical_edges`), next to `csr`, the symmetric
+    binary adjacency.  Node indices refer to whatever object produced the
+    graph (for cell graphs, the point order of the PointSet).
     """
 
     def __init__(self, node_count: int, edges=()):

@@ -21,10 +21,10 @@ class ImageGraph:
     """Weighted graph over the patches of one slide.
 
     node_features is a (num_patches, d) matrix.  Edges are held once, as
-    the arrays `u`, `v`, `w` of `graph.canonical_edges` (u < v, sorted);
-    `w` is the cosine similarity that exceeded the build threshold, so
-    unlike cell-graph weights it may be negative.  Isolated patches are kept
-    as nodes without edges.
+    the arrays `u`, `v` (int32) and `w` (float64) of `graph.canonical_edges`
+    (u < v, sorted), 16 bytes per edge.  `w` is the cosine similarity that
+    exceeded the build threshold, so unlike cell-graph weights it may be
+    negative.  Isolated patches are kept as nodes without edges.
     """
 
     def __init__(self, node_features, edges=(), label: int = -1, slide_id: str = ""):
@@ -56,23 +56,6 @@ class ImageGraph:
         a = np.zeros((self.num_nodes, self.num_nodes))
         a[self.u, self.v] = a[self.v, self.u] = self.w
         return a
-
-
-def cosine_similarity(u, v) -> float:
-    """u.v / (|u||v|), and 0 for a zero-norm vector.
-
-    A zero-norm row is isolated only at theta >= 0: below that,
-    `build_image_graph` gives it weight-0 edges to every other row.
-    """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError("vectors must have equal length")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
 
 
 def check_theta(theta) -> None:

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles with different
 algorithms than the production code: Floyd-Warshall instead of BFS, cyclic
 Jacobi instead of LAPACK, exhaustive Prufer-sequence enumeration instead of
-Kruskal, direct determinant circumcircle tests, triple-loop triangle counts.
+Kruskal, direct determinant circumcircle tests, triple-loop triangle counts,
+per-pair cosine similarity instead of one normalized matrix product.
 """
 
 from __future__ import annotations
@@ -216,3 +217,20 @@ def greedy_match_count(detected: np.ndarray, truth: np.ndarray, radius: float) -
         used_t.add(j)
         matches += 1
     return matches
+
+
+def cosine_similarity(u, v) -> float:
+    """u.v / (|u||v|), and 0 for a zero-norm vector.
+
+    A zero-norm row is isolated only at theta >= 0: below that,
+    `build_image_graph` gives it weight-0 edges to every other row.
+    """
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if u.shape != v.shape:
+        raise ValueError("vectors must have equal length")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v) / (nu * nv)

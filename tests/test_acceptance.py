@@ -16,7 +16,7 @@ from wsigraph import gcn
 from wsigraph.features import cell_graph_features, patch_feature_vector
 from wsigraph.detection import build_glog_bank, detect_nuclei, render_nuclei_image
 from wsigraph.graph import UndirectedGraph, minimum_spanning_tree
-from wsigraph.image_graph import build_image_graph, cosine_similarity
+from wsigraph.image_graph import build_image_graph
 from wsigraph.pipeline import (
     ExperimentConfig,
     report_without_timings,
@@ -28,6 +28,7 @@ from wsigraph.tessellation import delaunay_triangulation, voronoi_cells
 
 from oracles import (
     circumcircle_violations,
+    cosine_similarity,
     exhaustive_mst_weight,
     floyd_warshall_hops,
     greedy_match_count,

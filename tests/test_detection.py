@@ -459,6 +459,7 @@ BAD_RENDER_ARGUMENTS = [
     ({"blob_sigma": 0.0}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 0.0"),
     ({"blob_sigma": 1e-200}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 1e-200"),
     ({"blob_sigma": 1e200}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 1e+200"),
+    ({"blob_sigma": 1e-160}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 1e-160"),
     ({"blob_sigma": np.nan}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got nan"),
     ({"blob_sigma": [5.0, -1.0, 5.0]}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, "
                                        "got -1.0"),
@@ -480,6 +481,13 @@ def test_bad_render_argument_is_named(kwargs, message):
     points = PointSet([[5.0, 5.0], [10.0, 10.0], [20.0, 15.0]], 32, 24)
     with pytest.raises(ValidationError, match=re.escape(message)):
         render_nuclei_image(points, **kwargs)
+
+
+def test_sub_pixel_blob_renders_without_overflow():
+    # 2 sigma^2 ~ 2.4e-308 is normal, but a pixel 1.9 px off the centre has
+    # exponent -7.2 / 2.4e-308, past the float64 range: the blob is invisible
+    img = render_nuclei_image(PointSet([[5.9, 5.9]], 12, 12), blob_sigma=1.1e-154)
+    assert np.array_equal(img.pixels, np.full((12, 12), 255, dtype=np.uint8))
 
 
 def brute_force_merge(rows, cols, values, merge_radius):

@@ -201,7 +201,7 @@ class TestCanonicalEdges:
         for edges in ([], np.zeros((0, 3))):
             u, v, w = canonical_edges(3, edges)
             assert len(u) == len(v) == len(w) == 0
-            assert u.dtype == np.int64 and w.dtype == np.float64
+            assert u.dtype == np.int32 and w.dtype == np.float64
 
     @pytest.mark.parametrize("edges, message", [
         ([(0, 1, 1.0), (2, 2, 1.0)], "self-loop at node 2"),
@@ -216,6 +216,18 @@ class TestCanonicalEdges:
 
     def test_negative_weights_pass_through(self):
         assert canonical_edges(2, [(0, 1, -0.5)])[2].tolist() == [-0.5]
+
+    @pytest.mark.parametrize("edges", [[(2, 0, 1.0), (1, 2, 0.5)],
+                                       np.array([[2, 0, 1.0], [1, 2, 0.5]]),
+                                       [], np.zeros((0, 3))])
+    def test_ends_are_int32(self, edges):
+        u, v, w = canonical_edges(3, edges)
+        assert (u.dtype, v.dtype, w.dtype) == (np.int32, np.int32, np.float64)
+
+    def test_rejects_nodes_past_int32(self):
+        canonical_edges(2**31 - 1, [])
+        with pytest.raises(ValueError, match="int32"):
+            canonical_edges(2**31, [])
 
 
 class TestComponentsAndDistances:

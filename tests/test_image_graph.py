@@ -4,10 +4,11 @@ import pytest
 from wsigraph.image_graph import (
     ImageGraph,
     build_image_graph,
-    cosine_similarity,
     load_image_graphs,
     save_image_graphs,
 )
+
+from oracles import cosine_similarity
 
 
 class TestCosineSimilarity:
@@ -50,6 +51,12 @@ class TestBuildImageGraph:
     def test_invalid_theta(self):
         with pytest.raises(ValueError):
             build_image_graph(np.ones((2, 2)), theta=1.0)
+
+    def test_complete_graph_holds_16_bytes_per_edge(self):
+        # positive rows are pairwise similar above theta = 0: all 79,800 pairs connect
+        g = build_image_graph(np.random.default_rng(2).uniform(1, 2, (400, 69)), theta=0.0)
+        assert len(g.u) == 400 * 399 // 2
+        assert g.u.nbytes + g.v.nbytes + g.w.nbytes == 16 * len(g.u)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(0)
@@ -121,6 +128,15 @@ class TestSerialization:
             assert a.label == b.label
             assert np.array_equal(a.node_features, b.node_features)
             assert a.edges == b.edges
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        graphs = [build_image_graph(rng.normal(size=(n, 69)), theta=t, slide_id=f"s{n}", label=1)
+                  for n, t in ((1, 0.0), (9, -0.2), (40, 0.1))]
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_image_graphs(graphs, first)
+        save_image_graphs(load_image_graphs(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.jsonl"
