@@ -1,5 +1,6 @@
 """The OpenBLAS that numpy and scipy load: one thread while the pipeline
-computes, and LAPACK's two-stage symmetric band eigensolver.
+computes, and LAPACK's two-stage symmetric band eigensolver; and the count of
+cores the process may use.
 
 The numpy and scipy wheels each bundle OpenBLAS, which starts one thread per
 core in every process unless OPENBLAS_NUM_THREADS says otherwise.  Under a
@@ -18,6 +19,9 @@ The libraries are looked up once, at the first call, by which time importing
 wsigraph has loaded numpy's and scipy's.  Where no OpenBLAS is found (another
 BLAS, or no /proc/self/maps), `one_blas_thread()` does nothing, the threads
 are capped by the environment instead, and the band solve takes the fallback.
+
+`usable_cores()` sizes what the pipeline runs side by side: the default
+worker pool and the GCN's pass threads.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import os
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,15 @@ from scipy.linalg import eigvals_banded
 _PREFIXES = ("", "scipy_")
 _SUFFIXES = ("", "64_")
 _LAPACK_COL_MAJOR = 102
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count (1 if that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 @functools.cache

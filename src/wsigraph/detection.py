@@ -270,10 +270,11 @@ def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
     amps = _per_point("amplitude", amplitude, n)
     with np.errstate(over="ignore"):        # an overflow to inf is rejected next
         two_var = 2 * sigmas * sigmas
-    bad = ~((sigmas > 0) & (two_var >= np.finfo(np.float64).tiny) & (two_var < math.inf))
+    tiny = float(np.finfo(np.float64).tiny)
+    bad = ~((sigmas > 0) & (two_var >= tiny) & (two_var < math.inf))
     if bad.any():
-        raise ValidationError("blob_sigma must be > 0 with 2*sigma**2 finite and > 0, "
-                              f"got {float(sigmas[bad][0])!r}")
+        raise ValidationError("blob_sigma must be > 0 with 2*sigma**2 finite and at least the "
+                              f"smallest normal float64 ({tiny!r}), got {float(sigmas[bad][0])!r}")
     if not np.isfinite(amps).all():
         raise ValidationError(
             f"amplitude must be finite, got {float(amps[~np.isfinite(amps)][0])!r}")

@@ -23,17 +23,36 @@ head layers, so the random stream is the same however a batch splits into
 passes, and the same as drawing them graph by graph.  gcn_forward,
 backward and evaluate run the same passes, on a batch of one or over the
 whole evaluation set.
+
+The passes of a training batch, and of evaluate, run side by side on
+min(passes, usable cores) threads: the caller and helper threads made once
+per process (a forked child drops them and makes its own).  Pass k runs on
+thread k mod T.  The caller draws every pass's dropout masks before any pass
+runs, and prepares every graph, so the random stream and the calls to
+normalize_adjacency stay on it.  Pass 0 adds into the batch gradient; each
+later pass adds into its thread's zeroed vector, which is added into the
+batch gradient in pass order.  As 0 + x = x, the sum, and so the model, is
+bitwise the one-thread loop's for any thread count.  train and evaluate run
+every BLAS product on one BLAS thread, so that count never changes a bit
+either.  A batch of one pass, or one usable core, runs on the caller alone.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import itertools
 import json
 import math
+import os
+import queue
+import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread, usable_cores
 from .errors import ValidationError, json_object, open_text
 from .image_graph import ImageGraph
 
@@ -241,17 +260,31 @@ def _passes(batch, sizes) -> list:
     return runs
 
 
-def _forward(model: GcnModel, graphs, train: bool = False,
-             rng: np.random.Generator | None = None) -> dict:
-    """One pass over `graphs`, a list of (A_hat @ X, A_hat) pairs.
+def _dropout_keep(model: GcnModel, sizes, rng: np.random.Generator) -> tuple[list, list]:
+    """Dropout keep masks (uniform draw >= p) of a training pass over graphs
+    of `sizes` nodes: (nodes x width) per GCN layer but the last, (graphs x
+    width) per head layer but the output.  Drawn graph by graph, GCN layers
+    first and then head layers."""
+    p = model.dropout_p
+    gcn = [np.empty((sum(sizes), w.shape[1])) for w in model.gcn_weights[:-1]]
+    head = [np.empty((len(sizes), w.shape[1])) for w in model.linear_weights[:-1]]
+    lo = 0
+    for g, size in enumerate(sizes):
+        for m in gcn:
+            rng.random(out=m[lo:lo + size])
+        for m in head:
+            rng.random(out=m[g])
+        lo += size
+    return [m >= p for m in gcn], [m >= p for m in head]
+
+
+def _forward(model: GcnModel, graphs, keep: tuple | None = None) -> dict:
+    """One pass over `graphs`, a list of (A_hat @ X, A_hat) pairs, with the
+    dropout masks `keep` of _dropout_keep (None: eval mode, no dropout).
 
     Returns the cache that _backward replays; cache["probs"] holds one row
     of class probabilities per graph.
     """
-    p = model.dropout_p
-    dropout = train and p > 0.0
-    if dropout and rng is None:
-        raise ValueError("training with dropout requires an rng")
     sizes = np.array([len(a_hat) for _, a_hat in graphs])
     ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends[:-1], ends))
@@ -259,16 +292,9 @@ def _forward(model: GcnModel, graphs, train: bool = False,
     gcn_w, head_w, head_b = model.gcn_weights, model.linear_weights, model.linear_biases
 
     gcn_masks, head_masks = [], []
-    if dropout:
-        gcn_masks = [np.empty((n_nodes, w.shape[1])) for w in gcn_w[:-1]]
-        head_masks = [np.empty((n_graphs, w.shape[1])) for w in head_w[:-1]]
-        for g, (lo, hi) in enumerate(spans):
-            for m in gcn_masks:
-                rng.random(out=m[lo:hi])
-            for m in head_masks:
-                rng.random(out=m[g])
-        gcn_masks = [(m >= p) / (1.0 - p) for m in gcn_masks]
-        head_masks = [(m >= p) / (1.0 - p) for m in head_masks]
+    if keep is not None:
+        gcn_masks = [m / (1.0 - model.dropout_p) for m in keep[0]]
+        head_masks = [m / (1.0 - model.dropout_p) for m in keep[1]]
 
     pool = np.zeros((n_graphs, n_nodes))
     pool[np.repeat(np.arange(n_graphs), sizes), np.arange(n_nodes)] = 1.0
@@ -295,7 +321,7 @@ def _forward(model: GcnModel, graphs, train: bool = False,
         a = h @ w + b
         head.append((h, a))
         h = np.maximum(a, 0.0)
-        if dropout:
+        if head_masks:
             h *= head_masks[j]
     logits = h @ head_w[-1] + head_b[-1]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -381,7 +407,12 @@ def gcn_forward(features, a_hat, model: GcnModel, train: bool = False,
     a_hat = np.asarray(a_hat, dtype=np.float64)
     if a_hat.shape != (len(x), len(x)):
         raise ValueError("adjacency shape must match node count")
-    cache = _forward(model, [(a_hat @ x, a_hat)], train, rng)
+    keep = None
+    if train and model.dropout_p > 0.0:
+        if rng is None:
+            raise ValueError("training with dropout requires an rng")
+        keep = _dropout_keep(model, [len(x)], rng)
+    cache = _forward(model, [(a_hat @ x, a_hat)], keep)
     return cache["probs"][0], cache
 
 
@@ -487,20 +518,108 @@ def check_graphs(dataset, input_dim: int, labels: range) -> None:
                                   "undefined")
 
 
+_helpers: list = []     # job queues of this process's pass threads beside the caller
+
+
+def _drop_helpers() -> None:
+    _helpers.clear()        # a forked child has none of its parent's threads
+
+
+os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def _helper_loop(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get()()
+
+
+def _run_passes(count: int, threads: int, compute, finish) -> None:
+    """finish(k, compute(k, t)) for every pass k < count, pass k on thread
+    t = k mod `threads`.
+
+    Thread 0 is the caller, the others are helpers.  compute calls run side
+    by side; finish calls run one at a time in pass order, and a thread
+    computes its next pass only after finishing its last.  Once every thread
+    has stopped, the error of the first pass that failed is raised.
+    """
+    if threads < 2:
+        for k in range(count):
+            finish(k, compute(k, 0))
+        return
+    while len(_helpers) < threads - 1:
+        jobs = queue.SimpleQueue()
+        threading.Thread(target=_helper_loop, args=(jobs,), name="wsigraph-pass",
+                         daemon=True).start()
+        _helpers.append(jobs)
+    done = threading.Condition()
+    turn, running, errors = 0, threads, {}
+
+    def share(t: int) -> None:
+        nonlocal turn, running
+        try:
+            for k in range(t, count, threads):
+                result = compute(k, t)
+                with done:
+                    done.wait_for(lambda: turn == k or errors)
+                    if errors:
+                        return
+                    finish(k, result)
+                    turn += 1
+                    done.notify_all()
+        except BaseException as e:      # re-raised by the caller below
+            with done:
+                errors[k] = e
+        finally:
+            with done:
+                running -= 1
+                done.notify_all()
+
+    for t, jobs in enumerate(_helpers[:threads - 1], start=1):
+        # in a copy of the caller's context, so its np.errstate holds there too
+        jobs.put(functools.partial(contextvars.copy_context().run, share, t))
+    share(0)
+    with done:
+        done.wait_for(lambda: running == 0)
+    if errors:
+        raise errors[min(errors)]
+
+
 def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,
                     rng: np.random.Generator, grads: tuple) -> np.ndarray:
     """Add the batch-mean loss gradient of the graphs `batch` into `grads`.
 
     Returns their training-mode class probabilities, one row per graph.
     """
-    probs = []
-    for run in _passes(batch, sizes):
-        cache = _forward(model, [prepared[i] for i in run], train=True, rng=rng)
-        _backward(cache, labels[run], grads, 1.0 / len(batch))
-        probs.append(cache["probs"])
+    runs = _passes(batch, sizes)
+    keeps = [_dropout_keep(model, [sizes[i] for i in run], rng)
+             if model.dropout_p > 0.0 else None for run in runs]
+    threads = min(len(runs), usable_cores())
+    own = [None] * threads      # per thread: its gradient vector for passes after 0
+    probs = [None] * len(runs)
+
+    def compute(k, t):
+        cache = _forward(model, [prepared[i] for i in runs[k]], keeps[k])
+        target = grads
+        if k and threads > 1:
+            if own[t] is None:
+                own[t] = np.zeros_like(model.flat)
+            else:
+                own[t][:] = 0.0
+            target = model.unflatten(own[t])
+        _backward(cache, labels[runs[k]], target, 1.0 / len(batch))
+        return cache["probs"], target
+
+    def finish(k, out):
+        probs[k], target = out
+        if target is not grads:
+            for mine, theirs in zip(itertools.chain(*grads), itertools.chain(*target)):
+                mine += theirs
+
+    _run_passes(len(runs), threads, compute, finish)
     return np.concatenate(probs)
 
 
+@one_blas_thread()
 def train(dataset, config: TrainConfig):
     """Mini-batch training over a list of ImageGraphs.
 
@@ -567,10 +686,12 @@ class EvalResult:
     predictions: np.ndarray
 
 
+@one_blas_thread()
 def evaluate(model: GcnModel, dataset) -> EvalResult:
     """Argmax accuracy and confusion matrix (ties resolve to the lowest index).
 
-    Predictions come from eval-mode passes, each graph prepared in its pass.
+    Predictions come from eval-mode passes, run T at a time on T threads;
+    the caller prepares the graphs of each T passes before they run.
     Slides labelled -1 are predicted but neither counted nor scored.  A
     slide whose class probabilities are not finite, as a diverged model's
     are, raises ValidationError.
@@ -578,8 +699,14 @@ def evaluate(model: GcnModel, dataset) -> EvalResult:
     c = model.num_classes
     check_graphs(dataset, model.input_dim, range(-1, c))
     sizes = [len(g.node_features) for g in dataset]
-    probs = [_forward(model, _prepare([dataset[i] for i in run], model))["probs"]
-             for run in _passes(range(len(dataset)), sizes)]
+    runs = _passes(range(len(dataset)), sizes)
+    threads = max(1, min(len(runs), usable_cores()))
+    probs = []
+    for lo in range(0, len(runs), threads):
+        prepared = [_prepare([dataset[i] for i in run], model) for run in runs[lo:lo + threads]]
+        _run_passes(len(prepared), len(prepared),      # one pass per thread
+                    lambda k, t: _forward(model, prepared[k])["probs"],
+                    lambda k, out: probs.append(out))
     probs = np.concatenate(probs) if probs else np.zeros((0, c))
     finite = np.isfinite(probs).all(axis=1)
     if not finite.all():

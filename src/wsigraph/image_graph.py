@@ -16,6 +16,8 @@ from .graph import canonical_edges
 
 FORMAT_VERSION = 1
 
+SAVE_EDGE_ROWS = 4096       # edges per json.dumps call in save_image_graphs
+
 
 class ImageGraph:
     """Weighted graph over the patches of one slide.
@@ -90,20 +92,33 @@ def build_image_graph(features, theta: float, slide_id: str = "",
 
 
 def save_image_graphs(graphs, path) -> None:
-    """Write ImageGraphs as JSON-lines, one record per slide."""
+    """Write ImageGraphs as JSON-lines, one record per slide.
+
+    A record is the `json.dumps` of its dict, `edges` last as [u, v, w]
+    triples.  The edges are encoded SAVE_EDGE_ROWS at a time and written as
+    they are, so no Python list of a whole graph's edges is built.
+    """
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for g in graphs:
-            rec = {
+            head = json.dumps({
                 "format_version": FORMAT_VERSION,
                 "slide_id": g.slide_id,
                 "label": int(g.label),
                 "num_nodes": int(g.num_nodes),
                 "feature_dim": int(g.node_features.shape[1]),
                 "features": g.node_features.tolist(),
-                "edges": [list(e) for e in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())],
-            }
-            fh.write(json.dumps(rec) + "\n")
+                "edges": [],
+            })
+            fh.write(head[:-2])                 # up to and including `"edges": [`
+            for lo in range(0, len(g.w), SAVE_EDGE_ROWS):
+                rows = slice(lo, lo + SAVE_EDGE_ROWS)
+                block = json.dumps([list(e) for e in zip(g.u[rows].tolist(), g.v[rows].tolist(),
+                                                         g.w[rows].tolist())])
+                if lo:
+                    fh.write(", ")
+                fh.write(block[1:-1])
+            fh.write("]}\n")
 
 
 def _integer(rec: dict, key: str) -> int:

@@ -14,7 +14,6 @@ import csv
 import json
 import logging
 import multiprocessing
-import os
 import time
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import one_blas_thread, usable_cores
 from .detection import DetectionParams  # noqa: F401  (only perfbench reads it here)
 from .errors import ValidationError, json_object, open_text
 from .features import (
@@ -78,7 +77,7 @@ class ExperimentConfig:
     d_p: float = DEFAULT_CELL_GRAPH_RADIUS
     theta: float = 0.8
     min_nuclei_per_patch: int = 20
-    workers: int = 0           # 0 = min(4, cpu count)
+    workers: int = 0           # 0 = min(4, usable cores)
     output_dir: str = "runs/experiment"
     synth: SynthParams = field(default_factory=SynthParams)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -287,10 +286,10 @@ def _featurize_slide(args):
 
 
 def _resolve_workers(workers: int) -> int:
-    """The pool size a `workers` setting asks for; 0 means min(4, cpu count)."""
+    """The pool size a `workers` setting asks for; 0 means min(4, usable cores)."""
     if workers < 0:
         raise ValidationError(f"workers must be >= 0, got {workers}")
-    return workers or min(4, os.cpu_count() or 1)
+    return workers or min(4, usable_cores())
 
 
 class WorkerPool:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from wsigraph import blas, graph
 from wsigraph.features import patch_feature_vector
 from wsigraph.pipeline import (
     ExperimentConfig,
+    _resolve_workers,
     report_without_timings,
     run_experiment,
     synth_dataset,
@@ -103,3 +105,18 @@ def test_band_eigenvalues_raise_on_a_lapack_error():
     band[0, 2] = np.nan     # LAPACKE's NaN check rejects the band (info = -6)
     with pytest.raises(np.linalg.LinAlgError, match="info = -6"):
         blas.band_eigenvalues(band)
+
+
+def test_usable_cores_count_the_affinity_else_the_machine(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert blas.usable_cores() == 3
+    assert _resolve_workers(0) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    assert _resolve_workers(0) == 4        # the default pool stays at most 4
+    assert _resolve_workers(5) == 5
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert blas.usable_cores() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert blas.usable_cores() == 1
+    assert _resolve_workers(0) == 1

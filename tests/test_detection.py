@@ -454,15 +454,16 @@ class TestBlockedRendering:
 
 
 # each bad render_nuclei_image argument and the message it must raise
+SIGMA_RULE = ("blob_sigma must be > 0 with 2*sigma**2 finite and at least the smallest normal "
+              "float64 (2.2250738585072014e-308), ")
 BAD_RENDER_ARGUMENTS = [
-    ({"blob_sigma": -2.0}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got -2.0"),
-    ({"blob_sigma": 0.0}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 0.0"),
-    ({"blob_sigma": 1e-200}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 1e-200"),
-    ({"blob_sigma": 1e200}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 1e+200"),
-    ({"blob_sigma": 1e-160}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got 1e-160"),
-    ({"blob_sigma": np.nan}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, got nan"),
-    ({"blob_sigma": [5.0, -1.0, 5.0]}, "blob_sigma must be > 0 with 2*sigma**2 finite and > 0, "
-                                       "got -1.0"),
+    ({"blob_sigma": -2.0}, SIGMA_RULE + "got -2.0"),
+    ({"blob_sigma": 0.0}, SIGMA_RULE + "got 0.0"),
+    ({"blob_sigma": 1e-200}, SIGMA_RULE + "got 1e-200"),
+    ({"blob_sigma": 1e200}, SIGMA_RULE + "got 1e+200"),
+    ({"blob_sigma": 1e-160}, SIGMA_RULE + "got 1e-160"),
+    ({"blob_sigma": np.nan}, SIGMA_RULE + "got nan"),
+    ({"blob_sigma": [5.0, -1.0, 5.0]}, SIGMA_RULE + "got -1.0"),
     ({"amplitude": np.inf}, "amplitude must be finite, got inf"),
     ({"amplitude": np.nan}, "amplitude must be finite, got nan"),
     ({"amplitude": [0.5, 0.5, -np.inf]}, "amplitude must be finite, got -inf"),

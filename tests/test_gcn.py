@@ -1,3 +1,6 @@
+import multiprocessing
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -577,3 +580,155 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             gcn.GcnModel(model.gcn_weights, model.linear_weights,
                          model.linear_biases, dropout_p=1.0)
+
+
+def multi_pass_run(monkeypatch, threads=2):
+    """Graphs of 5 to 9 nodes at 10 nodes per pass: batches of six graphs
+    run in 3 to 6 passes, on `threads` usable cores."""
+    monkeypatch.setattr(gcn, "PASS_NODES", 10)
+    monkeypatch.setattr(gcn, "usable_cores", lambda: threads)
+    rng = np.random.default_rng(60)
+    data = [toy_graph(rng, nodes=int(rng.integers(5, 10)), dim=12) for _ in range(12)]
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=6, epochs=4, dropout_p=0.3, seed=5,
+                      gcn_dims=(6, 5), head_dims=(5,), num_classes=3)
+    return data, cfg
+
+
+def _train_in_child(data, cfg, send):
+    model, history = train(data, cfg)
+    send.send((model.flat, history))
+
+
+class TestPassThreads:
+    """A batch's passes, and evaluate's, run on min(passes, usable cores)
+    threads with bitwise the one-thread result."""
+
+    @staticmethod
+    def record_forwards(monkeypatch):
+        """Wrap _forward; returns {first A_hat of a pass: (probs, thread id)}."""
+        real, seen = gcn._forward, {}
+
+        def forward(model, graphs, keep=None):
+            cache = real(model, graphs, keep)
+            seen[graphs[0][1].tobytes()] = cache["probs"], threading.get_ident()
+            return cache
+
+        monkeypatch.setattr(gcn, "_forward", forward)
+        return seen
+
+    def test_any_thread_count_gives_the_same_bits(self, monkeypatch):
+        data, cfg = multi_pass_run(monkeypatch)
+        real_passes, pass_counts = gcn._passes, []
+
+        def passes(batch, sizes):
+            runs = real_passes(batch, sizes)
+            pass_counts.append(len(runs))
+            return runs
+
+        monkeypatch.setattr(gcn, "_passes", passes)
+        seen = self.record_forwards(monkeypatch)
+        runs = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(gcn, "usable_cores", lambda: threads)
+            model, history = train(data, cfg)
+            seen.clear()
+            predictions = evaluate(model, data).predictions
+            assert len({ident for _, ident in seen.values()}) == threads
+            runs[threads] = model.flat, history, predictions, dict(seen)
+        assert min(pass_counts) >= 3
+        flat, history, predictions, seen = runs[1]
+        for other in (runs[2], runs[3]):
+            assert np.array_equal(other[0], flat)
+            assert other[1] == history
+            assert np.array_equal(other[2], predictions)
+            assert other[3].keys() == seen.keys()
+            assert all(np.array_equal(other[3][k][0], seen[k][0]) for k in seen)
+
+    def test_an_empty_evaluation_set_runs_no_pass(self):
+        model = init_model(4, (3,), (2,), num_classes=2, dropout_p=0.0)
+        res = evaluate(model, [])
+        assert res.accuracy is None and res.predictions.size == 0
+        assert np.array_equal(res.confusion, np.zeros((2, 2)))
+
+    def test_graphs_are_normalized_on_the_calling_thread(self, monkeypatch):
+        data, cfg = multi_pass_run(monkeypatch, threads=3)
+        real, callers = gcn.normalize_adjacency, set()
+
+        def normalize(g):
+            callers.add(threading.get_ident())
+            return real(g)
+
+        monkeypatch.setattr(gcn, "normalize_adjacency", normalize)
+        seen = self.record_forwards(monkeypatch)
+        model, _ = train(data, cfg)
+        evaluate(model, data)
+        assert callers == {threading.get_ident()}
+        assert len({ident for _, ident in seen.values()}) == 3
+
+    def test_more_threads_than_cores_under_fast_switching_give_the_same_bits(self, monkeypatch):
+        # a lost or reordered update of the batch gradient would change the model
+        data, cfg = multi_pass_run(monkeypatch, threads=1)
+        want_model, want_history = train(data, cfg)
+        monkeypatch.setattr(gcn, "usable_cores", lambda: 6)
+        got, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: got.append(train(data, cfg)), daemon=True)
+            worker.start()
+            worker.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and got, "training did not finish in 120 s"
+        assert np.array_equal(got[0][0].flat, want_model.flat) and got[0][1] == want_history
+
+    def test_passes_run_under_the_callers_errstate(self, monkeypatch):
+        data, cfg = multi_pass_run(monkeypatch, threads=3)
+        real, settings = gcn._forward, []
+
+        def forward(model, graphs, keep=None):
+            settings.append((threading.get_ident(), np.geterr()["over"]))
+            return real(model, graphs, keep)
+
+        monkeypatch.setattr(gcn, "_forward", forward)
+        with np.errstate(over="raise"):
+            model, _ = train(data, cfg)
+            evaluate(model, data)
+        assert len({ident for ident, _ in settings}) == 3
+        assert {over for _, over in settings} == {"raise"}
+
+    def test_the_first_failed_pass_is_raised_and_the_threads_recover(self, monkeypatch):
+        data, cfg = multi_pass_run(monkeypatch, threads=3)
+        want = train(data, cfg)[0].flat
+        real, caller = gcn._forward, threading.get_ident()
+
+        def forward(model, graphs, keep=None):
+            if threading.get_ident() != caller:
+                raise FloatingPointError(f"pass of {len(graphs)} graphs failed")
+            return real(model, graphs, keep)
+
+        monkeypatch.setattr(gcn, "_forward", forward)
+        with pytest.raises(FloatingPointError, match="failed"):
+            train(data, cfg)
+        monkeypatch.setattr(gcn, "_forward", real)
+        assert np.array_equal(train(data, cfg)[0].flat, want)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_a_forked_child_trains_on_threads_of_its_own(self, monkeypatch):
+        data, cfg = multi_pass_run(monkeypatch)
+        model, history = train(data, cfg)
+        assert gcn._helpers                 # the parent's helper thread is running
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_train_in_child, args=(data, cfg, send))
+        child.start()
+        try:
+            # a child that queued its passes to the parent's threads would hang here
+            assert receive.poll(60), "the forked child did not finish training in 60 s"
+            flat, child_history = receive.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert np.array_equal(flat, model.flat) and child_history == history

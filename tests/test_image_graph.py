@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,53 @@ class TestSerialization:
         save_image_graphs(graphs, first)
         save_image_graphs(load_image_graphs(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @staticmethod
+    def one_dumps_per_record(graphs) -> bytes:
+        """The file as one json.dumps of each whole record would write it."""
+        return "".join(json.dumps({
+            "format_version": 1,
+            "slide_id": g.slide_id,
+            "label": int(g.label),
+            "num_nodes": int(g.num_nodes),
+            "feature_dim": int(g.node_features.shape[1]),
+            "features": g.node_features.tolist(),
+            "edges": [list(e) for e in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())],
+        }) + "\n" for g in graphs).encode("utf-8")
+
+    @staticmethod
+    def complete_graph(nodes=400):
+        rng = np.random.default_rng(11)
+        return build_image_graph(rng.uniform(1, 2, (nodes, 69)), theta=0.0, slide_id="big",
+                                 label=2)
+
+    def test_blocked_edges_are_one_json_dumps_per_record(self, tmp_path):
+        rng = np.random.default_rng(12)
+        big = self.complete_graph()
+        cases = [
+            [ImageGraph(rng.normal(size=(3, 4)), slide_id="no-edges")],
+            [ImageGraph(rng.normal(size=(2, 4)), edges=[(1, 0, 0.625)], slide_id="one-edge")],
+            [ImageGraph(rng.normal(size=(5, 2)), edges=[(0, 4, -0.25), (2, 3, 1e-300)],
+                        slide_id="negative")],
+            [big],
+            [big, ImageGraph(rng.normal(size=(1, 69)), slide_id="single", label=0), big],
+        ]
+        assert big.w.size == 79_800
+        path = tmp_path / "graphs.jsonl"
+        for graphs in cases:
+            save_image_graphs(graphs, path)
+            assert path.read_bytes() == self.one_dumps_per_record(graphs)
+
+    def test_saving_a_complete_graph_builds_no_list_of_its_edges(self, tmp_path):
+        # a Python list of the 79,800 [u, v, w] triples alone is ~14 MB
+        big = self.complete_graph()
+        tracemalloc.start()
+        try:
+            save_image_graphs([big], tmp_path / "graphs.jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.jsonl"
