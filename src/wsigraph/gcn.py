@@ -24,24 +24,25 @@ passes, and the same as drawing them graph by graph.  gcn_forward,
 backward and evaluate run the same passes, on a batch of one or over the
 whole evaluation set.
 
-The passes of a training batch, and of evaluate, run side by side on
-min(passes, usable cores) threads: the caller and helper threads made once
-per process (a forked child drops them and makes its own).  Pass k runs on
-thread k mod T.  The caller draws every pass's dropout masks before any pass
-runs, and prepares every graph, so the random stream and the calls to
-normalize_adjacency stay on it.  Pass 0 adds into the batch gradient; each
-later pass adds into its thread's zeroed vector, which is added into the
-batch gradient in pass order.  As 0 + x = x, the sum, and so the model, is
-bitwise the one-thread loop's for any thread count.  train and evaluate run
-every BLAS product on one BLAS thread, so that count never changes a bit
-either.  A batch of one pass, or one usable core, runs on the caller alone.
+The passes of a training batch run side by side on min(passes, usable
+cores) threads: the caller and helper threads made once per process (a
+forked child drops them and makes its own).  Pass k runs on thread k mod T.
+The caller draws every pass's dropout masks before any pass runs, and
+prepares every graph, so the random stream and the calls to
+normalize_adjacency stay on it.  Pass 0 adds into the flat batch gradient;
+each later pass adds into its thread's zeroed vector, which is added into
+the batch gradient in pass order.  As 0 + x = x, the sum, and so the model,
+is bitwise the one-thread loop's for any thread count.  A batch of one pass,
+or one usable core, runs on the caller alone, as evaluate does: its passes
+are mostly products, and concurrent BLAS products barely overlap.  train and
+evaluate run every BLAS product on one BLAS thread, so that count never
+changes a bit either.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
-import itertools
 import json
 import math
 import os
@@ -519,13 +520,7 @@ def check_graphs(dataset, input_dim: int, labels: range) -> None:
 
 
 _helpers: list = []     # job queues of this process's pass threads beside the caller
-
-
-def _drop_helpers() -> None:
-    _helpers.clear()        # a forked child has none of its parent's threads
-
-
-os.register_at_fork(after_in_child=_drop_helpers)
+os.register_at_fork(after_in_child=_helpers.clear)  # a forked child has none of its threads
 
 
 def _helper_loop(jobs: queue.SimpleQueue) -> None:
@@ -585,8 +580,9 @@ def _run_passes(count: int, threads: int, compute, finish) -> None:
 
 
 def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,
-                    rng: np.random.Generator, grads: tuple) -> np.ndarray:
-    """Add the batch-mean loss gradient of the graphs `batch` into `grads`.
+                    rng: np.random.Generator, grad: np.ndarray) -> np.ndarray:
+    """Add the batch-mean loss gradient of the graphs `batch` into `grad`,
+    a vector laid out like model.flat.
 
     Returns their training-mode class probabilities, one row per graph.
     """
@@ -599,21 +595,20 @@ def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,
 
     def compute(k, t):
         cache = _forward(model, [prepared[i] for i in runs[k]], keeps[k])
-        target = grads
+        target = grad
         if k and threads > 1:
             if own[t] is None:
                 own[t] = np.zeros_like(model.flat)
             else:
                 own[t][:] = 0.0
-            target = model.unflatten(own[t])
-        _backward(cache, labels[runs[k]], target, 1.0 / len(batch))
+            target = own[t]
+        _backward(cache, labels[runs[k]], model.unflatten(target), 1.0 / len(batch))
         return cache["probs"], target
 
     def finish(k, out):
         probs[k], target = out
-        if target is not grads:
-            for mine, theirs in zip(itertools.chain(*grads), itertools.chain(*target)):
-                mine += theirs
+        if target is not grad:
+            np.add(grad, target, out=grad)
 
     _run_passes(len(runs), threads, compute, finish)
     return np.concatenate(probs)
@@ -648,7 +643,6 @@ def train(dataset, config: TrainConfig):
     prepared = _prepare(dataset, model)
     sizes = [len(a_hat) for _, a_hat in prepared]
     grad = np.zeros_like(model.flat)
-    grads = model.unflatten(grad)
     adam = Adam(grad.size, config.learning_rate)
 
     history = []
@@ -660,7 +654,7 @@ def train(dataset, config: TrainConfig):
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             grad[:] = 0.0
-            probs = _batch_gradient(model, prepared, sizes, labels, batch, dropout_rng, grads)
+            probs = _batch_gradient(model, prepared, sizes, labels, batch, dropout_rng, grad)
             y = labels[batch]
             losses[batch] = -np.log(np.clip(probs[np.arange(len(y)), y], 1e-12, None))
             correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
@@ -690,23 +684,17 @@ class EvalResult:
 def evaluate(model: GcnModel, dataset) -> EvalResult:
     """Argmax accuracy and confusion matrix (ties resolve to the lowest index).
 
-    Predictions come from eval-mode passes, run T at a time on T threads;
-    the caller prepares the graphs of each T passes before they run.
-    Slides labelled -1 are predicted but neither counted nor scored.  A
-    slide whose class probabilities are not finite, as a diverged model's
-    are, raises ValidationError.
+    Predictions come from eval-mode passes, run one after another on the
+    calling thread, each preparing its own graphs.  Slides labelled -1 are
+    predicted but neither counted nor scored.  A slide whose class
+    probabilities are not finite, as a diverged model's are, raises
+    ValidationError.
     """
     c = model.num_classes
     check_graphs(dataset, model.input_dim, range(-1, c))
     sizes = [len(g.node_features) for g in dataset]
-    runs = _passes(range(len(dataset)), sizes)
-    threads = max(1, min(len(runs), usable_cores()))
-    probs = []
-    for lo in range(0, len(runs), threads):
-        prepared = [_prepare([dataset[i] for i in run], model) for run in runs[lo:lo + threads]]
-        _run_passes(len(prepared), len(prepared),      # one pass per thread
-                    lambda k, t: _forward(model, prepared[k])["probs"],
-                    lambda k, out: probs.append(out))
+    probs = [_forward(model, _prepare([dataset[i] for i in run], model))["probs"]
+             for run in _passes(range(len(dataset)), sizes)]
     probs = np.concatenate(probs) if probs else np.zeros((0, c))
     finite = np.isfinite(probs).all(axis=1)
     if not finite.all():
@@ -755,13 +743,21 @@ def load_model(path) -> GcnModel:
                 mean=np.asarray(rec["standardization"]["mean"], dtype=np.float64),
                 std=np.asarray(rec["standardization"]["std"], dtype=np.float64),
             )
-        return GcnModel(
+        model = GcnModel(
             gcn_weights=[np.asarray(w, dtype=np.float64) for w in rec["gcn_weights"]],
             linear_weights=[np.asarray(w, dtype=np.float64) for w in rec["linear_weights"]],
             linear_biases=[np.asarray(b, dtype=np.float64) for b in rec["linear_biases"]],
             dropout_p=float(rec["dropout_p"]),
             scaler=scaler,
         )
+        if scaler is not None:
+            for name, v in (("mean", scaler.mean), ("std", scaler.std)):
+                if v.shape != (model.input_dim,) or not np.all(np.isfinite(v)):
+                    raise ValueError(f"standardization {name} must be a vector of "
+                                     f"{model.input_dim} finite values, got shape {v.shape}")
+            if np.any(scaler.std < 0):
+                raise ValueError("standardization std must be >= 0")
+        return model
     except KeyError as e:
         raise ValidationError(f"{path}: missing key {e}") from e
     except (TypeError, ValueError, IndexError) as e:

@@ -462,14 +462,6 @@ def _patch_key(path, line: int, row: list) -> tuple[str, int, int]:
     return row[0], prow, pcol
 
 
-def check_new_patch(origins: dict, key: tuple, at: str, origin: str) -> None:
-    """File the (slide_id, row, col) `key` from `origin`; a repeat is rejected at `at`."""
-    if key in origins:
-        raise ValidationError(f"{at}: slide {key[0]} patch ({key[1]}, {key[2]}) "
-                              f"repeats {origins[key]}")
-    origins[key] = origin
-
-
 def assemble_slides(patches: dict, labels: dict | None = None) -> list:
     """SlideRecords from {(slide_id, row, col): PatchRecord}.
 
@@ -547,10 +539,13 @@ def import_features(path, labels: dict | None = None) -> list:
     whose patches were all empty writes none, and would otherwise drop out
     with its label.  Each patch has one row.
     """
-    patches, origins = {}, {}     # (slide_id, row, col) -> PatchRecord, and its line
+    patches, firsts = {}, {}     # (slide_id, row, col) -> PatchRecord, and its line
     for line, row in _read_csv(path, FEATURES_HEADER):
         key = _patch_key(path, line, row)
-        check_new_patch(origins, key, f"{path}:{line}", f"line {line}")
+        first = firsts.setdefault(key, line)
+        if first != line:
+            raise ValidationError(f"{path}:{line}: slide {key[0]} patch ({key[1]}, {key[2]}) "
+                                  f"repeats line {first}")
         vec = np.array(_numbers(path, line, float, row[3:]))
         if not np.isfinite(vec).all():
             raise ValidationError(f"{path}:{line}: non-finite feature value")

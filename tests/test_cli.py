@@ -13,12 +13,17 @@ from scipy.spatial import cKDTree
 
 from wsigraph import cli, detection, gcn, pipeline
 from wsigraph.cli import build_parser, main
-from wsigraph.detection import GrayImage, detect_nuclei, render_nuclei_image, write_pgm
+from wsigraph.detection import (
+    DetectionParams,
+    GrayImage,
+    detect_nuclei,
+    render_nuclei_image,
+    write_pgm,
+)
 from wsigraph.features import FEATURE_NAMES, patch_feature_vector
 from wsigraph.gcn import GcnModel, TrainConfig, init_model, save_model
 from wsigraph.image_graph import build_image_graph, save_image_graphs
 from wsigraph.pipeline import (
-    DetectionParams,
     ExperimentConfig,
     SynthParams,
     ValidationError,
@@ -576,6 +581,29 @@ class TestMalformedInterchange:
         rc = main(["eval", "--graphs", str(graphs), "--model", str(model)])
         assert rc == 1
         assert f"{model}: missing key 'gcn_weights'" in caplog.text
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mean", [0.0], "standardization mean must be a vector of 2 finite values, "
+                        "got shape (1,)"),
+        ("std", [1.0, float("nan")], "standardization std must be a vector of 2 finite "
+                                     "values, got shape (2,)"),
+        ("std", [[1.0, 1.0]], "standardization std must be a vector of 2 finite values, "
+                              "got shape (1, 2)"),
+        ("std", [1.0, -1.0], "standardization std must be >= 0"),
+    ])
+    def test_checkpoint_with_malformed_standardization(self, tmp_path, caplog, key, value,
+                                                       message):
+        graphs, model, metrics = (tmp_path / n for n in ("graphs.jsonl", "m.json", "out.json"))
+        graphs.write_text(graph_record() + "\n")
+        save_model(init_model(2, (4,), (3,), num_classes=2), model)
+        rec = json.loads(model.read_text())
+        rec["standardization"] = {"mean": [0.0, 0.0], "std": [1.0, 1.0], key: value}
+        model.write_text(json.dumps(rec))
+        rc = main(["eval", "--graphs", str(graphs), "--model", str(model),
+                   "--out", str(metrics)])
+        assert rc == 1
+        assert f"{model}: {message}" in caplog.text
+        assert "Traceback" not in caplog.text and not metrics.exists()
 
     def test_eval_with_wrong_feature_width(self, tmp_path, caplog):
         rc, _ = self._train(tmp_path, graph_record() + "\n")

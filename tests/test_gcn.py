@@ -281,7 +281,7 @@ class TestBackward:
         sizes = [g.num_nodes for g in graphs]
         assert len(gcn._passes(range(5), sizes)) == 1
         gcn._batch_gradient(model, prepared, sizes, labels, list(range(5)),
-                            np.random.default_rng(7), model.unflatten(grad))
+                            np.random.default_rng(7), grad)
         np.testing.assert_allclose(grad - start, expected, rtol=0, atol=1e-12)
 
     def test_node_budget_split_gives_the_one_pass_gradient(self, monkeypatch):
@@ -298,7 +298,7 @@ class TestBackward:
             assert len(gcn._passes(batch, sizes)) == runs
             grad = np.zeros_like(model.flat)
             probs = gcn._batch_gradient(model, prepared, sizes, labels, batch,
-                                        np.random.default_rng(3), model.unflatten(grad))
+                                        np.random.default_rng(3), grad)
             out[runs] = grad, probs
         np.testing.assert_allclose(out[4][0], out[1][0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(out[4][1], out[1][1], rtol=0, atol=1e-12)
@@ -600,21 +600,21 @@ def _train_in_child(data, cfg, send):
 
 
 class TestPassThreads:
-    """A batch's passes, and evaluate's, run on min(passes, usable cores)
-    threads with bitwise the one-thread result."""
+    """A batch's passes run on min(passes, usable cores) threads with bitwise
+    the one-thread result; evaluate's passes run on the calling thread."""
 
     @staticmethod
     def record_forwards(monkeypatch):
-        """Wrap _forward; returns {first A_hat of a pass: (probs, thread id)}."""
-        real, seen = gcn._forward, {}
+        """Wrap _forward; returns a list of (first A_hat, probs, thread id) per pass."""
+        real, log = gcn._forward, []
 
         def forward(model, graphs, keep=None):
             cache = real(model, graphs, keep)
-            seen[graphs[0][1].tobytes()] = cache["probs"], threading.get_ident()
+            log.append((graphs[0][1].tobytes(), cache["probs"], threading.get_ident()))
             return cache
 
         monkeypatch.setattr(gcn, "_forward", forward)
-        return seen
+        return log
 
     def test_any_thread_count_gives_the_same_bits(self, monkeypatch):
         data, cfg = multi_pass_run(monkeypatch)
@@ -626,23 +626,27 @@ class TestPassThreads:
             return runs
 
         monkeypatch.setattr(gcn, "_passes", passes)
-        seen = self.record_forwards(monkeypatch)
+        log = self.record_forwards(monkeypatch)
         runs = {}
         for threads in (1, 2, 3):
             monkeypatch.setattr(gcn, "usable_cores", lambda: threads)
             model, history = train(data, cfg)
-            seen.clear()
+            assert len({ident for *_, ident in log}) == threads
+            log.clear()
             predictions = evaluate(model, data).predictions
-            assert len({ident for _, ident in seen.values()}) == threads
-            runs[threads] = model.flat, history, predictions, dict(seen)
+            assert {ident for *_, ident in log} == {threading.get_ident()}
+            evaluated = {first: probs for first, probs, _ in log}
+            assert len(evaluated) == len(log) >= 2
+            log.clear()
+            runs[threads] = model.flat, history, predictions, evaluated
         assert min(pass_counts) >= 3
-        flat, history, predictions, seen = runs[1]
+        flat, history, predictions, evaluated = runs[1]
         for other in (runs[2], runs[3]):
             assert np.array_equal(other[0], flat)
             assert other[1] == history
             assert np.array_equal(other[2], predictions)
-            assert other[3].keys() == seen.keys()
-            assert all(np.array_equal(other[3][k][0], seen[k][0]) for k in seen)
+            assert other[3].keys() == evaluated.keys()
+            assert all(np.array_equal(other[3][k], evaluated[k]) for k in evaluated)
 
     def test_an_empty_evaluation_set_runs_no_pass(self):
         model = init_model(4, (3,), (2,), num_classes=2, dropout_p=0.0)
@@ -659,11 +663,13 @@ class TestPassThreads:
             return real(g)
 
         monkeypatch.setattr(gcn, "normalize_adjacency", normalize)
-        seen = self.record_forwards(monkeypatch)
+        log = self.record_forwards(monkeypatch)
         model, _ = train(data, cfg)
+        assert len({ident for *_, ident in log}) == 3
+        log.clear()
         evaluate(model, data)
+        assert log and {ident for *_, ident in log} == {threading.get_ident()}
         assert callers == {threading.get_ident()}
-        assert len({ident for _, ident in seen.values()}) == 3
 
     def test_more_threads_than_cores_under_fast_switching_give_the_same_bits(self, monkeypatch):
         # a lost or reordered update of the batch gradient would change the model
