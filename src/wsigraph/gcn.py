@@ -33,10 +33,24 @@ normalize_adjacency stay on it.  Pass 0 adds into the flat batch gradient;
 each later pass adds into its thread's zeroed vector, which is added into
 the batch gradient in pass order.  As 0 + x = x, the sum, and so the model,
 is bitwise the one-thread loop's for any thread count.  A batch of one pass,
-or one usable core, runs on the caller alone, as evaluate does: its passes
-are mostly products, and concurrent BLAS products barely overlap.  train and
-evaluate run every BLAS product on one BLAS thread, so that count never
+or one usable core, runs on the caller alone, as evaluate does.  (Evaluate's
+passes were measured no faster on threads while every pass still allocated
+its own temporaries; see below.  That has not been measured again.)  train
+and evaluate run every BLAS product on one BLAS thread, so that count never
 changes a bit either.
+
+A pass writes its node-sized arrays into a workspace: the propagations,
+weight products and ReLU outputs, the ReLU and dropout masks (boolean,
+with the dropout scale applied in place), and the backward temporaries.
+train keeps, from its first batch until it returns, one workspace per pass
+of a batch for that pass's dropout masks, the first T of which also serve
+the T pass threads; evaluate keeps one for its passes.  A warm batch so
+allocates no node-sized array.  When
+every pass allocated and freed its own, glibc gave a helper thread's freed
+pages back to the kernel and faulted them in again: a 30-epoch train on
+2 threads over six 400-node graphs took 63k-73k minor faults and 0.11-0.23
+s of system time, and takes 2.7k-5.1k and 0.01-0.02 s with the workspaces
+(2-core Xeon).
 """
 
 from __future__ import annotations
@@ -228,9 +242,10 @@ def normalize_adjacency(g: ImageGraph) -> np.ndarray:
     """
     a = g.adjacency_matrix()
     np.fill_diagonal(a, a.diagonal() + 1.0)
-    deg = a.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    a *= inv_sqrt[:, None]
+    a *= inv_sqrt[None, :]
+    return a
 
 
 def _prepare(dataset, model: GcnModel) -> list:
@@ -261,59 +276,95 @@ def _passes(batch, sizes) -> list:
     return runs
 
 
-def _dropout_keep(model: GcnModel, sizes, rng: np.random.Generator) -> tuple[list, list]:
+class _Workspace:
+    """Arrays that keep their memory from pass to pass.
+
+    take(name, shape) is a C-contiguous view at the front of the buffer
+    `name`, which is reallocated only when it is too small.  Every name
+    holds one dtype, and the view is only valid until the next take of it.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _dropout_keep(model: GcnModel, sizes, rng: np.random.Generator, out: _Workspace,
+                  draw: _Workspace) -> tuple[list, list]:
     """Dropout keep masks (uniform draw >= p) of a training pass over graphs
-    of `sizes` nodes: (nodes x width) per GCN layer but the last, (graphs x
-    width) per head layer but the output.  Drawn graph by graph, GCN layers
-    first and then head layers."""
+    of `sizes` nodes, as boolean arrays in `out`: (nodes x width) per GCN
+    layer but the last, (graphs x width) per head layer but the output.
+    Drawn graph by graph, GCN layers first and then head layers, into the
+    buffer "draw" of `draw`."""
     p = model.dropout_p
-    gcn = [np.empty((sum(sizes), w.shape[1])) for w in model.gcn_weights[:-1]]
-    head = [np.empty((len(sizes), w.shape[1])) for w in model.linear_weights[:-1]]
+    gcn = [out.take(("keep", l), (sum(sizes), w.shape[1]), bool)
+           for l, w in enumerate(model.gcn_weights[:-1])]
+    head = [out.take(("head keep", j), (len(sizes), w.shape[1]), bool)
+            for j, w in enumerate(model.linear_weights[:-1])]
     lo = 0
     for g, size in enumerate(sizes):
-        for m in gcn:
-            rng.random(out=m[lo:lo + size])
-        for m in head:
-            rng.random(out=m[g])
+        for rows in [m[lo:lo + size] for m in gcn] + [m[g] for m in head]:
+            np.greater_equal(rng.random(out=draw.take("draw", rows.shape)), p, out=rows)
         lo += size
-    return [m >= p for m in gcn], [m >= p for m in head]
+    return gcn, head
 
 
-def _forward(model: GcnModel, graphs, keep: tuple | None = None) -> dict:
+def _dropout(x: np.ndarray, keep: np.ndarray, scale: float) -> None:
+    """Inverted dropout of `x` in place: (x * scale) * keep.  For scale =
+    1 / (1 - p) these are the bits of x * (keep / (1 - p)) wherever x * scale
+    is finite."""
+    x *= scale
+    x *= keep
+
+
+def _forward(model: GcnModel, graphs, keep: tuple | None = None,
+             ws: _Workspace | None = None) -> dict:
     """One pass over `graphs`, a list of (A_hat @ X, A_hat) pairs, with the
     dropout masks `keep` of _dropout_keep (None: eval mode, no dropout).
 
-    Returns the cache that _backward replays; cache["probs"] holds one row
-    of class probabilities per graph.
+    Node-sized arrays are views into the workspace `ws` (a new one if None),
+    and so are those of _backward.  Returns the cache that _backward
+    replays; cache["probs"] holds one row of class probabilities per graph.
     """
+    ws = _Workspace() if ws is None else ws
     sizes = np.array([len(a_hat) for _, a_hat in graphs])
     ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends[:-1], ends))
     n_graphs, n_nodes = len(graphs), ends[-1]
     gcn_w, head_w, head_b = model.gcn_weights, model.linear_weights, model.linear_biases
+    gcn_keep, head_keep = keep or ([], [])
+    scale = 1.0 / (1.0 - model.dropout_p)
 
-    gcn_masks, head_masks = [], []
-    if keep is not None:
-        gcn_masks = [m / (1.0 - model.dropout_p) for m in keep[0]]
-        head_masks = [m / (1.0 - model.dropout_p) for m in keep[1]]
-
-    pool = np.zeros((n_graphs, n_nodes))
+    pool = ws.take("pool", (n_graphs, n_nodes))
+    pool.fill(0.0)
     pool[np.repeat(np.arange(n_graphs), sizes), np.arange(n_nodes)] = 1.0
     pooled = np.empty((n_graphs, sum(w.shape[1] for w in gcn_w)))
     layers = []
-    s = np.concatenate([s0 for s0, _ in graphs])
+    if n_graphs == 1:
+        s = graphs[0][0]
+    else:
+        s = np.concatenate([s0 for s0, _ in graphs],
+                           out=ws.take("s0", (n_nodes, graphs[0][0].shape[1])))
     col = 0
     for l, w in enumerate(gcn_w):
         if l:
-            s = np.empty_like(x)
+            s = ws.take(("s", l), x.shape)
             for (_, a_hat), (lo, hi) in zip(graphs, spans):
                 np.matmul(a_hat, x[lo:hi], out=s[lo:hi])
-        z = s @ w
-        r = np.maximum(z, 0.0)
-        pooled[:, col:col + w.shape[1]] = pool @ r
+        # one buffer serves every layer's z: the previous layer's x in it is spent
+        z = np.matmul(s, w, out=ws.take("z", (n_nodes, w.shape[1])))
+        layers.append((s, np.greater(z, 0.0, out=ws.take(("relu", l), z.shape, bool))))
+        x = np.maximum(z, 0.0, out=z)
+        pooled[:, col:col + w.shape[1]] = pool @ x
         col += w.shape[1]
-        layers.append((s, z))
-        x = r * gcn_masks[l] if l < len(gcn_masks) else r
+        if l < len(gcn_keep):
+            _dropout(x, gcn_keep[l], scale)
     pooled /= sizes[:, None]
 
     head = []
@@ -322,19 +373,21 @@ def _forward(model: GcnModel, graphs, keep: tuple | None = None) -> dict:
         a = h @ w + b
         head.append((h, a))
         h = np.maximum(a, 0.0)
-        if head_masks:
-            h *= head_masks[j]
+        if head_keep:
+            _dropout(h, head_keep[j], scale)
     logits = h @ head_w[-1] + head_b[-1]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return {
         "model": model,
+        "ws": ws,
         "graphs": graphs,
         "spans": spans,
         "sizes": sizes,
         "layers": layers,
-        "gcn_masks": gcn_masks,
+        "gcn_keep": gcn_keep,
         "head": head,
-        "head_masks": head_masks,
+        "head_keep": head_keep,
+        "scale": scale,
         "last_head_in": h,
         "logits": logits,
         "probs": e / e.sum(axis=1, keepdims=True),
@@ -349,24 +402,26 @@ def _backward(cache: dict, labels, grads: tuple, scale: float,
 
     Returns the input-feature gradient when input_grad, else None: training
     never reads it, so it skips its two products (about a tenth of the
-    work of a 400-node graph).
+    work of a 400-node graph).  The gradient is a view into the cache's
+    workspace.
     """
     model: GcnModel = cache["model"]
+    ws: _Workspace = cache["ws"]
     g_gcn, g_lin, g_bias = grads
     d = cache["probs"].copy()
     d[np.arange(len(d)), labels] -= 1.0
     d *= scale
 
     h = cache["last_head_in"]
-    g_lin[-1] += h.T @ d
+    g_lin[-1] += np.matmul(h.T, d, out=ws.take("dw", g_lin[-1].shape))
     g_bias[-1] += d.sum(axis=0)
     dh = d @ model.linear_weights[-1].T
     for j in range(len(cache["head"]) - 1, -1, -1):
         h, a = cache["head"][j]
-        if cache["head_masks"]:
-            dh *= cache["head_masks"][j]
+        if cache["head_keep"]:
+            _dropout(dh, cache["head_keep"][j], cache["scale"])
         da = dh * (a > 0)
-        g_lin[j] += h.T @ da
+        g_lin[j] += np.matmul(h.T, da, out=ws.take("dw", g_lin[j].shape))
         g_bias[j] += da.sum(axis=0)
         dh = da @ model.linear_weights[j].T
 
@@ -375,17 +430,21 @@ def _backward(cache: dict, labels, grads: tuple, scale: float,
     dx = None
     for l in range(len(model.gcn_weights) - 1, -1, -1):
         w = model.gcn_weights[l]
-        s, z = cache["layers"][l]
+        s, relu = cache["layers"][l]
         col -= w.shape[1]
-        dr = np.repeat(dpooled[:, col:col + w.shape[1]], cache["sizes"], axis=0)
+        dr = ws.take("dr", relu.shape)
+        for g, (lo, hi) in enumerate(cache["spans"]):
+            dr[lo:hi] = dpooled[g, col:col + w.shape[1]]
         if dx is not None:
-            dr += dx * cache["gcn_masks"][l] if cache["gcn_masks"] else dx
-        dr *= z > 0
-        g_gcn[l] += s.T @ dr
+            if cache["gcn_keep"]:
+                _dropout(dx, cache["gcn_keep"][l], cache["scale"])
+            dr += dx
+        dr *= relu
+        g_gcn[l] += np.matmul(s.T, dr, out=ws.take("dw", w.shape))
         if l == 0 and not input_grad:
             return None
-        ds = dr @ w.T
-        dx = np.empty_like(ds)
+        ds = np.matmul(dr, w.T, out=ws.take("ds", s.shape))
+        dx = ws.take("dx", s.shape)
         for (_, a_hat), (lo, hi) in zip(cache["graphs"], cache["spans"]):
             np.matmul(a_hat.T, ds[lo:hi], out=dx[lo:hi])
     return dx
@@ -408,12 +467,12 @@ def gcn_forward(features, a_hat, model: GcnModel, train: bool = False,
     a_hat = np.asarray(a_hat, dtype=np.float64)
     if a_hat.shape != (len(x), len(x)):
         raise ValueError("adjacency shape must match node count")
-    keep = None
+    ws, keep = _Workspace(), None
     if train and model.dropout_p > 0.0:
         if rng is None:
             raise ValueError("training with dropout requires an rng")
-        keep = _dropout_keep(model, [len(x)], rng)
-    cache = _forward(model, [(a_hat @ x, a_hat)], keep)
+        keep = _dropout_keep(model, [len(x)], rng, ws, ws)
+    cache = _forward(model, [(a_hat @ x, a_hat)], keep, ws)
     return cache["probs"][0], cache
 
 
@@ -448,7 +507,7 @@ def backward(cache, label: int):
         raise ValueError("label out of range")
     grad = np.zeros_like(model.flat)
     dx = _backward(cache, [label], model.unflatten(grad), 1.0, input_grad=True)
-    return GcnModel(*model.unflatten(grad), dropout_p=model.dropout_p), dx
+    return GcnModel(*model.unflatten(grad), dropout_p=model.dropout_p), dx.copy()
 
 
 class Adam:
@@ -580,28 +639,29 @@ def _run_passes(count: int, threads: int, compute, finish) -> None:
 
 
 def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,
-                    rng: np.random.Generator, grad: np.ndarray) -> np.ndarray:
+                    rng: np.random.Generator, grad: np.ndarray, spaces: list) -> np.ndarray:
     """Add the batch-mean loss gradient of the graphs `batch` into `grad`,
     a vector laid out like model.flat.
 
+    `spaces` is a list of workspaces that the caller keeps from batch to
+    batch; it is extended to one per pass.  spaces[k] holds the dropout
+    masks of pass k and, for k below the thread count, the buffers of thread
+    k's passes; the caller draws the masks through spaces[0].
     Returns their training-mode class probabilities, one row per graph.
     """
     runs = _passes(batch, sizes)
-    keeps = [_dropout_keep(model, [sizes[i] for i in run], rng)
-             if model.dropout_p > 0.0 else None for run in runs]
+    spaces.extend(_Workspace() for _ in range(len(spaces), len(runs)))
+    keeps = [_dropout_keep(model, [sizes[i] for i in run], rng, spaces[k], spaces[0])
+             if model.dropout_p > 0.0 else None for k, run in enumerate(runs)]
     threads = min(len(runs), usable_cores())
-    own = [None] * threads      # per thread: its gradient vector for passes after 0
     probs = [None] * len(runs)
 
     def compute(k, t):
-        cache = _forward(model, [prepared[i] for i in runs[k]], keeps[k])
+        cache = _forward(model, [prepared[i] for i in runs[k]], keeps[k], spaces[t])
         target = grad
-        if k and threads > 1:
-            if own[t] is None:
-                own[t] = np.zeros_like(model.flat)
-            else:
-                own[t][:] = 0.0
-            target = own[t]
+        if k and threads > 1:       # the thread's own vector, added in pass order
+            target = spaces[t].take("grad", grad.shape)
+            target.fill(0.0)
         _backward(cache, labels[runs[k]], model.unflatten(target), 1.0 / len(batch))
         return cache["probs"], target
 
@@ -644,6 +704,7 @@ def train(dataset, config: TrainConfig):
     sizes = [len(a_hat) for _, a_hat in prepared]
     grad = np.zeros_like(model.flat)
     adam = Adam(grad.size, config.learning_rate)
+    spaces = []
 
     history = []
     n = len(prepared)
@@ -654,7 +715,8 @@ def train(dataset, config: TrainConfig):
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             grad[:] = 0.0
-            probs = _batch_gradient(model, prepared, sizes, labels, batch, dropout_rng, grad)
+            probs = _batch_gradient(model, prepared, sizes, labels, batch, dropout_rng, grad,
+                                    spaces)
             y = labels[batch]
             losses[batch] = -np.log(np.clip(probs[np.arange(len(y)), y], 1e-12, None))
             correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
@@ -693,7 +755,8 @@ def evaluate(model: GcnModel, dataset) -> EvalResult:
     c = model.num_classes
     check_graphs(dataset, model.input_dim, range(-1, c))
     sizes = [len(g.node_features) for g in dataset]
-    probs = [_forward(model, _prepare([dataset[i] for i in run], model))["probs"]
+    ws = _Workspace()
+    probs = [_forward(model, _prepare([dataset[i] for i in run], model), None, ws)["probs"]
              for run in _passes(range(len(dataset)), sizes)]
     probs = np.concatenate(probs) if probs else np.zeros((0, c))
     finite = np.isfinite(probs).all(axis=1)

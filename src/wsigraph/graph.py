@@ -2,8 +2,9 @@
 
 Edges live in one vectorised store: `canonical_edges` turns (u, v, weight)
 triples into arrays with u < v, sorted by (u, v): int32 ends and float64
-weights, 16 bytes per edge.  Both the cell graph here and the slide graph in
-`image_graph` use it.  Components and spanning trees come from
+weights, 16 bytes per edge.  The cell graph here uses it;
+`upper_triangle_edges` makes the same arrays, with no sort, from the boolean
+pair matrix of the slide graph in `image_graph`.  Components and spanning trees come from
 `scipy.sparse.csgraph`, neighbourhoods from `scipy.spatial.cKDTree`.  Hop
 measures come from a bit-parallel BFS over all sources at once
 (`hop_statistics`), so no n x n distance matrix is ever built.  The
@@ -83,6 +84,26 @@ def canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if dup.any():
         i = dup.argmax()
         raise ValueError(f"duplicate edge ({u[i]}, {v[i]})")
+    return u, v, w
+
+
+def upper_triangle_edges(mask, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `canonical_edges` arrays of the pairs i < j where mask[i, j] holds.
+
+    `mask` is an n x n boolean matrix, of which only the strict upper
+    triangle is read, and the weight of edge (i, j) is weights[i, j].  That
+    triangle read row by row is already sorted by (u, v), so no sort is
+    made.  Non-finite weights on kept pairs are rejected.
+    """
+    keep = np.triu(mask, 1)
+    nodes = np.arange(len(keep), dtype=np.int32)
+    u = np.repeat(nodes, np.count_nonzero(keep, axis=1))
+    v = np.broadcast_to(nodes, keep.shape)[keep]
+    w = np.asarray(weights, dtype=np.float64)[keep]
+    bad = ~np.isfinite(w)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"non-finite weight on edge ({u[i]}, {v[i]})")
     return u, v, w
 
 

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, json_object, open_text
-from .graph import canonical_edges
+from .graph import canonical_edges, upper_triangle_edges
 
 FORMAT_VERSION = 1
 
 SAVE_EDGE_ROWS = 4096       # edges per json.dumps call in save_image_graphs
+MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))    # smallest row norm with a normal square
 
 
 class ImageGraph:
@@ -24,12 +25,16 @@ class ImageGraph:
 
     node_features is a (num_patches, d) matrix.  Edges are held once, as
     the arrays `u`, `v` (int32) and `w` (float64) of `graph.canonical_edges`
-    (u < v, sorted), 16 bytes per edge.  `w` is the cosine similarity that
-    exceeded the build threshold, so unlike cell-graph weights it may be
-    negative.  Isolated patches are kept as nodes without edges.
+    (u < v, sorted), 16 bytes per edge.  `canonical`, when given in place
+    of `edges`, is such a (u, v, w) triple for these nodes (as made by
+    `graph.upper_triangle_edges`) and is kept as it is.  `w` is the cosine
+    similarity that exceeded the build threshold, so unlike cell-graph
+    weights it may be negative.  Isolated patches are kept as nodes without
+    edges.
     """
 
-    def __init__(self, node_features, edges=(), label: int = -1, slide_id: str = ""):
+    def __init__(self, node_features, edges=(), label: int = -1, slide_id: str = "",
+                 canonical=None):
         f = np.asarray(node_features, dtype=np.float64)
         if f.shape[:1] == (0,):
             raise ValueError("graph has no nodes")
@@ -40,7 +45,9 @@ class ImageGraph:
         if not np.isfinite(f).all():
             raise ValueError("node_features must be finite")
         self.node_features = f
-        self.u, self.v, self.w = canonical_edges(len(f), edges)
+        if canonical is None:
+            canonical = canonical_edges(len(f), edges)
+        self.u, self.v, self.w = canonical
         self.label = label
         self.slide_id = slide_id
 
@@ -74,21 +81,30 @@ def build_image_graph(features, theta: float, slide_id: str = "",
     """Connect patch pairs whose cosine similarity strictly exceeds theta.
 
     Similarity is computed on the raw (unstandardized) feature rows; edge
-    weights store the similarity value.
+    weights store the similarity value.  An all-zero row has similarity 0
+    to every row.  A row that is not finite, or whose squared norm leaves
+    float64's normal range (so its unit vector would be wrong), raises
+    ValidationError naming the slide and the row.
     """
     check_theta(theta)
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
-    norms = np.linalg.norm(f, axis=1)
+    bad = ~np.isfinite(f).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"slide {slide_id} feature row {bad.argmax()} is not finite")
+    with np.errstate(over="ignore"):        # an overflowing row is rejected just below
+        norms = np.linalg.norm(f, axis=1)
+    bad = ~(norms < np.inf) | ((norms < MIN_NORM) & f.any(axis=1))
+    if bad.any():
+        i = bad.argmax()
+        raise ValidationError(f"slide {slide_id} feature row {i} has norm {norms[i]:g}, "
+                              "whose square over- or underflows float64")
     safe = np.where(norms > 0, norms, 1.0)
     unit = f / safe[:, None]
     sim = unit @ unit.T
-    iu, ju = np.triu_indices(len(f), k=1)
-    w = sim[iu, ju]
-    keep = w > theta
-    return ImageGraph(node_features=f, edges=np.column_stack([iu[keep], ju[keep], w[keep]]),
-                      label=label, slide_id=slide_id)
+    return ImageGraph(node_features=f, label=label, slide_id=slide_id,
+                      canonical=upper_triangle_edges(sim > theta, sim))
 
 
 def save_image_graphs(graphs, path) -> None:

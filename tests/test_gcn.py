@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +282,7 @@ class TestBackward:
         sizes = [g.num_nodes for g in graphs]
         assert len(gcn._passes(range(5), sizes)) == 1
         gcn._batch_gradient(model, prepared, sizes, labels, list(range(5)),
-                            np.random.default_rng(7), grad)
+                            np.random.default_rng(7), grad, [])
         np.testing.assert_allclose(grad - start, expected, rtol=0, atol=1e-12)
 
     def test_node_budget_split_gives_the_one_pass_gradient(self, monkeypatch):
@@ -298,7 +299,7 @@ class TestBackward:
             assert len(gcn._passes(batch, sizes)) == runs
             grad = np.zeros_like(model.flat)
             probs = gcn._batch_gradient(model, prepared, sizes, labels, batch,
-                                        np.random.default_rng(3), grad)
+                                        np.random.default_rng(3), grad, [])
             out[runs] = grad, probs
         np.testing.assert_allclose(out[4][0], out[1][0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(out[4][1], out[1][1], rtol=0, atol=1e-12)
@@ -608,8 +609,8 @@ class TestPassThreads:
         """Wrap _forward; returns a list of (first A_hat, probs, thread id) per pass."""
         real, log = gcn._forward, []
 
-        def forward(model, graphs, keep=None):
-            cache = real(model, graphs, keep)
+        def forward(model, graphs, *args):
+            cache = real(model, graphs, *args)
             log.append((graphs[0][1].tobytes(), cache["probs"], threading.get_ident()))
             return cache
 
@@ -691,9 +692,9 @@ class TestPassThreads:
         data, cfg = multi_pass_run(monkeypatch, threads=3)
         real, settings = gcn._forward, []
 
-        def forward(model, graphs, keep=None):
+        def forward(model, graphs, *args):
             settings.append((threading.get_ident(), np.geterr()["over"]))
-            return real(model, graphs, keep)
+            return real(model, graphs, *args)
 
         monkeypatch.setattr(gcn, "_forward", forward)
         with np.errstate(over="raise"):
@@ -707,10 +708,10 @@ class TestPassThreads:
         want = train(data, cfg)[0].flat
         real, caller = gcn._forward, threading.get_ident()
 
-        def forward(model, graphs, keep=None):
+        def forward(model, graphs, *args):
             if threading.get_ident() != caller:
                 raise FloatingPointError(f"pass of {len(graphs)} graphs failed")
-            return real(model, graphs, keep)
+            return real(model, graphs, *args)
 
         monkeypatch.setattr(gcn, "_forward", forward)
         with pytest.raises(FloatingPointError, match="failed"):
@@ -738,3 +739,54 @@ class TestPassThreads:
                 child.kill()
         assert child.exitcode == 0
         assert np.array_equal(flat, model.flat) and child_history == history
+
+
+class TestWorkspaces:
+    """A train call's passes write their node-sized arrays into workspaces
+    that it allocates once, so a warm batch allocates none."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_warm_batch_allocates_less_than_one_node_matrix(self, monkeypatch, threads):
+        monkeypatch.setattr(gcn, "usable_cores", lambda: threads)
+        graphs = random_dataset(np.random.default_rng(70), count=6, nodes=400)
+        model = init_model(69, rng=np.random.default_rng(71))      # GCN widths 128
+        prepared = gcn._prepare(graphs, model)
+        sizes, labels = [400] * 6, np.array([g.label for g in graphs])
+        assert len(gcn._passes(range(6), sizes)) == 6
+        grad, spaces, rng = np.zeros_like(model.flat), [], np.random.default_rng(72)
+        tracemalloc.start()
+        try:
+            gcn._batch_gradient(model, prepared, sizes, labels, range(6), rng, grad, spaces)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gcn._batch_gradient(model, prepared, sizes, labels, range(6), rng, grad, spaces)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        bound = 400 * 128 * 8       # one 400-node x 128-wide float64 array: 409,600 bytes
+        assert peak < bound
+
+    def test_reused_buffers_give_the_bits_of_fresh_ones_on_any_thread_count(self, monkeypatch):
+        # passes of 450 + 60, 300 + 200, 450 ... nodes: buffers grow and are reused at
+        # other sizes, while fresh NaN-filled ones would show any read of a stale value
+        rng = np.random.default_rng(74)
+        data = [build_image_graph(np.abs(rng.normal(1.0, 0.6, (n, 12))), theta=0.9,
+                                  slide_id=f"g{i}", label=i % 3)
+                for i, n in enumerate((450, 300, 200, 60))]
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=4, dropout_p=0.3, seed=10,
+                          gcn_dims=(16, 8), head_dims=(8,), num_classes=3)
+        pass_counts = set()
+        real_passes = gcn._passes
+        monkeypatch.setattr(gcn, "_passes", lambda batch, sizes: (
+            pass_counts.add(len(real_passes(batch, sizes))) or real_passes(batch, sizes)))
+        runs = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(gcn, "usable_cores", lambda: threads)
+            runs[threads] = train(data, cfg)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(gcn._Workspace, "take", lambda self, name, shape, dtype=np.float64:
+                          np.full(shape, np.nan if dtype == np.float64 else True, dtype))
+            want_model, want_history = train(data, cfg)
+        assert pass_counts >= {2, 3}
+        for model, history in runs.values():
+            assert np.array_equal(model.flat, want_model.flat) and history == want_history

@@ -214,6 +214,21 @@ class TestCanonicalEdges:
         with pytest.raises(ValueError, match=message):
             canonical_edges(3, edges)
 
+    def test_upper_triangle_edges_are_the_canonical_edges(self):
+        rng = np.random.default_rng(5)
+        mask = rng.random((9, 9)) < 0.5          # the lower triangle and diagonal are ignored
+        weights = rng.normal(0.0, 1.0, (9, 9))
+        want = canonical_edges(9, [(j, i, weights[i, j])
+                                   for i in range(9) for j in range(i + 1, 9) if mask[i, j]][::-1])
+        for got, ref in zip(graph.upper_triangle_edges(mask, weights), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert [len(a) for a in graph.upper_triangle_edges(np.zeros((3, 3), bool), weights[:3, :3])] \
+            == [0, 0, 0]
+        weights[0, 1] = np.nan
+        mask[0, 1] = True
+        with pytest.raises(ValueError, match=r"non-finite weight on edge \(0, 1\)"):
+            graph.upper_triangle_edges(mask, weights)
+
     def test_negative_weights_pass_through(self):
         assert canonical_edges(2, [(0, 1, -0.5)])[2].tolist() == [-0.5]
 

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wsigraph.errors import ValidationError
+from wsigraph.graph import canonical_edges
 from wsigraph.image_graph import (
     ImageGraph,
     build_image_graph,
@@ -89,6 +91,47 @@ class TestBuildImageGraph:
         assert len(g.edges) <= 12 * 11 // 2
         assert all(i < j for i, j, _ in g.edges)
         assert len({(i, j) for i, j, _ in g.edges}) == len(g.edges)
+
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.8, 0.99])
+    def test_edges_are_the_all_pairs_construction_without_a_sort(self, theta, monkeypatch):
+        """The kept pairs are every u < v pair of similarity above theta, in
+        (u, v) order, so they need no sort."""
+        rng = np.random.default_rng(13)
+        f = rng.normal(0.0, 1.0, (60, 5))       # negative features: similarities in [-1, 1]
+        f[[3, 17, 40]] = 0.0                    # zero rows: similarity 0 to every row
+        f[21] = 3.0 * f[20]                     # parallel rows: similarity 1
+        f[22] = -f[20]                          # opposite rows: similarity -1
+        f[30] = 1e-150 * f[29]                  # a tiny row, whose squares are still normal
+        norms = np.linalg.norm(f, axis=1)
+        unit = f / np.where(norms > 0, norms, 1.0)[:, None]
+        sim = unit @ unit.T
+        iu, ju = np.triu_indices(len(f), k=1)
+        keep = sim[iu, ju] > theta
+        edges = np.column_stack([iu[keep], ju[keep], sim[iu, ju][keep]])
+        swap = rng.random(len(edges)) < 0.5     # shuffled and half reversed: this one sorts
+        edges[swap, :2] = edges[swap, 1::-1]
+        want = canonical_edges(len(f), edges[rng.permutation(len(edges))])
+
+        def lexsort(*args, **kwargs):
+            raise AssertionError("build_image_graph sorted its edges")
+
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        g = build_image_graph(f, theta)
+        assert len(want[0]) > 0
+        for got, ref in zip((g.u, g.v, g.w), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("row, why", [
+        ([1e200, 2e200, 3e200], "norm inf"),        # its squares overflow
+        ([1e-200, 2e-200, 3e-200], "norm 0"),       # its squares underflow
+        ([np.nan, 2.0, 3.0], "not finite"),
+        ([1.0, -np.inf, 3.0], "not finite"),
+    ])
+    def test_rows_without_a_float64_unit_vector_are_rejected(self, row, why):
+        # each row would otherwise lose its edge to the parallel row [1, 2, 3]
+        f = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], row])
+        with pytest.raises(ValidationError, match=f"slide s7 feature row 2 .*{why}"):
+            build_image_graph(f, theta=0.8, slide_id="s7")
 
     def test_rejects_self_loop_and_duplicates(self):
         f = np.ones((3, 2))
