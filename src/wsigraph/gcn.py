@@ -29,15 +29,17 @@ cores) threads: the caller and helper threads made once per process (a
 forked child drops them and makes its own).  Pass k runs on thread k mod T.
 The caller draws every pass's dropout masks before any pass runs, and
 prepares every graph, so the random stream and the calls to
-normalize_adjacency stay on it.  Pass 0 adds into the flat batch gradient;
-each later pass adds into its thread's zeroed vector, which is added into
-the batch gradient in pass order.  As 0 + x = x, the sum, and so the model,
-is bitwise the one-thread loop's for any thread count.  A batch of one pass,
-or one usable core, runs on the caller alone, as evaluate does.  (Evaluate's
-passes were measured no faster on threads while every pass still allocated
-its own temporaries; see below.  That has not been measured again.)  train
-and evaluate run every BLAS product on one BLAS thread, so that count never
-changes a bit either.
+normalize_adjacency stay on it.  The passes form a chain: pass k adds its
+gradient into the flat batch gradient only after pass k - 1 has.  Pass 0,
+and every pass when T is 1, adds into it directly; a later pass of a
+multi-thread batch adds into its thread's zeroed vector first.  As
+0 + x = x, the sum, and so the model, is bitwise the one-thread loop's for
+any thread count.  A pass that fails breaks the chain, and once every
+thread has stopped, the first failure in pass order is raised.  evaluate
+runs its passes on the caller alone.  (They were measured no faster on
+threads while every pass still allocated its own temporaries, and have not
+been measured again.)  train and evaluate run every BLAS product on one
+BLAS thread, so that count never changes a bit either.
 
 A pass writes its node-sized arrays into a workspace: the propagations,
 weight products and ReLU outputs, the ReLU and dropout masks (boolean,
@@ -45,12 +47,7 @@ with the dropout scale applied in place), and the backward temporaries.
 train keeps, from its first batch until it returns, one workspace per pass
 of a batch for that pass's dropout masks, the first T of which also serve
 the T pass threads; evaluate keeps one for its passes.  A warm batch so
-allocates no node-sized array.  When
-every pass allocated and freed its own, glibc gave a helper thread's freed
-pages back to the kernel and faulted them in again: a 30-epoch train on
-2 threads over six 400-node graphs took 63k-73k minor faults and 0.11-0.23
-s of system time, and takes 2.7k-5.1k and 0.01-0.02 s with the workspaces
-(2-core Xeon).
+allocates no node-sized array.
 """
 
 from __future__ import annotations
@@ -62,6 +59,7 @@ import math
 import os
 import queue
 import threading
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -564,6 +562,9 @@ def check_graphs(dataset, input_dim: int, labels: range) -> None:
         if width != input_dim:
             raise ValidationError(f"slide {g.slide_id} has {width} features per node, "
                                   f"but the model takes {input_dim}")
+        if g.label < -1:
+            raise ValidationError(f"slide {g.slide_id} has label {g.label}; a label is -1 "
+                                  "(unlabelled) or a class index")
         if g.label < labels.start:
             raise ValidationError(f"slide {g.slide_id} has no label "
                                   "(build-graph without --labels writes -1)")
@@ -587,61 +588,18 @@ def _helper_loop(jobs: queue.SimpleQueue) -> None:
         jobs.get()()
 
 
-def _run_passes(count: int, threads: int, compute, finish) -> None:
-    """finish(k, compute(k, t)) for every pass k < count, pass k on thread
-    t = k mod `threads`.
-
-    Thread 0 is the caller, the others are helpers.  compute calls run side
-    by side; finish calls run one at a time in pass order, and a thread
-    computes its next pass only after finishing its last.  Once every thread
-    has stopped, the error of the first pass that failed is raised.
-    """
-    if threads < 2:
-        for k in range(count):
-            finish(k, compute(k, 0))
-        return
-    while len(_helpers) < threads - 1:
-        jobs = queue.SimpleQueue()
-        threading.Thread(target=_helper_loop, args=(jobs,), name="wsigraph-pass",
-                         daemon=True).start()
-        _helpers.append(jobs)
-    done = threading.Condition()
-    turn, running, errors = 0, threads, {}
-
-    def share(t: int) -> None:
-        nonlocal turn, running
-        try:
-            for k in range(t, count, threads):
-                result = compute(k, t)
-                with done:
-                    done.wait_for(lambda: turn == k or errors)
-                    if errors:
-                        return
-                    finish(k, result)
-                    turn += 1
-                    done.notify_all()
-        except BaseException as e:      # re-raised by the caller below
-            with done:
-                errors[k] = e
-        finally:
-            with done:
-                running -= 1
-                done.notify_all()
-
-    for t, jobs in enumerate(_helpers[:threads - 1], start=1):
-        # in a copy of the caller's context, so its np.errstate holds there too
-        jobs.put(functools.partial(contextvars.copy_context().run, share, t))
-    share(0)
-    with done:
-        done.wait_for(lambda: running == 0)
-    if errors:
-        raise errors[min(errors)]
-
-
 def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,
                     rng: np.random.Generator, grad: np.ndarray, spaces: list) -> np.ndarray:
     """Add the batch-mean loss gradient of the graphs `batch` into `grad`,
     a vector laid out like model.flat.
+
+    The passes run on T = min(passes, usable cores) threads, pass k on
+    thread k mod T: the caller is thread 0, the others are helpers.  Pass k
+    adds its gradient into `grad` only after pass k - 1 has, and then sets
+    added[k] to its probabilities; a pass that fails sets its error there
+    instead, and each later pass stops when it reaches that link of the
+    chain.  Once every thread has stopped, the error of the first pass
+    that failed, in pass order, is raised.
 
     `spaces` is a list of workspaces that the caller keeps from batch to
     batch; it is extended to one per pass.  spaces[k] holds the dropout
@@ -654,24 +612,42 @@ def _batch_gradient(model: GcnModel, prepared, sizes, labels, batch,
     keeps = [_dropout_keep(model, [sizes[i] for i in run], rng, spaces[k], spaces[0])
              if model.dropout_p > 0.0 else None for k, run in enumerate(runs)]
     threads = min(len(runs), usable_cores())
-    probs = [None] * len(runs)
+    added = [Future() for _ in runs]
+    stopped = [Future() for _ in range(threads)]
 
-    def compute(k, t):
-        cache = _forward(model, [prepared[i] for i in runs[k]], keeps[k], spaces[t])
-        target = grad
-        if k and threads > 1:       # the thread's own vector, added in pass order
-            target = spaces[t].take("grad", grad.shape)
-            target.fill(0.0)
-        _backward(cache, labels[runs[k]], model.unflatten(target), 1.0 / len(batch))
-        return cache["probs"], target
+    def share(t: int) -> None:
+        try:
+            for k in range(t, len(runs), threads):
+                try:
+                    cache = _forward(model, [prepared[i] for i in runs[k]], keeps[k], spaces[t])
+                    target = grad
+                    if k and threads > 1:       # the thread's own vector, added in pass order
+                        target = spaces[t].take("grad", grad.shape)
+                        target.fill(0.0)
+                    _backward(cache, labels[runs[k]], model.unflatten(target), 1.0 / len(batch))
+                    if k:
+                        added[k - 1].result()   # raises the error of an earlier pass
+                    if target is not grad:
+                        np.add(grad, target, out=grad)
+                    added[k].set_result(cache["probs"])
+                except BaseException as e:      # raised by the caller, in pass order
+                    added[k].set_exception(e)
+                    return
+        finally:
+            stopped[t].set_result(None)
 
-    def finish(k, out):
-        probs[k], target = out
-        if target is not grad:
-            np.add(grad, target, out=grad)
-
-    _run_passes(len(runs), threads, compute, finish)
-    return np.concatenate(probs)
+    while len(_helpers) < threads - 1:
+        jobs = queue.SimpleQueue()
+        threading.Thread(target=_helper_loop, args=(jobs,), name="wsigraph-pass",
+                         daemon=True).start()
+        _helpers.append(jobs)
+    for t, jobs in enumerate(_helpers[:threads - 1], start=1):
+        # in a copy of the caller's context, so its np.errstate holds there too
+        jobs.put(functools.partial(contextvars.copy_context().run, share, t))
+    share(0)
+    for stop in stopped:
+        stop.result()
+    return np.concatenate([done.result() for done in added])
 
 
 @one_blas_thread()

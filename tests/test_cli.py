@@ -777,6 +777,21 @@ class TestMalformedInterchange:
         assert f"{graphs}: slide b has no label" in caplog.text
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_label_below_minus_one_is_named(self, tmp_path, caplog, command):
+        model = self._two_class_model(tmp_path)
+        graphs = tmp_path / "minus.jsonl"
+        graphs.write_text(graph_record(slide_id="a") + "\n"
+                          + graph_record(slide_id="s1", label=-5) + "\n")
+        out = tmp_path / "out.json"
+        argv = {"train": ["--model", out, "--epochs", "1"],
+                "eval": ["--model", model, "--out", out]}[command]
+        rc = main([command, "--graphs", str(graphs), *map(str, argv)])
+        assert rc == 1
+        assert (f"{graphs}: slide s1 has label -5; a label is -1 (unlabelled) or a class index"
+                in caplog.text)
+        assert "Traceback" not in caplog.text and not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_value(self, tmp_path, caplog, value):
         features = tmp_path / "features.csv"

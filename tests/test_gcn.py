@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -717,6 +718,73 @@ class TestPassThreads:
         with pytest.raises(FloatingPointError, match="failed"):
             train(data, cfg)
         monkeypatch.setattr(gcn, "_forward", real)
+        assert np.array_equal(train(data, cfg)[0].flat, want)
+
+    def test_passes_that_finish_out_of_order_give_the_one_thread_bits(self, monkeypatch):
+        # the caller's passes are slowed, so the helpers' later passes finish first
+        data, cfg = multi_pass_run(monkeypatch, threads=1)
+        want_model, want_history = train(data, cfg)
+        real, caller = gcn._forward, threading.get_ident()
+
+        def forward(model, graphs, *args):
+            if threading.get_ident() == caller:
+                time.sleep(0.02)
+            return real(model, graphs, *args)
+
+        monkeypatch.setattr(gcn, "_forward", forward)
+        for threads in (2, 3):
+            monkeypatch.setattr(gcn, "usable_cores", lambda: threads)
+            model, history = train(data, cfg)
+            assert np.array_equal(model.flat, want_model.flat) and history == want_history
+
+    def test_the_first_failure_in_pass_order_is_raised_after_every_pass_left(self,
+                                                                          monkeypatch):
+        # pass 2 fails at once, pass 1 later, each on its own helper
+        data, cfg = multi_pass_run(monkeypatch, threads=3)
+        want = train(data, cfg)[0].flat
+        real_prepare, real_passes = gcn._prepare, gcn._passes
+        real_forward, real_backward = gcn._forward, gcn._backward
+        prepared, first_runs, lock, inside = [], [], threading.Lock(), [0]
+
+        def prepare(dataset, model):
+            prepared[:] = real_prepare(dataset, model)
+            return prepared
+
+        def passes(batch, sizes):
+            runs = real_passes(batch, sizes)
+            first_runs.append(runs)
+            return runs
+
+        def counted(real):
+            def call(*args):
+                with lock:
+                    inside[0] += 1
+                try:
+                    return real(*args)
+                finally:
+                    with lock:
+                        inside[0] -= 1
+            return call
+
+        def forward(model, graphs, *args):
+            runs = first_runs[0]
+            if graphs[0] is prepared[runs[1][0]]:
+                time.sleep(0.05)
+                raise FloatingPointError("pass 1 failed")
+            if graphs[0] is prepared[runs[2][0]]:
+                raise FloatingPointError("pass 2 failed")
+            return real_forward(model, graphs, *args)
+
+        monkeypatch.setattr(gcn, "_prepare", prepare)
+        monkeypatch.setattr(gcn, "_passes", passes)
+        monkeypatch.setattr(gcn, "_forward", counted(forward))
+        monkeypatch.setattr(gcn, "_backward", counted(real_backward))
+        with pytest.raises(FloatingPointError, match="pass 1 failed"):
+            train(data, cfg)
+        assert len(first_runs) == 1 and len(first_runs[0]) >= 3
+        assert inside[0] == 0
+        monkeypatch.setattr(gcn, "_forward", real_forward)
+        monkeypatch.setattr(gcn, "_backward", real_backward)
         assert np.array_equal(train(data, cfg)[0].flat, want)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
