@@ -17,13 +17,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import detection, gcn, pipeline
+from . import detection, gcn, pipeline, synth
 from .detection import DetectionParams
 from .errors import ValidationError
 from .image_graph import load_image_graphs, save_image_graphs
-from .pipeline import ExperimentConfig, SynthParams, load_experiment_config
+from .pipeline import ExperimentConfig, load_experiment_config
+from .points import PatchRecord, SlideRecord, tile_image
+from .synth import SynthParams
 
 log = logging.getLogger("wsigraph")
 
@@ -127,7 +127,7 @@ def _cmd_synth(args) -> int:
     cfg.synth.patch_size = args.patch_size
     cfg.synth.slide_width = cfg.synth.slide_height = args.slide_size
     cfg.validate_dataset()
-    slides = pipeline.synth_dataset(cfg)
+    slides = synth.synth_dataset(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.export_pointsets(slides, out / "points.csv")
@@ -137,15 +137,9 @@ def _cmd_synth(args) -> int:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
                                        encoding="utf-8")
     if args.render:
-        # each patch rendered alone and copied in at its origin; the rest is background
-        s = cfg.synth
         for slide in slides:
-            pixels = np.full((s.slide_height, s.slide_width), 255, dtype=np.uint8)
-            for patch in slide.patches:
-                y, x = patch.row * s.patch_size, patch.col * s.patch_size
-                pixels[y:y + s.patch_size, x:x + s.patch_size] = \
-                    detection.render_nuclei_image(patch.points).pixels
-            detection.write_pgm(detection.GrayImage(pixels), out / f"{slide.slide_id}.pgm")
+            image = synth.render_slide(slide, cfg.synth)
+            detection.write_pgm(image, out / f"{slide.slide_id}.pgm")
     log.info("wrote %d slides to %s", len(slides), out)
     return 0
 
@@ -170,13 +164,12 @@ def _cmd_detect(args) -> int:
     slides = []
     for f in files:
         img = detection.read_pgm(f)
-        rec = pipeline.SlideRecord(slide_id=f.stem, label=-1)
-        for x, y in _in_file(f, pipeline.tile_image, img.width, img.height, size, stride):
+        rec = SlideRecord(slide_id=f.stem, label=-1)
+        for x, y in _in_file(f, tile_image, img.width, img.height, size, stride):
             tile = detection.GrayImage(img.pixels[y:y + size, x:x + size])
             points = detection.detect_nuclei(tile, bank, args.response_threshold,
                                              args.merge_radius)
-            rec.patches.append(pipeline.PatchRecord(row=y // stride, col=x // stride,
-                                                    points=points))
+            rec.patches.append(PatchRecord(row=y // stride, col=x // stride, points=points))
         log.info("%s: %d patches, %d nuclei", rec.slide_id, len(rec.patches),
                  sum(len(p.points) for p in rec.patches))
         slides.append(rec)

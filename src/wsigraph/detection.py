@@ -254,9 +254,8 @@ def _merge_maxima(rows, cols, values, merge_radius: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthetic rendering (desk-scale stand-in for stained tissue patches)
 
-def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
-                        background: float = 1.0) -> GrayImage:
-    """Render points as dark Gaussian blobs on a light background.
+def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7) -> GrayImage:
+    """Render points as dark Gaussian blobs on a white background, intensity 1.0.
 
     blob_sigma and amplitude may be scalars or per-point arrays.  Each blob
     subtracts amplitude * exp(-d^2 / (2 sigma^2)) within ceil(4 sigma) pixels
@@ -278,8 +277,6 @@ def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
     if not np.isfinite(amps).all():
         raise ValidationError(
             f"amplitude must be finite, got {float(amps[~np.isfinite(amps)][0])!r}")
-    if not math.isfinite(background):
-        raise ValidationError(f"background must be finite, got {float(background)!r}")
     h, w = int(round(points.patch_height)), int(round(points.patch_width))
     # each window's extent, clipped to the image in float64 so no radius overflows
     r = np.ceil(4 * sigmas)
@@ -290,7 +287,7 @@ def render_nuclei_image(points: PointSet, blob_sigma=5.0, amplitude=0.7,
     block = np.empty((min(RENDER_ROWS, h), w))
     for r0 in range(0, h, RENDER_ROWS):
         rows = block[:min(RENDER_ROWS, h - r0)]
-        rows.fill(background)
+        rows.fill(1.0)
         _subtract_blobs(rows, r0, x, y, x0, x1, y0, y1, two_var, amps)
         np.clip(rows, 0.0, 1.0, out=rows)
         np.multiply(rows, 255.0, out=rows)

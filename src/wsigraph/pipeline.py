@@ -1,10 +1,12 @@
-"""End-to-end orchestration: tiling, synthetic slides, folds, experiment harness.
+"""End-to-end orchestration: configuration, featurization, folds, interchange, harness.
 
 Intermediate artifacts are diffable text: point sets and feature matrices as
 CSV, slide graphs as JSON-lines, reports as JSON plus an aligned text summary.
 Per-slide featurization and the cross-validation folds run in one worker
 pool; everything downstream of a fixed (config, seed) pair is deterministic,
-including worker output order.
+including worker output order.  `run_experiment` draws its slides with
+`synth.synth_dataset` through this module's namespace, where a wrapper can
+be patched over it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .features import (
 from .gcn import TrainConfig, check_graphs, evaluate, train
 from .graph import check_d_p
 from .image_graph import ImageGraph, build_image_graph, check_theta
-from .points import PointSet
+from .points import PatchRecord, PointSet, SlideRecord
+from .synth import SynthParams, synth_dataset, synth_slide  # noqa: F401  (for perfbench)
 
 log = logging.getLogger("wsigraph")
 
@@ -41,32 +44,7 @@ NUCLEI_COUNT_FEATURE = FEATURE_NAMES.index("nn_nuclei_count")
 
 
 # ---------------------------------------------------------------------------
-# records and configuration
-
-@dataclass
-class PatchRecord:
-    row: int
-    col: int
-    points: PointSet | None = None
-    features: np.ndarray | None = None
-
-
-@dataclass
-class SlideRecord:
-    slide_id: str
-    label: int
-    patches: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)   # free-form; perfbench ships spans in it
-
-
-@dataclass
-class SynthParams:
-    """Slide and patch sizes of synthetic slides; `SYNTH_PROCESSES` draws their nuclei."""
-
-    slide_width: int = 1536
-    slide_height: int = 1536
-    patch_size: int = 768
-
+# configuration
 
 @dataclass
 class ExperimentConfig:
@@ -183,91 +161,6 @@ def load_experiment_config(path) -> ExperimentConfig:
     cfg = _config_from_dict(ExperimentConfig, data)
     cfg.validate()
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# tiling
-
-def tile_image(width: int, height: int, patch_size: int, stride: int) -> list:
-    """Full-patch origins (x, y) in row-major order."""
-    if patch_size <= 0 or stride <= 0:
-        raise ValidationError("patch_size and stride must be positive")
-    if patch_size > min(width, height):
-        raise ValidationError(
-            f"patch_size {patch_size} exceeds image bounds {width}x{height}"
-        )
-    xs = range(0, width - patch_size + 1, stride)
-    ys = range(0, height - patch_size + 1, stride)
-    return [(x, y) for y in ys for x in xs]
-
-
-# ---------------------------------------------------------------------------
-# synthetic slides
-
-def _poisson_scatter(rng, mean_count, size):
-    n = rng.poisson(mean_count)
-    return rng.uniform(0.0, size, size=(n, 2))
-
-
-def _cluster_scatter(rng, parent_mean, offspring_mean, sd, size):
-    pts = []
-    for _ in range(rng.poisson(parent_mean)):
-        parent = rng.uniform(0.0, size, size=2)
-        k = rng.poisson(offspring_mean)
-        offs = parent + rng.normal(0.0, sd, size=(k, 2))
-        inside = (offs >= 0.0).all(axis=1) & (offs < size).all(axis=1)
-        pts.append(offs[inside])
-    return np.vstack(pts) if pts else np.zeros((0, 2))
-
-
-# for each class id, the point processes drawn into every patch, in draw order:
-# (draw, *rates), called with the patch size appended; the rates are a mean
-# count, or mean parent and offspring counts and an offspring spread in px.
-# Class 0 is homogeneous Poisson scatter (regular tissue stand-in); class 1
-# Thomas-style parent/offspring clusters over a sparse background; class 2
-# denser parents with a tight and a loose offspring scale, so the pattern is
-# both denser and more irregular.
-SYNTH_PROCESSES = (
-    ((_poisson_scatter, 220.0),),
-    ((_cluster_scatter, 10.0, 20.0, 40.0), (_poisson_scatter, 40.0)),
-    ((_cluster_scatter, 16.0, 13.0, 12.0), (_cluster_scatter, 16.0, 8.0, 44.0),
-     (_poisson_scatter, 50.0)),
-)
-SYNTH_CLASSES = len(SYNTH_PROCESSES)
-
-
-def _synth_patch_points(class_id: int, size: float, rng) -> np.ndarray:
-    return np.vstack([draw(rng, *rates, size) for draw, *rates in SYNTH_PROCESSES[class_id]])
-
-
-def synth_slide(class_id: int, params: SynthParams, seed, slide_id: str = "") -> SlideRecord:
-    """Generate one synthetic slide: a point set per patch, deterministic in seed."""
-    if class_id not in range(SYNTH_CLASSES):
-        raise ValidationError(f"unknown class id {class_id}")
-    rng = np.random.default_rng(seed)
-    size = params.patch_size
-    patches = []
-    for x, y in tile_image(params.slide_width, params.slide_height, size, size):
-        pts = _synth_patch_points(class_id, float(size), rng)
-        patches.append(PatchRecord(row=y // size, col=x // size,
-                                   points=PointSet(pts, size, size)))
-    return SlideRecord(slide_id=slide_id or f"synth-c{class_id}", label=int(class_id),
-                       patches=patches)
-
-
-def synth_dataset(config: ExperimentConfig) -> list:
-    """One SlideRecord per (class, index), with per-slide derived seeds."""
-    k = len(config.class_names)
-    if k > SYNTH_CLASSES:
-        raise ValidationError(
-            f"class_names holds {k} classes (synth --classes {k}), but the synthetic "
-            f"generator draws at most {SYNTH_CLASSES}")
-    slides = []
-    for c in range(k):
-        for i in range(config.slides_per_class):
-            seed = np.random.SeedSequence([config.seed, c, i])
-            slides.append(synth_slide(c, config.synth, seed, slide_id=f"synth-c{c}-{i:04d}"))
-    return slides
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Nuclei point sets in patch pixel coordinates."""
+"""Nuclei point sets in patch pixel coordinates, and the records of a slide's
+patches, each keyed by its (row, col) in the slide's `tile_image` grid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .errors import ValidationError
 
 
 @dataclass
@@ -52,6 +55,35 @@ class PointSet:
     @property
     def area(self) -> float:
         return float(self.patch_width) * float(self.patch_height)
+
+
+@dataclass
+class PatchRecord:
+    row: int
+    col: int
+    points: PointSet | None = None
+    features: np.ndarray | None = None
+
+
+@dataclass
+class SlideRecord:
+    slide_id: str
+    label: int
+    patches: list = field(default_factory=list)
+    provenance: dict = field(default_factory=dict)   # free-form; perfbench ships spans in it
+
+
+def tile_image(width: int, height: int, patch_size: int, stride: int) -> list:
+    """Full-patch origins (x, y) in row-major order."""
+    if patch_size <= 0 or stride <= 0:
+        raise ValidationError("patch_size and stride must be positive")
+    if patch_size > min(width, height):
+        raise ValidationError(
+            f"patch_size {patch_size} exceeds image bounds {width}x{height}"
+        )
+    xs = range(0, width - patch_size + 1, stride)
+    ys = range(0, height - patch_size + 1, stride)
+    return [(x, y) for y in ys for x in xs]
 
 
 def greedy_merge(xy: np.ndarray, radius: float) -> np.ndarray:

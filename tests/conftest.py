@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from wsigraph import features, pipeline
-from wsigraph.pipeline import PatchRecord, SlideRecord
-from wsigraph.points import PointSet
+from wsigraph.points import PatchRecord, PointSet, SlideRecord
 
 
 @pytest.fixture

@@ -21,9 +21,8 @@ from wsigraph.pipeline import (
     ExperimentConfig,
     report_without_timings,
     run_experiment,
-    tile_image,
 )
-from wsigraph.points import PointSet
+from wsigraph.points import PointSet, tile_image
 from wsigraph.tessellation import delaunay_triangulation, voronoi_cells
 
 from oracles import (

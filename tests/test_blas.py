@@ -11,9 +11,9 @@ from wsigraph.pipeline import (
     _resolve_workers,
     report_without_timings,
     run_experiment,
-    synth_dataset,
 )
 from wsigraph.points import PointSet
+from wsigraph.synth import synth_dataset
 
 
 @pytest.fixture

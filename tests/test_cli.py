@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from wsigraph import cli, detection, gcn, pipeline
+from wsigraph import cli, detection, gcn, pipeline, synth
 from wsigraph.cli import build_parser, main
 from wsigraph.detection import (
     DetectionParams,
@@ -23,14 +23,9 @@ from wsigraph.detection import (
 from wsigraph.features import FEATURE_NAMES, patch_feature_vector
 from wsigraph.gcn import GcnModel, TrainConfig, init_model, save_model
 from wsigraph.image_graph import build_image_graph, save_image_graphs
-from wsigraph.pipeline import (
-    ExperimentConfig,
-    SynthParams,
-    ValidationError,
-    import_pointsets,
-    synth_slide,
-)
-from wsigraph.points import PointSet
+from wsigraph.pipeline import ExperimentConfig, ValidationError, import_pointsets
+from wsigraph.points import PointSet, tile_image
+from wsigraph.synth import SynthParams, synth_slide
 
 
 # a point-set CSV of one point in one 768-px patch
@@ -216,7 +211,7 @@ class TestDetectCommand:
         bank = detection.build_glog_bank(params.sigma_x, params.sigma_y,
                                          params.orientations, params.bandwidth)
         slide, = import_pointsets(out)
-        origins = pipeline.tile_image(size, size, 256, 128)
+        origins = tile_image(size, size, 256, 128)
         assert len(origins) == 49
         assert [(p.row, p.col) for p in slide.patches] == [(y // 128, x // 128)
                                                            for x, y in origins]
@@ -352,7 +347,7 @@ class TestExitCodes:
                                                                monkeypatch, argv):
         def fail(*args, **kwargs):
             raise AssertionError("a slide was generated before the class count was checked")
-        monkeypatch.setattr(pipeline, "synth_slide", fail)
+        monkeypatch.setattr(synth, "synth_slide", fail)
         cfg = tmp_path / "config.json"
         cfg.write_text('{"class_names": ["a", "b", "c", "d"]}')
         argv = [str(cfg) if a == "CONFIG" else a for a in argv]
@@ -892,7 +887,7 @@ def test_featurize_reads_the_patch_size_that_synth_cut(tmp_path):
     cfg = ExperimentConfig(seed=4, slides_per_class=1,
                            class_names=tuple(f"class{c}" for c in range(3)))
     cfg.synth.patch_size, cfg.synth.slide_width, cfg.synth.slide_height = 256, 512, 512
-    want = pipeline.featurize_slides(pipeline.synth_dataset(cfg), cfg.d_p, workers=1)
+    want = pipeline.featurize_slides(synth.synth_dataset(cfg), cfg.d_p, workers=1)
     got = pipeline.import_features(tmp_path / "f.csv")
     key = lambda slides: {(s.slide_id, p.row, p.col): p.features
                           for s in slides for p in s.patches}

@@ -12,10 +12,7 @@ from scipy.spatial import cKDTree
 from wsigraph import pipeline
 from wsigraph.image_graph import load_image_graphs, save_image_graphs
 from wsigraph.pipeline import (
-    SYNTH_PROCESSES,
     ExperimentConfig,
-    SlideRecord,
-    SynthParams,
     ValidationError,
     build_slide_graph,
     export_labels,
@@ -27,11 +24,9 @@ from wsigraph.pipeline import (
     run_experiment,
     report_without_timings,
     stratified_folds,
-    synth_dataset,
-    synth_slide,
-    tile_image,
 )
-from wsigraph.points import PointSet
+from wsigraph.points import PatchRecord, PointSet, SlideRecord, tile_image
+from wsigraph.synth import SYNTH_PROCESSES, SynthParams, synth_dataset, synth_slide
 
 
 class TestTiling:
@@ -225,7 +220,7 @@ class TestCsvRoundTrips:
     @pytest.mark.parametrize("width, height", [(256, 256), (512, 256)])
     def test_pointsets_round_trip_their_patch_geometry(self, tmp_path, width, height):
         rng = np.random.default_rng(width)
-        slides = [SlideRecord("s", 0, [pipeline.PatchRecord(
+        slides = [SlideRecord("s", 0, [PatchRecord(
             row=r, col=c, points=PointSet(rng.uniform(0, 1, (40, 2)) * (width, height),
                                           width, height)) for r in (0, 1) for c in (0, 1)])]
         path = tmp_path / "points.csv"

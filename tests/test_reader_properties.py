@@ -21,8 +21,6 @@ from wsigraph.detection import GrayImage, read_pgm, write_pgm
 from wsigraph.errors import ValidationError
 from wsigraph.image_graph import build_image_graph, load_image_graphs, save_image_graphs
 from wsigraph.pipeline import (
-    PatchRecord,
-    SlideRecord,
     export_features,
     export_labels,
     export_pointsets,
@@ -30,7 +28,7 @@ from wsigraph.pipeline import (
     import_labels,
     import_pointsets,
 )
-from wsigraph.points import PointSet
+from wsigraph.points import PatchRecord, PointSet, SlideRecord
 
 PATCH = 64
 
