@@ -18,7 +18,6 @@ from .graph import (
     build_radius_graph,
     canonical_edges,
     clustering_coefficients,
-    connected_components,
     hop_statistics,
     minimum_spanning_tree,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "canonical_edges",
     "cell_graph_features",
     "clustering_coefficients",
-    "connected_components",
     "delaunay_features",
     "delaunay_triangulation",
     "density_features",

@@ -122,6 +122,7 @@ def _in_file(path, fn, *args):
 
 
 def _cmd_synth(args) -> int:
+    _check_output_dir(args.out)
     cfg = ExperimentConfig(seed=args.seed, slides_per_class=args.slides_per_class,
                            class_names=tuple(f"class{c}" for c in range(args.classes)))
     cfg.synth.patch_size = args.patch_size
@@ -187,6 +188,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
+    _check_outputs(args.out)
     labels = pipeline.import_labels(args.labels) if args.labels else None
     slides = pipeline.import_features(args.features, labels=labels)
     graphs = [pipeline.build_slide_graph(s, args.theta, args.min_nuclei) for s in slides]
@@ -233,6 +235,7 @@ def _cmd_run(args) -> int:
                                 (cfg.train, "epochs", args.epochs)):
         if value is not None:
             setattr(target, name, value)
+    _check_output_dir(cfg.output_dir)
     if args.graphs is None:
         report = pipeline.run_experiment(cfg)
     else:
@@ -282,6 +285,18 @@ def _check_outputs(*paths) -> None:
         else:
             continue
         raise OSError(code, os.strerror(code), path)
+
+
+def _check_output_dir(path) -> None:
+    """Raise, before the work, the OSError that making directory `path` would:
+    the path, or a directory above it, is a file."""
+    p = Path(path)
+    for existing in (p, *p.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                code = errno.EEXIST if existing == p else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), path)
+            return
 
 
 def main(argv=None) -> int:

@@ -18,10 +18,9 @@ are found per block of rows: `detect_nuclei` peaks at about 1.2 to 1.4 times
 the float64 image rather than 5.6 times.
 
 An image is 8-bit wherever it comes from: a `GrayImage` holds uint8 samples
-s, each meaning intensity s / 255, as an 8-bit PGM holds them.  Float
-intensities are rounded to round(255 * x) when the image is made, so a
-rendered patch detects the same points in memory as through its PGM, and a
-whole slide is held at one byte per pixel while `detect` tiles it.
+s, each meaning intensity s / 255, as an 8-bit PGM holds them, so a rendered
+patch detects the same points in memory as through its PGM, and a whole
+slide is held at one byte per pixel while `detect` tiles it.
 `render_nuclei_image` makes its samples a block of rows at a time, the
 blobs subtracted from one float64 block in point order, so rendering holds
 one byte per pixel too, and each sample has the bits of a whole float64
@@ -42,10 +41,9 @@ from scipy.ndimage import maximum_filter
 from .errors import ValidationError
 from .points import PointSet, greedy_merge
 
-# rows per forward and inverse real transform of `bank_response`, per
-# maximum filter of `detect_nuclei` and per rounding pass of `GrayImage`, and
-# half-spectrum columns per pass of `bank_response`; they bound temporaries,
-# not results
+# rows per forward and inverse real transform of `bank_response` and per
+# maximum filter of `detect_nuclei`, and half-spectrum columns per pass of
+# `bank_response`; they bound temporaries, not results
 ROW_BLOCK = 32
 COL_BLOCK = 32
 # rows per float64 block of `render_nuclei_image`: a window that crosses a
@@ -69,12 +67,7 @@ class DetectionParams:
 
 @dataclass
 class GrayImage:
-    """Grayscale image, row-major, of uint8 samples s, each meaning intensity s / 255.
-
-    uint8 pixels are kept as given.  Any other pixels are intensities, which
-    must be finite and in [0, 1]; they are rounded to round(255 * x) in
-    float64, `ROW_BLOCK` rows at a time, so no float64 copy is held.
-    """
+    """Grayscale image, row-major, of uint8 samples s, each meaning intensity s / 255."""
 
     pixels: np.ndarray
 
@@ -83,13 +76,7 @@ class GrayImage:
         if p.ndim != 2 or p.size == 0:
             raise ValueError("pixels must be a non-empty 2-D array")
         if p.dtype != np.uint8:
-            if not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0:
-                raise ValueError("intensities must be finite and in [0, 1]")
-            samples = np.empty(p.shape, dtype=np.uint8)
-            for r in range(0, len(p), ROW_BLOCK):
-                samples[r:r + ROW_BLOCK] = np.round(
-                    np.multiply(p[r:r + ROW_BLOCK], 255.0, dtype=np.float64))
-            p = samples
+            raise ValueError(f"pixels must be uint8 samples, got dtype {p.dtype}")
         self.pixels = p
 
     @property

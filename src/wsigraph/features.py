@@ -22,7 +22,6 @@ from .graph import (
     adjacency_eigenvalues,
     build_radius_graph,
     clustering_coefficients,
-    connected_components,
     hop_statistics,
     minimum_spanning_tree,
 )
@@ -93,9 +92,6 @@ FEATURE_NAMES = (
 )
 assert len(FEATURE_NAMES) == 69
 
-# indices that do not depend on patch geometry, only on relative point positions
-TRANSLATION_INVARIANT_INDICES = tuple(range(0, 18)) + tuple(range(38, 42))
-
 
 def stat_summary(samples) -> np.ndarray:
     """(mean, population SD, min/max ratio, disorder) of a nonnegative sample.
@@ -138,10 +134,11 @@ def cell_graph_features(g: UndirectedGraph) -> np.ndarray:
     if n == 0:
         return out
     deg = g.degrees().astype(np.float64)
-    labels = connected_components(g)
-    sizes = np.bincount(labels)
-
+    # reached[v] is the size of v's component: a component of s nodes puts
+    # s nodes at reach s
     ecc, dist_sum, reached = hop_statistics(g)
+    nodes_by_size = np.bincount(reached)
+    components = int((nodes_by_size[1:] // np.arange(1, len(nodes_by_size))).sum())
     diameter = float(ecc.max())
     non_isolated = deg > 0
     radius = float(ecc[non_isolated].min()) if non_isolated.any() else 0.0
@@ -154,8 +151,8 @@ def cell_graph_features(g: UndirectedGraph) -> np.ndarray:
 
     out[0] = deg.mean()
     out[1] = float(clustering_coefficients(g).mean())
-    out[2] = sizes.max() / n
-    out[3] = len(sizes)
+    out[2] = reached.max() / n
+    out[3] = components
     out[4] = ecc.mean()
     out[5] = diameter
     out[6] = radius

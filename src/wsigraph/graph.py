@@ -4,10 +4,10 @@ Edges live in one vectorised store: `canonical_edges` turns (u, v, weight)
 triples into arrays with u < v, sorted by (u, v): int32 ends and float64
 weights, 16 bytes per edge.  The cell graph here uses it;
 `upper_triangle_edges` makes the same arrays, with no sort, from the boolean
-pair matrix of the slide graph in `image_graph`.  Components and spanning trees come from
+pair matrix of the slide graph in `image_graph`.  Spanning trees come from
 `scipy.sparse.csgraph`, neighbourhoods from `scipy.spatial.cKDTree`.  Hop
-measures come from a bit-parallel BFS over all sources at once
-(`hop_statistics`), so no n x n distance matrix is ever built.  The
+measures and component sizes come from a bit-parallel BFS over all sources
+at once (`hop_statistics`), so no n x n distance matrix is ever built.  The
 adjacency spectrum (`adjacency_eigenvalues`) of a large graph with a thin
 band comes from LAPACK's two-stage band solver, without an n x n matrix
 either; any other graph's comes from `np.linalg.eigvalsh` on its dense
@@ -140,9 +140,6 @@ class UndirectedGraph:
         a[self.u, self.v] = a[self.v, self.u] = 1.0
         return a
 
-    def total_weight(self) -> float:
-        return float(self.w.sum())
-
 
 def check_d_p(d_p) -> None:
     """Reject a cell-graph radius that is not a finite positive number.
@@ -170,12 +167,6 @@ def build_radius_graph(points: PointSet, d_p: float) -> UndirectedGraph:
     w = np.sqrt((d * d).sum(axis=1))
     keep = w < d_p      # query_pairs also returns pairs at exactly d_p
     return UndirectedGraph(len(points), np.column_stack([pairs[keep], w[keep]]))
-
-
-def connected_components(g: UndirectedGraph) -> np.ndarray:
-    """Component label per node, labels 0..C-1 in order of first appearance."""
-    _, labels = csgraph.connected_components(g.csr, directed=False)
-    return labels.astype(np.int64)
 
 
 def hop_statistics(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

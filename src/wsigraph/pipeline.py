@@ -553,8 +553,9 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict
 
     with _worker_pool(config.workers, len(slides)) as pool:
         t_feat = time.time()
-        # the pool makes `workers` moot here; perfbench's featurize span still reads it
-        slides = featurize_slides(slides, config.d_p, workers=config.workers, pool=pool)
+        # the pool's process count, or 1 in-process: the size a profiler's span reports
+        slides = featurize_slides(slides, config.d_p, workers=pool.workers if pool else 1,
+                                  pool=pool)
         featurize_seconds = time.time() - t_feat
         graphs = [build_slide_graph(s, config.theta, config.min_nuclei_per_patch)
                   for s in slides]

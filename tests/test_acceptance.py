@@ -158,7 +158,7 @@ def test_criterion_3_geometry_oracles():
         n = int(rng.integers(2, 9))
         pts = rng.uniform(0, 700, (n, 2))
         tree = minimum_spanning_tree(PointSet(pts, 768, 768))
-        assert tree.total_weight() == pytest.approx(
+        assert tree.w.sum() == pytest.approx(
             exhaustive_mst_weight(pts), rel=1e-12
         )
     _ok(3, "circumcircles empty, Voronoi areas conserve, MST matches exhaustive minimum")

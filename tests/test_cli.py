@@ -175,7 +175,7 @@ class TestDetectCommand:
         size, n = 2048, 4000
         write_pgm(render_nuclei_image(PointSet(rng.uniform(8, size - 8, (n, 2)), size, size),
                                       blob_sigma=rng.uniform(4, 6, n)), tmp_path / "wsi.pgm")
-        pixels = detection.read_pgm(tmp_path / "wsi.pgm").pixels / 255.0
+        pixels = detection.read_pgm(tmp_path / "wsi.pgm").pixels
         out = tmp_path / "points.csv"
         tracemalloc.start()
         try:
@@ -184,8 +184,8 @@ class TestDetectCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a float64 copy of the slide alone is pixels.nbytes (32 MiB)
-        assert peak < pixels.nbytes
+        # a float64 copy of the slide alone is 8 * pixels.nbytes (32 MiB)
+        assert peak < 8 * pixels.nbytes
         params = DetectionParams()
         bank = detection.build_glog_bank(params.sigma_x, params.sigma_y,
                                          params.orientations, params.bandwidth)
@@ -487,7 +487,7 @@ REJECTED_INPUTS = [
 @pytest.mark.parametrize("command, message", REJECTED_INPUTS,
                          ids=[command for command, _ in REJECTED_INPUTS])
 def test_rejected_input_exits_one_and_names_it(tmp_path, caplog, command, message):
-    write_pgm(GrayImage(np.ones((32, 32))), tmp_path / "img.pgm")
+    write_pgm(GrayImage(np.full((32, 32), 255, dtype=np.uint8)), tmp_path / "img.pgm")
     (tmp_path / "tiled").mkdir()      # a directory where a file must be
     (tmp_path / "truncated.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(100))
     (tmp_path / "ascii.pgm").write_bytes(b"P2\n2 1\n255\n0 255\n")
@@ -993,6 +993,7 @@ def test_run_graphs_rejects_before_any_fold_trains(tmp_path, monkeypatch, caplog
 OUTPUT_FLAGS = [("train", "--model", gcn, "train"), ("train", "--history", gcn, "train"),
                 ("featurize", "--out", pipeline, "featurize_slides"),
                 ("detect", "--out", detection, "detect_nuclei"),
+                ("build-graph", "--out", pipeline, "import_features"),
                 ("eval", "--out", gcn, "evaluate")]
 
 
@@ -1015,18 +1016,50 @@ def test_bad_output_path_exits_one_before_the_work(tmp_path, monkeypatch, caplog
     model = tmp_path / "m.json"
     save_model(init_model(2, (4,), (3,), num_classes=2), model)
     (tmp_path / "points.csv").write_text(ONE_POINT_CSV)
-    write_pgm(GrayImage(np.ones((32, 32))), tmp_path / "img.pgm")
+    write_pgm(GrayImage(np.full((32, 32), 255, dtype=np.uint8)), tmp_path / "img.pgm")
     argv = {"train": ["--graphs", graphs, "--model", tmp_path / "new.json",
                       "--history", tmp_path / "h.json"],
             "featurize": ["--points", tmp_path / "points.csv", "--out", tmp_path / "f.csv",
                           "--workers", 1],
             "detect": ["--images", tmp_path / "img.pgm", "--out", tmp_path / "p.csv",
                        "--patch-size", 32],
+            "build-graph": ["--features", tmp_path / "f.csv", "--out", tmp_path / "g.jsonl"],
             "eval": ["--graphs", graphs, "--model", model, "--out", tmp_path / "m.out"]}[command]
     name, reason = BAD_OUTPUTS[problem]
     bad = tmp_path / name
     argv[argv.index(flag) + 1] = bad
     assert main([command, *map(str, argv)]) == 1
+    assert f"{reason}: '{bad}'" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+# each output directory checked before the work, and the work function it must not reach
+OUTPUT_DIRS = [("synth", synth, "synth_dataset"), ("run", pipeline, "synth_dataset"),
+               ("run --graphs", cli, "load_image_graphs")]
+
+
+# an output directory may be missing or exist; a file there or above it fails
+BAD_OUTPUT_DIRS = {"file": ("points.csv", "File exists"),
+                   "file as parent": ("points.csv/x", "Not a directory")}
+
+
+@pytest.mark.parametrize("problem", BAD_OUTPUT_DIRS)
+@pytest.mark.parametrize("command, module, work", OUTPUT_DIRS,
+                         ids=[c for c, _, _ in OUTPUT_DIRS])
+def test_bad_output_directory_exits_one_before_the_work(tmp_path, monkeypatch, caplog,
+                                                        command, module, work, problem):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output directory was checked")
+
+    monkeypatch.setattr(module, work, no_work)
+    (tmp_path / "points.csv").write_text(ONE_POINT_CSV)
+    argv = {"synth": ["synth", "--slides-per-class", 3],
+            "run": ["run", "--slides-per-class", 3, "--epochs", 1],
+            "run --graphs": ["run", "--graphs", graphs_file(tmp_path / "g.jsonl", [0, 1]),
+                             "--epochs", 1]}[command]
+    name, reason = BAD_OUTPUT_DIRS[problem]
+    bad = tmp_path / name
+    assert main([*map(str, argv), "--out", str(bad)]) == 1
     assert f"{reason}: '{bad}'" in caplog.text
     assert "Traceback" not in caplog.text
 

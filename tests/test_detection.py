@@ -25,6 +25,11 @@ from wsigraph.synth import synth_dataset
 from oracles import greedy_match_count
 
 
+def eight_bit(intensities):
+    """The uint8 samples round(255 * x) of intensities x in [0, 1]."""
+    return np.round(intensities * 255.0).astype(np.uint8)
+
+
 def blob_layout(rng, n, w, h, min_sep=15.0, margin=25.0):
     pts = []
     while len(pts) < n:
@@ -63,13 +68,13 @@ class TestBank:
 
     def test_constant_image_zero_response(self):
         bank = build_glog_bank(8, 4, 9, 7)
-        img = GrayImage(np.full((80, 80), 0.37))
+        img = GrayImage(eight_bit(np.full((80, 80), 0.37)))
         assert np.abs(bank_response(img, bank)).max() < 1e-6
 
     def test_pooled_kernel_equals_per_kernel_sum(self):
         bank = build_glog_bank(6, 3, 4, 3)
         rng = np.random.default_rng(0)
-        img = GrayImage(rng.uniform(0, 1, (40, 40)))
+        img = GrayImage(eight_bit(rng.uniform(0, 1, (40, 40))))
 
         half = bank.half_width
         padded = np.pad(img.pixels / 255.0, half, mode="reflect")
@@ -84,7 +89,7 @@ class TestBank:
 class TestDetect:
     def test_blank_image_no_detections(self):
         bank = build_glog_bank(8, 4, 9, 7)
-        img = GrayImage(np.full((100, 100), 0.8))
+        img = GrayImage(eight_bit(np.full((100, 100), 0.8)))
         assert len(detect_nuclei(img, bank)) == 0
 
     def test_three_known_blobs_within_3px(self):
@@ -175,14 +180,14 @@ class TestBlockedResponse:
                                        (50, 61), (97, 200), (333, 128)])
     def test_random_images(self, shape):
         rng = np.random.default_rng(list(shape))
-        img = GrayImage(rng.integers(0, 256, shape) / 255.0)
+        img = GrayImage(rng.integers(0, 256, shape).astype(np.uint8))
         got = bank_response(img, self.bank)
         assert got.shape == shape
         assert np.array_equal(got, fftconvolve_response(img, self.bank))
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_block_sizes_leave_the_bits(self, monkeypatch, block):
-        img = GrayImage(np.random.default_rng(3).uniform(0, 1, (70, 90)))
+        img = GrayImage(eight_bit(np.random.default_rng(3).uniform(0, 1, (70, 90))))
         monkeypatch.setattr(detection, "ROW_BLOCK", block)
         monkeypatch.setattr(detection, "COL_BLOCK", block)
         assert np.array_equal(bank_response(img, self.bank), fftconvolve_response(img, self.bank))
@@ -281,24 +286,9 @@ class TestInPlaceImagesPath:
         pixels = np.round(np.clip(want, 0, 1) * 255).astype(np.uint8)
         assert path.read_bytes() == b"P5\n200 150\n255\n" + pixels.tobytes()
 
-    @pytest.mark.parametrize("height", [1, 31, 32, 33, 257])
-    def test_pgm_bytes_equal_one_rounding_of_the_image(self, tmp_path, height):
-        rng = np.random.default_rng(height)
-        width = 45
-        levels = rng.integers(0, 255, (height, width))
-        halves = (levels + 0.5) / 255.0
-        assert np.array_equal(halves * 255.0, levels + 0.5)     # ties, rounded to even
-        points = PointSet(rng.uniform(0, [width, height], (30, 2)), width, height)
-        rendering = np.clip(window_rendering(points, np.full(30, 5.0), np.full(30, 0.9)), 0, 1)
-        for pixels in (rng.uniform(0, 1, (height, width)), rendering, halves):
-            path = tmp_path / "p.pgm"
-            write_pgm(GrayImage(pixels), path)
-            want = np.round(pixels * 255.0).astype(np.uint8)
-            assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + want.tobytes()
-
     def test_pgm_write_holds_no_float_copy(self, tmp_path):
-        img = GrayImage(np.random.default_rng(8).uniform(0, 1, (1024, 1024)))
-        # the uint8 bytes (1/8 of the image) and one block of scaled rows
+        img = GrayImage(eight_bit(np.random.default_rng(8).uniform(0, 1, (1024, 1024))))
+        # the samples are written as they are, without a copy
         assert traced_peak(lambda: write_pgm(img, tmp_path / "p.pgm")) <= 0.25 * img.pixels.nbytes
 
     def test_image_steps_peak_near_one_image(self, tmp_path):
@@ -328,13 +318,13 @@ class TestEightBitImages:
 
     bank = build_glog_bank(8, 4, 9, 7)
 
-    def check_same_bits(self, samples):
-        eight = GrayImage(samples)
-        assert eight.pixels.dtype == np.uint8
-        floats = GrayImage(samples / 255.0)
-        assert np.array_equal(bank_response(eight, self.bank), bank_response(floats, self.bank))
-        got, want = detect_nuclei(eight, self.bank), detect_nuclei(floats, self.bank)
-        assert np.array_equal(got.coords, want.coords)
+    def check_same_bits(self, monkeypatch, samples):
+        img = GrayImage(samples)
+        assert img.pixels is samples
+        assert np.array_equal(bank_response(img, self.bank), fftconvolve_response(img, self.bank))
+        got = detect_nuclei(img, self.bank)
+        monkeypatch.setattr(detection, "bank_response", fftconvolve_response)
+        assert np.array_equal(got.coords, detect_nuclei(img, self.bank).coords)
         return got
 
     @pytest.mark.parametrize("block", [1, 7, detection.ROW_BLOCK])
@@ -342,13 +332,20 @@ class TestEightBitImages:
     def test_random_samples(self, monkeypatch, block, shape):
         samples = np.random.default_rng(list(shape)).integers(0, 256, shape).astype(np.uint8)
         monkeypatch.setattr(detection, "ROW_BLOCK", block)
-        self.check_same_bits(samples)
+        self.check_same_bits(monkeypatch, samples)
 
     @pytest.mark.parametrize("block", [1, 7, detection.ROW_BLOCK])
     def test_rendered_1024_pgm(self, tmp_path, monkeypatch, block):
         samples = read_pgm(rendered_pgm(tmp_path / "p.pgm", 1024, 1000, seed=5)).pixels
         monkeypatch.setattr(detection, "ROW_BLOCK", block)
-        assert len(self.check_same_bits(samples)) > 0
+        assert len(self.check_same_bits(monkeypatch, samples)) > 0
+
+    @pytest.mark.parametrize("pixels", [np.ones((4, 4)), np.ones((4, 4), dtype=np.float32),
+                                        np.full((4, 4), 255), np.ones((4, 4), dtype=bool)],
+                             ids=["float64", "float32", "int64", "bool"])
+    def test_only_uint8_samples_make_an_image(self, pixels):
+        with pytest.raises(ValueError, match=f"got dtype {pixels.dtype}"):
+            GrayImage(pixels)
 
     def test_detection_from_a_pgm_holds_no_float_image(self, tmp_path):
         path = rendered_pgm(tmp_path / "p.pgm", 1024, 1000, seed=5)
@@ -371,8 +368,8 @@ class TestEightBitImages:
 
 
 class TestOnePixelType:
-    """Float intensities become the samples their PGM holds, so an image
-    detects the same in memory as through its file."""
+    """A rendered image holds the samples its PGM holds, so it detects the
+    same in memory as through its file."""
 
     bank = build_glog_bank(8, 4, 9, 7)
 
@@ -386,14 +383,6 @@ class TestOnePixelType:
             got = detect_nuclei(img, self.bank)
             want = detect_nuclei(read_pgm(tmp_path / "p.pgm"), self.bank)
             assert len(got) > 0 and np.array_equal(got.coords, want.coords)
-
-    def test_rounding_holds_no_float_copy(self):
-        floats = np.random.default_rng(8).uniform(0, 1, (1024, 1024))
-        made = []
-        peak = traced_peak(lambda: made.append(GrayImage(floats)))
-        assert made[0].pixels.dtype == np.uint8
-        # the uint8 samples (1/8 of the image) and one block of scaled rows
-        assert peak <= 0.25 * floats.nbytes
 
 
 def edge_crossing_blobs(width, height, n, seed):
@@ -561,7 +550,7 @@ class TestPgm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         samples = rng.integers(0, 256, (30, 40)).astype(np.uint8)
-        img = GrayImage(samples / 255)
+        img = GrayImage(samples)
         path = tmp_path / "img.pgm"
         write_pgm(img, path)
         back = read_pgm(path)

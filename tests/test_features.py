@@ -5,7 +5,6 @@ import pytest
 
 from wsigraph.features import (
     FEATURE_NAMES,
-    TRANSLATION_INVARIANT_INDICES,
     cell_graph_features,
     delaunay_features,
     density_features,
@@ -279,7 +278,8 @@ class TestPatchFeatureVector:
         pts = rng.uniform(100, 500, (35, 2))
         v1 = patch_feature_vector(pset(pts))
         v2 = patch_feature_vector(pset(pts + np.array([137.0, 91.0])))
-        idx = list(TRANSLATION_INVARIANT_INDICES)
+        # the cell-graph and MST features depend only on relative point positions
+        idx = list(range(0, 18)) + list(range(38, 42))
         assert np.allclose(v1[idx], v2[idx], rtol=1e-9, atol=1e-9)
 
     def test_deterministic_bitwise(self):

@@ -10,7 +10,6 @@ from wsigraph.graph import (
     build_radius_graph,
     canonical_edges,
     clustering_coefficients,
-    connected_components,
     hop_statistics,
     minimum_spanning_tree,
 )
@@ -245,21 +244,31 @@ class TestCanonicalEdges:
             canonical_edges(2**31, [])
 
 
+def component_labels(g):
+    return csgraph.connected_components(g.csr, directed=False)[1]
+
+
 class TestComponentsAndDistances:
+    # cell_graph_features 2 and 3 are the giant component's share of the
+    # nodes and the component count
     def test_single_edge_one_component(self):
-        assert connected_components(UndirectedGraph(2, [(0, 1, 1)])).tolist() == [0, 0]
+        assert cell_graph_features(UndirectedGraph(2, [(0, 1, 1)]))[2:4].tolist() == [1.0, 1.0]
 
     def test_no_edges_all_singletons(self):
-        assert connected_components(UndirectedGraph(3, [])).tolist() == [0, 1, 2]
+        assert cell_graph_features(UndirectedGraph(3, []))[2:4].tolist() == [1 / 3, 3.0]
 
     def test_five_nodes_three_components(self):
         g = UndirectedGraph(5, [(0, 1, 1), (2, 3, 1)])
-        labels = connected_components(g)
-        assert len(set(labels.tolist())) == 3
+        assert cell_graph_features(g)[2:4].tolist() == [2 / 5, 3.0]
 
-    def test_labels_in_order_of_first_appearance(self):
-        g = UndirectedGraph(7, [(1, 4, 1), (0, 5, 1), (3, 2, 1), (5, 6, 1)])
-        assert connected_components(g).tolist() == [0, 1, 2, 2, 1, 0, 0]
+    def test_component_features_match_csgraph(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 120))
+            side = rng.uniform(50, 1500)
+            g = build_radius_graph(pset(rng.uniform(0, side, (n, 2)), side, side), 64.0)
+            sizes = np.bincount(component_labels(g))
+            assert cell_graph_features(g)[2:4].tolist() == [sizes.max() / n, len(sizes)]
 
     # hop_statistics gives, per node, the largest hop distance, the sum of hop
     # distances and the number of nodes reached (itself included)
@@ -356,7 +365,7 @@ class TestComponentsAndDistances:
         rng = np.random.default_rng(8)
         for _ in range(30):
             g = random_graph(rng, int(rng.integers(2, 30)), p=0.3)
-            labels = connected_components(g)
+            labels = component_labels(g)
             ecc = hop_statistics(g)[0]
             for c in set(labels.tolist()):
                 comp = np.nonzero(labels == c)[0]
@@ -369,7 +378,7 @@ class TestComponentsAndDistances:
         """~1500 nodes, so ~24 words per bitset row and nodes of many degrees,
         in two large components and a few isolated nodes."""
         g = strip_graph(3, 1650, gap=True)
-        sizes = np.bincount(connected_components(g))
+        sizes = np.bincount(component_labels(g))
         assert (sizes > 100).sum() == 2 and (g.degrees() == 0).sum() >= 3
         hops = csgraph.shortest_path(g.csr, directed=False, unweighted=True)
         finite = np.isfinite(hops)
@@ -434,7 +443,7 @@ class TestMinimumSpanningTree:
     def test_unit_square(self):
         tree = minimum_spanning_tree(pset([(0, 0), (1, 0), (1, 1), (0, 1)]))
         assert tree.edge_count == 3
-        assert tree.total_weight() == pytest.approx(3.0)
+        assert tree.w.sum() == pytest.approx(3.0)
 
     def test_collinear_points(self):
         tree = minimum_spanning_tree(pset([(0, 0), (1, 0), (3, 0)]))
@@ -444,7 +453,7 @@ class TestMinimumSpanningTree:
         assert minimum_spanning_tree(pset([])).edge_count == 0
         assert minimum_spanning_tree(pset([(1, 1)])).edge_count == 0
         two = minimum_spanning_tree(pset([(0, 0), (3, 4)]))
-        assert two.total_weight() == pytest.approx(5.0)
+        assert two.w.sum() == pytest.approx(5.0)
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(10)
@@ -453,18 +462,18 @@ class TestMinimumSpanningTree:
             pts = rng.uniform(0, 700, (n, 2))
             tree = minimum_spanning_tree(pset(pts))
             assert tree.edge_count == n - 1
-            assert tree.total_weight() == pytest.approx(
+            assert tree.w.sum() == pytest.approx(
                 exhaustive_mst_weight(pts), rel=1e-12
             )
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(200, 500, (25, 2))
-        w0 = minimum_spanning_tree(pset(pts)).total_weight()
+        w0 = minimum_spanning_tree(pset(pts)).w.sum()
         ang = 0.7
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         moved = (pts - pts.mean(0)) @ rot.T + pts.mean(0) + np.array([20.0, -15.0])
-        w1 = minimum_spanning_tree(pset(moved)).total_weight()
+        w1 = minimum_spanning_tree(pset(moved)).w.sum()
         assert w1 == pytest.approx(w0, rel=1e-9)
 
 

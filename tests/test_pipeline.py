@@ -594,6 +594,22 @@ class TestPooledFolds:
         assert report["config"].pop("workers") == 64 and want_run["config"].pop("workers") == 1
         assert json.dumps(report, sort_keys=True) == json.dumps(want_run, sort_keys=True)
 
+    @pytest.mark.parametrize("cores, told", [(1, 1), (3, 3)])
+    def test_featurize_is_told_the_pool_size(self, monkeypatch, cores, told):
+        """Under workers=0, `featurize_slides` is passed the process count of
+        run_experiment's pool, or 1 when the slides featurize in-process."""
+        sizes = self.record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: cores)
+        calls, real = [], pipeline.featurize_slides
+
+        def recording(slides, d_p, workers=0, pool=None):
+            calls.append(workers)
+            return real(slides, d_p, workers=workers, pool=pool)
+
+        monkeypatch.setattr(pipeline, "featurize_slides", recording)
+        run_experiment(small_config(1, workers=0), write_outputs=False)
+        assert calls == [told] and sizes == ([told] if told > 1 else [])
+
     def test_a_diverged_fold_raises_and_writes_no_report(self, tmp_path):
         cfg = small_config(1, workers=1)
         cfg.train.learning_rate = 1e300
