@@ -51,6 +51,14 @@ COL_BLOCK = 32
 # 64 rows rendered ~20% faster than 32 and peaked at a quarter of the
 # float64 image
 RENDER_ROWS = 64
+# The bank is bounded before a kernel is built.  A kernel's half-width is
+# ceil(3 * sigma_x): at the cap it is 513 x 513 float64 (2.1 MB), sigma_x is
+# about 85 px (ten times the default 8), and each tile's FFT spans the tile
+# plus 4 half-widths per axis.  The bank holds every one of its
+# orientations * bandwidth kernels (63 by default), so the count cap keeps a
+# bank of full-width kernels to 270 MB and about a second of building.
+MAX_GLOG_HALF_WIDTH = 256
+MAX_GLOG_KERNELS = 128
 
 
 @dataclass
@@ -125,11 +133,21 @@ def _anisotropic_log(sigma_major: float, sigma_minor: float, angle: float,
 
 def build_glog_bank(sigma_x: float, sigma_y: float, orientations: int,
                     bandwidth: int) -> GLoGBank:
-    """Build the oriented LoG bank for the given kernel parameters."""
+    """Build the oriented LoG bank for the given kernel parameters.
+
+    A half-width ceil(3 * sigma_x) above MAX_GLOG_HALF_WIDTH, or more than
+    MAX_GLOG_KERNELS kernels, raises ValidationError before any is built.
+    """
     if not (sigma_x >= sigma_y > 0):
         raise ValidationError("need sigma_x >= sigma_y > 0")
     if orientations < 1 or bandwidth < 1:
         raise ValidationError("orientations and bandwidth must be >= 1")
+    if not 3.0 * sigma_x <= MAX_GLOG_HALF_WIDTH:
+        raise ValidationError(f"sigma_x {sigma_x!r} gives a kernel half-width ceil(3 * sigma_x) "
+                              f"above the cap of {MAX_GLOG_HALF_WIDTH} px")
+    if orientations * bandwidth > MAX_GLOG_KERNELS:
+        raise ValidationError(f"orientations * bandwidth is {orientations * bandwidth} kernels, "
+                              f"above the cap of {MAX_GLOG_KERNELS}")
     half = int(np.ceil(3.0 * max(sigma_x, sigma_y)))
     scales = np.geomspace(sigma_y, sigma_x, bandwidth)
     angles = np.arange(orientations) * (np.pi / orientations)

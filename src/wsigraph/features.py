@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .blas import one_blas_thread
+from .errors import ValidationError
 from .graph import (
     UndirectedGraph,
     adjacency_eigenvalues,
@@ -242,10 +243,13 @@ def density_features(points: PointSet, cells: VoronoiCells | None) -> np.ndarray
 def patch_feature_vector(points: PointSet, d_p: float = DEFAULT_CELL_GRAPH_RADIUS) -> np.ndarray:
     """The full 69-dimensional patch feature vector (see module docstring).
 
-    Runs with one BLAS thread, since the thread count moves the eigenvalues
-    in the last bits.
+    A patch of more than MAX_PATCH_NUCLEI points raises ValidationError
+    before any graph is built.  Runs with one BLAS thread, since the thread
+    count moves the eigenvalues in the last bits.
     """
     n = len(points)
+    if n > MAX_PATCH_NUCLEI:
+        raise ValidationError(f"{n} nuclei, above the cap of {MAX_PATCH_NUCLEI}")
     cg = cell_graph_features(build_radius_graph(points, d_p))
     cells = voronoi_cells(points) if n >= 1 else None
     vor = voronoi_features(cells)

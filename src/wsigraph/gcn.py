@@ -20,9 +20,9 @@ parameters are views into one contiguous vector (GcnModel.flat) with the
 same layout, so an Adam step is a few in-place vector operations.
 Dropout masks are drawn per graph in batch order, GCN layers first and then
 head layers, so the random stream is the same however a batch splits into
-passes, and the same as drawing them graph by graph.  gcn_forward,
-backward and evaluate run the same passes, on a batch of one or over the
-whole evaluation set.
+passes, and the same as drawing them graph by graph.  gcn_forward runs a
+pass over a batch of one, its graph prepared as train and evaluate prepare
+theirs (_prepare), and backward replays it.
 
 The passes of a training batch run side by side on min(passes, usable
 cores) threads: the caller and helper threads made once per process (a
@@ -36,10 +36,9 @@ multi-thread batch adds into its thread's zeroed vector first.  As
 0 + x = x, the sum, and so the model, is bitwise the one-thread loop's for
 any thread count.  A pass that fails breaks the chain, and once every
 thread has stopped, the first failure in pass order is raised.  evaluate
-runs its passes on the caller alone.  (They were measured no faster on
-threads while every pass still allocated its own temporaries, and have not
-been measured again.)  train and evaluate run every BLAS product on one
-BLAS thread, so that count never changes a bit either.
+runs its passes on the caller alone (no faster on threads when measured,
+before passes reused their buffers).  train, evaluate and gcn_forward run
+every BLAS product on one BLAS thread, so that count never moves a bit.
 
 A pass writes its node-sized arrays into a workspace: the propagations,
 weight products and ReLU outputs, the ReLU and dropout masks (boolean,
@@ -221,12 +220,19 @@ def standardize_features(train_matrix) -> FeatureScaler:
     """Fit standardization stats on the training matrix.
 
     Constant columns transform to exactly 0, and the same scaler must
-    transform validation/test features.
+    transform validation/test features.  A column whose std overflows
+    float64, which transform would map to 0, raises ValidationError.
     """
     x = np.asarray(train_matrix, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("training matrix must be non-empty and 2-D")
-    return FeatureScaler(mean=x.mean(axis=0), std=x.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):     # rejected just below
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    if not np.isfinite(std).all():
+        j = int(np.isfinite(std).argmin())
+        raise ValidationError(f"feature column {j} has standard deviation {std[j]:g}: "
+                              "its spread overflows float64")
+    return FeatureScaler(mean=mean, std=std)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +327,14 @@ def _dropout(x: np.ndarray, keep: np.ndarray, scale: float) -> None:
     x *= keep
 
 
-def _forward(model: GcnModel, graphs, keep: tuple | None = None,
-             ws: _Workspace | None = None) -> dict:
+def _forward(model: GcnModel, graphs, keep: tuple | None, ws: _Workspace) -> dict:
     """One pass over `graphs`, a list of (A_hat @ X, A_hat) pairs, with the
     dropout masks `keep` of _dropout_keep (None: eval mode, no dropout).
 
-    Node-sized arrays are views into the workspace `ws` (a new one if None),
-    and so are those of _backward.  Returns the cache that _backward
-    replays; cache["probs"] holds one row of class probabilities per graph.
+    Node-sized arrays are views into the workspace `ws`, and so are those
+    of _backward.  Returns the cache that _backward replays; cache["probs"]
+    holds one row of class probabilities per graph.
     """
-    ws = _Workspace() if ws is None else ws
     sizes = np.array([len(a_hat) for _, a_hat in graphs])
     ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends[:-1], ends))
@@ -448,29 +452,22 @@ def _backward(cache: dict, labels, grads: tuple, scale: float,
     return dx
 
 
-def gcn_forward(features, a_hat, model: GcnModel, train: bool = False,
+@one_blas_thread()
+def gcn_forward(graph: ImageGraph, model: GcnModel, train: bool = False,
                 rng: np.random.Generator | None = None):
-    """One slide-graph forward pass: a pass over a batch of one.
+    """One slide-graph forward pass: a pass over a batch of one, its graph
+    checked (check_graphs) and prepared as train and evaluate do theirs.
 
     Returns (class probabilities, cache).  The cache carries every
     intermediate needed by backward(); eval mode disables dropout.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(
-            f"feature width {x.shape} does not match model input dim {model.input_dim}"
-        )
-    if len(x) == 0:
-        raise ValueError("graph has no nodes")
-    a_hat = np.asarray(a_hat, dtype=np.float64)
-    if a_hat.shape != (len(x), len(x)):
-        raise ValueError("adjacency shape must match node count")
+    check_graphs([graph], model.input_dim)
     ws, keep = _Workspace(), None
     if train and model.dropout_p > 0.0:
         if rng is None:
             raise ValueError("training with dropout requires an rng")
-        keep = _dropout_keep(model, [len(x)], rng, ws, ws)
-    cache = _forward(model, [(a_hat @ x, a_hat)], keep, ws)
+        keep = _dropout_keep(model, [graph.num_nodes], rng, ws, ws)
+    cache = _forward(model, _prepare([graph], model), keep, ws)
     return cache["probs"][0], cache
 
 
@@ -497,8 +494,8 @@ def backward(cache, label: int):
     """Gradients of the cross-entropy loss for the graph of a gcn_forward cache.
 
     Returns (grads, dx): grads is a GcnModel of the model's shape holding
-    the partial derivatives (grads.flat is the flat gradient), dx the input
-    feature gradient.  Dropout masks are replayed from the forward cache.
+    the partial derivatives (grads.flat is the flat gradient), dx those of
+    the standardized node features.  Dropout masks are replayed from the cache.
     """
     model: GcnModel = cache["model"]
     if not (0 <= label < model.num_classes):
@@ -548,12 +545,13 @@ class Adam:
 # ---------------------------------------------------------------------------
 # training and evaluation
 
-def check_graphs(dataset, input_dim: int, labels: range) -> None:
+def check_graphs(dataset, input_dim: int, labels: range | None = None) -> None:
     """Reject the first slide graph that a model of `input_dim` inputs cannot take.
 
-    Each graph needs `input_dim` features per node and a label in `labels`:
-    range(classes) for training, which needs every slide labelled, and
-    range(-1, classes) for evaluation, where -1 marks an unlabelled slide.
+    Each graph needs `input_dim` features per node and, unless `labels` is
+    None (gcn_forward reads no label), a label in `labels`: range(classes)
+    for training, which needs every slide labelled, and range(-1, classes)
+    for evaluation, where -1 marks an unlabelled slide.
     Every node needs 1 + its weighted degree > 0, the square-rooted
     normalizer of `normalize_adjacency`; negative edge weights can break it.
     """
@@ -562,13 +560,13 @@ def check_graphs(dataset, input_dim: int, labels: range) -> None:
         if width != input_dim:
             raise ValidationError(f"slide {g.slide_id} has {width} features per node, "
                                   f"but the model takes {input_dim}")
-        if g.label < -1:
+        if labels is not None and g.label < -1:
             raise ValidationError(f"slide {g.slide_id} has label {g.label}; a label is -1 "
                                   "(unlabelled) or a class index")
-        if g.label < labels.start:
+        if labels is not None and g.label < labels.start:
             raise ValidationError(f"slide {g.slide_id} has no label "
                                   "(build-graph without --labels writes -1)")
-        if g.label >= labels.stop:
+        if labels is not None and g.label >= labels.stop:
             raise ValidationError(f"slide {g.slide_id} has label {g.label}, "
                                   f"but the model has {labels.stop} classes")
         deg = 1.0 + np.bincount(g.u, g.w, g.num_nodes) + np.bincount(g.v, g.w, g.num_nodes)

@@ -29,13 +29,12 @@ from .errors import ValidationError, json_object, open_text
 from .features import (
     DEFAULT_CELL_GRAPH_RADIUS,
     FEATURE_NAMES,
-    MAX_PATCH_NUCLEI,
     patch_feature_vector,
 )
 from .gcn import TrainConfig, check_graphs, evaluate, train
 from .graph import check_d_p
 from .image_graph import ImageGraph, build_image_graph, check_theta
-from .points import PatchRecord, PointSet, SlideRecord
+from .points import PatchRecord, PointSet, SlideRecord, check_patch_size
 from .synth import SynthParams, synth_dataset, synth_slide  # noqa: F401  (for perfbench)
 
 log = logging.getLogger("wsigraph")
@@ -169,12 +168,11 @@ def load_experiment_config(path) -> ExperimentConfig:
 def _featurize_slide(args):
     slide, d_p = args
     for patch in slide.patches:
-        n = len(patch.points)
-        if n > MAX_PATCH_NUCLEI:
+        try:
+            patch.features = patch_feature_vector(patch.points, d_p=d_p)
+        except ValidationError as e:
             raise ValidationError(
-                f"slide {slide.slide_id} patch ({patch.row}, {patch.col}): {n} nuclei,"
-                f" above the cap of {MAX_PATCH_NUCLEI}")
-        patch.features = patch_feature_vector(patch.points, d_p=d_p)
+                f"slide {slide.slide_id} patch ({patch.row}, {patch.col}): {e}") from e
     return slide
 
 
@@ -401,8 +399,10 @@ def import_pointsets(path) -> list:
     for line, row in _read_csv(path, POINTS_HEADER):
         key = _patch_key(path, line, row)
         w, h, x, y = _numbers(path, line, float, row[3:])
-        if not (0 < w < np.inf and 0 < h < np.inf):
-            raise ValidationError(f"{path}:{line}: patch size {w}x{h} is not positive and finite")
+        try:
+            check_patch_size(w, h)
+        except ValidationError as e:
+            raise ValidationError(f"{path}:{line}: {e}") from e
         w0, h0, first = sizes.setdefault(key, (w, h, line))
         if (w, h) != (w0, h0):
             raise ValidationError(f"{path}:{line}: slide {key[0]} patch ({key[1]}, {key[2]}) "

@@ -10,6 +10,19 @@ from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 
+# A patch side is at most the int32 pixel range.  Far above it, coordinates
+# overflow the geometry: at 1e200 px cKDTree.query_pairs overflows float64,
+# and at 1e308 px Qhull fails.
+MAX_PATCH_SIDE = 2**31 - 1
+
+
+def check_patch_size(width, height) -> None:
+    """Reject a patch side that is not positive, or above MAX_PATCH_SIDE px
+    (NaN and infinity included)."""
+    if not (0 < width <= MAX_PATCH_SIDE and 0 < height <= MAX_PATCH_SIDE):
+        raise ValidationError(f"patch size {width}x{height} is not positive and at most "
+                              f"{MAX_PATCH_SIDE} px")
+
 
 @dataclass
 class PointSet:
@@ -30,8 +43,7 @@ class PointSet:
             c = c.reshape(0, 2)
         if c.ndim != 2 or c.shape[1] != 2:
             raise ValueError("coords must be an (n, 2) array of (x, y) pairs")
-        if self.patch_width <= 0 or self.patch_height <= 0:
-            raise ValueError("patch dimensions must be positive")
+        check_patch_size(self.patch_width, self.patch_height)
         if not np.all(np.isfinite(c)):
             raise ValueError("coordinates must be finite")
         if len(c) and (

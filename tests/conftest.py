@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wsigraph import features, pipeline
+from wsigraph import features
 from wsigraph.points import PatchRecord, PointSet, SlideRecord
 
 
@@ -16,7 +16,7 @@ def over_cap_slide():
 
 @pytest.fixture
 def no_patch_features(monkeypatch):
-    """Fail any featurization, which would build an n x n adjacency."""
+    """Fail any cell-graph build, the first step of featurizing a patch."""
     def fail(points, d_p):
-        raise AssertionError(f"featurized a patch of {len(points)} nuclei")
-    monkeypatch.setattr(pipeline, "patch_feature_vector", fail)
+        raise AssertionError(f"built the cell graph of a patch of {len(points)} nuclei")
+    monkeypatch.setattr(features, "build_radius_graph", fail)

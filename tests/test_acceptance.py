@@ -208,7 +208,6 @@ def test_criterion_5_gcn_correctness():
         g = build_image_graph(np.abs(feats) + 0.2, theta=0.3,
                               label=int(rng.integers(0, 3)))
         g.node_features = feats
-        a_hat = gcn.normalize_adjacency(g)
         model = gcn.init_model(
             dim,
             tuple(int(d) for d in rng.integers(3, 7, rng.integers(1, 4))),
@@ -222,7 +221,7 @@ def test_criterion_5_gcn_correctness():
         for b in model.linear_biases:
             b[:] = rng.uniform(0.05, 0.3, b.shape)
         label = int(rng.integers(0, model.num_classes))
-        probs, cache = gcn.gcn_forward(feats, a_hat, model)
+        probs, cache = gcn.gcn_forward(g, model)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         grads, _ = gcn.backward(cache, label)
         for p, gr in zip(model.parameters(), grads.parameters()):
@@ -230,11 +229,9 @@ def test_criterion_5_gcn_correctness():
             for idx in range(len(flat)):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                lp = gcn.cross_entropy_loss(
-                    gcn.gcn_forward(feats, a_hat, model)[0], label)
+                lp = gcn.cross_entropy_loss(gcn.gcn_forward(g, model)[0], label)
                 flat[idx] = orig - h
-                lm = gcn.cross_entropy_loss(
-                    gcn.gcn_forward(feats, a_hat, model)[0], label)
+                lm = gcn.cross_entropy_loss(gcn.gcn_forward(g, model)[0], label)
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 worst = max(worst, abs(gflat[idx] - fd) / max(1.0, abs(gflat[idx])))
@@ -249,7 +246,7 @@ def test_criterion_5_gcn_correctness():
                    for i, j, w in g.edges],
             label=g.label,
         )
-        p2, _ = gcn.gcn_forward(g2.node_features, gcn.normalize_adjacency(g2), model)
+        p2, _ = gcn.gcn_forward(g2, model)
         assert np.allclose(probs, p2, atol=1e-9)
     assert worst <= 1e-4, f"worst gradient relative error {worst:.2e}"
     _ok(5, f"gradients match finite differences (worst rel err {worst:.1e})")

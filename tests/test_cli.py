@@ -33,6 +33,15 @@ ONE_POINT_CSV = ("slide_id,patch_row,patch_col,patch_width,patch_height,x,y\n"
                  "s1,0,0,768.0,768.0,1.0,2.0\n")
 
 
+FOUR_POINTS = ((1.0, 2.0), (3.0, 50.0), (70.0, 4.0), (90.0, 90.0))
+
+
+def patch_csv(side, points) -> str:
+    """A points CSV of one square patch of `side` px holding `points`."""
+    return ONE_POINT_CSV.splitlines(keepends=True)[0] + "".join(
+        f"s1,0,0,{side},{side},{x},{y}\n" for x, y in points)
+
+
 def graph_record(**changes):
     rec = {"format_version": 1, "slide_id": "s", "label": 0, "num_nodes": 2,
            "feature_dim": 2, "features": [[1.0, 0.0], [0.0, 1.0]],
@@ -418,6 +427,33 @@ class TestExitCodes:
         assert rc == 1
         assert "patch (2, 5): 10001 nuclei, above the cap of 10000" in caplog.text
 
+    def test_patch_at_the_side_cap_featurizes(self, tmp_path):
+        side = 2**31 - 1
+        points, out = tmp_path / "points.csv", tmp_path / "f.csv"
+        points.write_text(patch_csv(side, FOUR_POINTS + ((side - 2.0, side - 2.0),)))
+        assert main(["featurize", "--points", str(points), "--out", str(out),
+                     "--workers", "1"]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_feature_column_whose_spread_overflows_returns_one(self, tmp_path, caplog,
+                                                               big, command):
+        # at 1e200 the std was inf, so the model standardized the column to 0 and
+        # trained without it; at 1e308 the sums overflowed too, and training diverged
+        graphs = tmp_path / "graphs.jsonl"
+        graphs.write_text("".join(
+            graph_record(slide_id=f"s{i}", label=i % 3,
+                         features=[[(-1) ** i * big, 0.0], [big, 1.0]]) + "\n"
+            for i in range(9)))
+        out = tmp_path / "out"
+        argv = {"train": ["--model", str(out)],
+                "run": ["--workers", "1", "--out", str(out)]}[command]
+        assert main([command, "--graphs", str(graphs), "--epochs", "1", *argv]) == 1
+        assert (f"{graphs}: feature column 0 has standard deviation inf: its spread "
+                "overflows float64") in caplog.text
+        assert not out.exists()
+
     def test_validation_error_in_a_pooled_fold_returns_one(self, tmp_path, monkeypatch, caplog):
         parent, real_train = os.getpid(), pipeline.train
 
@@ -474,6 +510,16 @@ REJECTED_INPUTS = [
     ("featurize --points {d}/unsized.csv",
      "{d}/unsized.csv:1: expected header slide_id,patch_row,patch_col,patch_width,"),
     ("featurize --points {d}/no_area.csv", "no_area.csv:2: patch size 0.0x768.0 is not "),
+    # a 1e308-px patch failed in Qhull, a 1e200-px one in cKDTree.query_pairs (exit 2)
+    ("featurize --points {d}/huge.csv",
+     "{d}/huge.csv:2: patch size 1e+308x1e+308 is not positive and at most 2147483647 px"),
+    ("featurize --points {d}/vast.csv",
+     "{d}/vast.csv:2: patch size 1e+200x1e+200 is not positive and at most 2147483647 px"),
+    ("detect --images {d}/img.pgm --sigma-x 1e308 --sigma-y 1",
+     "sigma_x 1e+308 gives a kernel half-width ceil(3 * sigma_x) above the cap of 256 px"),
+    # 3 x 3 kernels, so that without the check the bank builds at once
+    ("detect --images {d}/img.pgm --sigma-x 0.3 --sigma-y 0.3 --orientations 129 "
+     "--bandwidth 1", "orientations * bandwidth is 129 kernels, above the cap of 128"),
     ("run --config {d}/workers.json --slides-per-class 3 --epochs 1",
      "workers must be >= 0, got -2"),
     ("run --config {d}/list.json", "{d}/list.json: not a JSON object"),
@@ -509,6 +555,8 @@ def test_rejected_input_exits_one_and_names_it(tmp_path, caplog, command, messag
                                            "s1,0,0,256.0,256.0,5.0,6.0\n")
     (tmp_path / "unsized.csv").write_text("slide_id,patch_row,patch_col,x,y\ns1,0,0,1.0,2.0\n")
     (tmp_path / "no_area.csv").write_text(ONE_POINT_CSV.replace("768.0,768.0", "0.0,768.0"))
+    for name, side in (("huge", "1e308"), ("vast", "1e200")):
+        (tmp_path / f"{name}.csv").write_text(patch_csv(side, FOUR_POINTS))
     (tmp_path / "workers.json").write_text('{"workers": -2}')
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
@@ -655,8 +703,6 @@ class TestMalformedInterchange:
 
     @pytest.mark.parametrize("scale, flags, message", [
         (1.0, ["--learning-rate", "1e300"], "epoch 1: mean loss is nan (learning_rate 1e+300)"),
-        # the feature sums overflow float64, so the standardization is NaN
-        (1e308, [], "epoch 0: mean loss is nan (learning_rate 0.0002)"),
     ])
     def test_diverged_training_exits_one_and_writes_nothing(self, tmp_path, caplog, scale,
                                                              flags, message):

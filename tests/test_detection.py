@@ -66,6 +66,25 @@ class TestBank:
         with pytest.raises(ValueError):
             build_glog_bank(8, 4, 0, 7)
 
+    @pytest.mark.parametrize("sigma_x", [1e308, np.inf, 256 / 3 + 1e-9])
+    def test_support_above_the_cap_is_rejected_before_a_kernel_is_built(self, sigma_x):
+        # 1e308 * 3 is inf, which ceil cannot make an int
+        with pytest.raises(ValidationError, match=r"sigma_x .* gives a kernel half-width "
+                                                  r"ceil\(3 \* sigma_x\) above the cap of 256"):
+            build_glog_bank(sigma_x, 1.0, 1, 1)
+
+    def test_support_at_the_cap_is_built(self):
+        bank = build_glog_bank(256 / 3, 1.0, 1, 1)
+        assert bank.half_width == detection.MAX_GLOG_HALF_WIDTH == 256
+
+    def test_kernel_count_above_the_cap_is_rejected_before_a_kernel_is_built(self):
+        # 3 x 3 kernels: without the check these 129 would take well under 1 MB
+        assert len(build_glog_bank(0.3, 0.3, 64, 2).kernels) == detection.MAX_GLOG_KERNELS
+        for orientations, bandwidth in ((129, 1), (1, 129), (43, 3)):
+            with pytest.raises(ValidationError, match=r"orientations \* bandwidth is 129 "
+                                                      r"kernels, above the cap of 128"):
+                build_glog_bank(0.3, 0.3, orientations, bandwidth)
+
     def test_constant_image_zero_response(self):
         bank = build_glog_bank(8, 4, 9, 7)
         img = GrayImage(eight_bit(np.full((80, 80), 0.37)))

@@ -14,6 +14,7 @@ from wsigraph.features import (
     voronoi_features,
 )
 from wsigraph.graph import UndirectedGraph, minimum_spanning_tree
+from wsigraph.errors import ValidationError
 from wsigraph.points import PointSet
 from wsigraph.tessellation import delaunay_triangulation, voronoi_cells
 
@@ -253,6 +254,11 @@ class TestPatchFeatureVector:
 
     def test_empty_is_all_zero(self):
         assert patch_feature_vector(pset([])).tolist() == [0.0] * 69
+
+    def test_above_the_nuclei_cap_is_rejected_before_any_graph(self, over_cap_slide,
+                                                                no_patch_features):
+        with pytest.raises(ValidationError, match=r"^10001 nuclei, above the cap of 10000$"):
+            patch_feature_vector(over_cap_slide.patches[0].points)
 
     def test_degenerate_inputs_finite(self):
         cases = [

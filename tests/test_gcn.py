@@ -90,6 +90,14 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize_features(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_a_column_whose_spread_overflows_is_named(self, big):
+        # its std would be inf, which transform maps to a constant 0 column
+        x = np.array([[1.0, 2.0, big], [3.0, 1.0, -big], [2.0, 0.0, big]])
+        with pytest.raises(ValidationError, match="feature column 2 has standard deviation "
+                                                  "inf: its spread overflows float64"):
+            standardize_features(x)
+
 
 class TestForward:
     def test_zero_weights_give_uniform(self):
@@ -98,7 +106,7 @@ class TestForward:
         model = init_model(8, (5, 4), (6,), num_classes=4, dropout_p=0.0, rng=rng)
         for p in model.parameters():
             p[:] = 0.0
-        probs, _ = gcn_forward(g.node_features, normalize_adjacency(g), model)
+        probs, _ = gcn_forward(g, model)
         assert np.allclose(probs, 0.25)
 
     def test_rows_sum_to_one(self):
@@ -106,7 +114,7 @@ class TestForward:
         for _ in range(10):
             g = toy_graph(rng)
             model = init_model(8, (6, 5), (7, 4), num_classes=3, dropout_p=0.0, rng=rng)
-            probs, _ = gcn_forward(g.node_features, normalize_adjacency(g), model)
+            probs, _ = gcn_forward(g, model)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= 0)
 
@@ -121,8 +129,7 @@ class TestForward:
         model.linear_weights[1][:] = np.eye(dim)
         for b in model.linear_biases:
             b[:] = 0.0
-        a_hat = np.array([[1.0]])
-        probs, cache = gcn_forward(feats, a_hat, model)
+        probs, cache = gcn_forward(ImageGraph(feats), model)
         logits = cache["logits"]
         assert np.allclose(logits, feats[0])
         e = np.exp(feats[0] - feats[0].max())
@@ -133,7 +140,7 @@ class TestForward:
         for _ in range(10):
             g = toy_graph(rng, nodes=7)
             model = init_model(8, (6, 6), (5,), num_classes=3, dropout_p=0.0, rng=rng)
-            p1, _ = gcn_forward(g.node_features, normalize_adjacency(g), model)
+            p1, _ = gcn_forward(g, model)
             perm = rng.permutation(g.num_nodes)
             inv = np.argsort(perm)
             g2 = ImageGraph(
@@ -142,32 +149,71 @@ class TestForward:
                        for i, j, w in g.edges],
                 label=g.label,
             )
-            p2, _ = gcn_forward(g2.node_features, normalize_adjacency(g2), model)
+            p2, _ = gcn_forward(g2, model)
             assert np.allclose(p1, p2, atol=1e-9)
 
     def test_shape_mismatch_rejected(self):
         model = init_model(8, (4,), (4,), num_classes=2, dropout_p=0.0)
-        with pytest.raises(ValueError):
-            gcn_forward(np.ones((3, 5)), np.eye(3), model)
+        with pytest.raises(ValidationError, match="slide w has 5 features per node, "
+                                                  "but the model takes 8"):
+            gcn_forward(ImageGraph(np.ones((3, 5)), slide_id="w"), model)
 
-    def test_empty_graph_rejected(self):
-        model = init_model(8, (4,), (4,), num_classes=2, dropout_p=0.0)
-        with pytest.raises(ValueError, match="no nodes"):
-            gcn_forward(np.zeros((0, 8)), np.zeros((0, 0)), model)
+    def test_graph_is_checked_as_evaluate_checks_it_but_its_label_is_not_read(self):
+        model = init_model(2, (4,), (4,), num_classes=2, dropout_p=0.0)
+        g = ImageGraph(np.ones((2, 2)), edges=[(0, 1, -1.0)], slide_id="neg")
+        with pytest.raises(ValidationError, match=r"slide neg node 0 has 1 \+ weighted degree "
+                                                  r"0 <= 0"):
+            gcn_forward(g, model)
+        assert gcn_forward(ImageGraph(np.ones((2, 2)), label=7), model)[0].shape == (2,)
 
     def test_dropout_requires_rng(self):
         model = init_model(8, (4,), (4,), num_classes=2, dropout_p=0.5)
         with pytest.raises(ValueError):
-            gcn_forward(np.ones((3, 8)), np.eye(3), model, train=True)
+            gcn_forward(ImageGraph(np.ones((3, 8))), model, train=True)
 
     def test_eval_mode_ignores_dropout(self):
         rng = np.random.default_rng(5)
         g = toy_graph(rng)
         model = init_model(8, (6,), (5,), num_classes=3, dropout_p=0.5, rng=rng)
-        a_hat = normalize_adjacency(g)
-        p1, _ = gcn_forward(g.node_features, a_hat, model, train=False)
-        p2, _ = gcn_forward(g.node_features, a_hat, model, train=False)
+        p1, _ = gcn_forward(g, model, train=False)
+        p2, _ = gcn_forward(g, model, train=False)
         assert np.array_equal(p1, p2)
+
+    def test_trained_model_gives_the_probabilities_of_evaluates_pass(self, monkeypatch):
+        # the model standardizes: gcn_forward prepares its graph as evaluate does
+        dataset = random_dataset(np.random.default_rng(6), count=6)
+        model, _ = train(dataset, TrainConfig(epochs=5, batch_size=4, seed=2))
+        assert model.scaler is not None
+        passes, real_forward = [], gcn._forward
+
+        def spy(*args):
+            passes.append(real_forward(*args)["probs"])
+            return {"probs": passes[-1]}
+        monkeypatch.setattr(gcn, "_forward", spy)
+        for g in dataset:
+            evaluate(model, [g])
+        evaluate(model, dataset)        # one pass stacks all six graphs
+        monkeypatch.setattr(gcn, "_forward", real_forward)
+        assert [p.shape for p in passes] == [(1, 3)] * 6 + [(6, 3)]
+        for g, alone, stacked in zip(dataset, passes, passes[-1]):
+            probs = gcn_forward(g, model)[0]
+            assert np.array_equal(probs, alone[0])
+            np.testing.assert_allclose(probs, stacked, rtol=0, atol=1e-12)
+        # the raw features, unstandardized, would give other probabilities
+        a_hat = normalize_adjacency(dataset[0])
+        raw = gcn._forward(model, [(a_hat @ dataset[0].node_features, a_hat)], None,
+                           gcn._Workspace())["probs"][0]
+        assert np.abs(raw - passes[0][0]).max() > 0.01
+
+    def test_model_without_a_scaler_propagates_the_raw_features(self):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            g = toy_graph(rng, nodes=int(rng.integers(1, 9)))
+            model = init_model(8, (6, 5), (4,), num_classes=3, dropout_p=0.0, rng=rng)
+            a_hat = normalize_adjacency(g)
+            want = gcn._forward(model, [(a_hat @ g.node_features, a_hat)], None,
+                                gcn._Workspace())["probs"][0]
+            assert np.array_equal(gcn_forward(g, model)[0], want)
 
 
 class TestLoss:
@@ -195,7 +241,6 @@ class TestBackward:
             nodes = int(rng.integers(3, 8))
             dim = int(rng.integers(4, 10))
             g = toy_graph(rng, nodes=nodes, dim=dim)
-            a_hat = normalize_adjacency(g)
             gcn_dims = tuple(int(d) for d in rng.integers(3, 7, rng.integers(1, 4)))
             head_dims = tuple(int(d) for d in rng.integers(3, 7, rng.integers(1, 3)))
             classes = int(rng.integers(2, 5))
@@ -205,18 +250,16 @@ class TestBackward:
             # differences and the subgradient legitimately disagree
             for b in model.linear_biases:
                 b[:] = rng.uniform(0.05, 0.3, b.shape)
-            _, cache = gcn_forward(g.node_features, a_hat, model)
+            _, cache = gcn_forward(g, model)
             grads, _ = backward(cache, label)
             for p, gr in zip(model.parameters(), grads.parameters()):
                 flat, gflat = p.reshape(-1), gr.reshape(-1)
                 for idx in range(len(flat)):
                     orig = flat[idx]
                     flat[idx] = orig + h
-                    lp = cross_entropy_loss(
-                        gcn_forward(g.node_features, a_hat, model)[0], label)
+                    lp = cross_entropy_loss(gcn_forward(g, model)[0], label)
                     flat[idx] = orig - h
-                    lm = cross_entropy_loss(
-                        gcn_forward(g.node_features, a_hat, model)[0], label)
+                    lm = cross_entropy_loss(gcn_forward(g, model)[0], label)
                     flat[idx] = orig
                     fd = (lp - lm) / (2 * h)
                     worst = max(worst, abs(gflat[idx] - fd) / max(1.0, abs(gflat[idx])))
@@ -228,7 +271,7 @@ class TestBackward:
         model = init_model(8, (5,), (4,), num_classes=2, dropout_p=0.0, rng=rng)
         # drive the correct logit far up so the prediction saturates
         model.linear_biases[-1][:] = np.array([60.0, -60.0])
-        probs, cache = gcn_forward(g.node_features, normalize_adjacency(g), model)
+        probs, cache = gcn_forward(g, model)
         grads, _ = backward(cache, 0)
         assert cross_entropy_loss(probs, 0) == pytest.approx(0.0, abs=1e-12)
         assert np.abs(grads.linear_biases[-1]).max() < 1e-12
@@ -237,29 +280,50 @@ class TestBackward:
         # node 2 is isolated: its input-feature gradient must match finite
         # differences (it flows only through its own adjacency row)
         rng = np.random.default_rng(21)
-        feats = rng.normal(0, 1, (3, 6))
-        g = ImageGraph(feats, edges=[(0, 1, 0.9)], label=1)
-        a_hat = normalize_adjacency(g)
-        assert a_hat[2].tolist() == [0.0, 0.0, 1.0]
+        g = ImageGraph(rng.normal(0, 1, (3, 6)), edges=[(0, 1, 0.9)], label=1)
+        assert normalize_adjacency(g)[2].tolist() == [0.0, 0.0, 1.0]
         model = init_model(6, (5, 4), (4,), num_classes=2, dropout_p=0.0, rng=rng)
-        _, cache = gcn_forward(feats, a_hat, model)
+        _, cache = gcn_forward(g, model)
         _, dx = backward(cache, 1)
         h = 1e-6
+        feats = g.node_features
         for j in range(feats.shape[1]):
             orig = feats[2, j]
             feats[2, j] = orig + h
-            lp = cross_entropy_loss(gcn_forward(feats, a_hat, model)[0], 1)
+            lp = cross_entropy_loss(gcn_forward(g, model)[0], 1)
             feats[2, j] = orig - h
-            lm = cross_entropy_loss(gcn_forward(feats, a_hat, model)[0], 1)
+            lm = cross_entropy_loss(gcn_forward(g, model)[0], 1)
             feats[2, j] = orig
             assert dx[2, j] == pytest.approx((lp - lm) / (2 * h), abs=1e-7)
+
+    def test_feature_gradient_is_taken_at_the_standardized_features(self):
+        # raw x = mean + std * z, so dL/dx = dL/dz / std
+        rng = np.random.default_rng(25)
+        g = toy_graph(rng, nodes=4, dim=5)
+        model = init_model(5, (5, 4), (4,), num_classes=3, dropout_p=0.0, rng=rng)
+        model.scaler = gcn.FeatureScaler(mean=rng.normal(0, 1, 5), std=np.array(
+            [0.5, 2.0, 4.0, 1.0, 0.25]))
+        for b in model.linear_biases:
+            b[:] = rng.uniform(0.05, 0.3, b.shape)
+        _, cache = gcn_forward(g, model)
+        _, dz = backward(cache, 2)
+        h = 1e-6
+        feats = g.node_features
+        for i, j in np.ndindex(feats.shape):
+            orig = feats[i, j]
+            feats[i, j] = orig + h
+            lp = cross_entropy_loss(gcn_forward(g, model)[0], 2)
+            feats[i, j] = orig - h
+            lm = cross_entropy_loss(gcn_forward(g, model)[0], 2)
+            feats[i, j] = orig
+            assert dz[i, j] / model.scaler.std[j] == pytest.approx((lp - lm) / (2 * h),
+                                                                   abs=1e-6)
 
     def test_dropout_masks_replayed(self):
         rng = np.random.default_rng(22)
         g = toy_graph(rng, nodes=5)
         model = init_model(8, (6, 6), (5,), num_classes=3, dropout_p=0.4, rng=rng)
-        probs, cache = gcn_forward(g.node_features, normalize_adjacency(g), model,
-                                   train=True, rng=np.random.default_rng(0))
+        probs, cache = gcn_forward(g, model, train=True, rng=np.random.default_rng(0))
         grads, _ = backward(cache, 1)
         assert all(np.all(np.isfinite(p)) for p in grads.parameters())
 
@@ -274,8 +338,7 @@ class TestBackward:
         expected = np.zeros_like(model.flat)
         stream = np.random.default_rng(7)
         for g, label in zip(graphs, labels):
-            _, cache = gcn_forward(g.node_features, normalize_adjacency(g), model,
-                                   train=True, rng=stream)
+            _, cache = gcn_forward(g, model, train=True, rng=stream)
             expected += backward(cache, int(label))[0].flat / len(graphs)
         start = rng.normal(0.0, 1.0, model.flat.shape)
         grad = start.copy()

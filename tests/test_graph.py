@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
 from wsigraph import blas, graph
+from wsigraph.errors import ValidationError
 from wsigraph.features import cell_graph_features
 from wsigraph.graph import (
     UndirectedGraph,
@@ -66,6 +69,13 @@ class TestPointSet:
 
     def test_empty_ok(self):
         assert len(pset([])) == 0
+
+    @pytest.mark.parametrize("width, height", [
+        (0, 768), (768, -1.0), (np.inf, 768), (768, np.nan), (1e308, 1e308), (2**31, 768)])
+    def test_patch_sides_are_positive_and_in_the_int32_range(self, width, height):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"patch size {width}x{height} is not positive and at most 2147483647 px")):
+            PointSet(np.zeros((0, 2)), width, height)
 
 
 def brute_force_greedy(xy, radius):
