@@ -145,6 +145,12 @@ def build_glog_bank(sigma_x: float, sigma_y: float, orientations: int,
     if not 3.0 * sigma_x <= MAX_GLOG_HALF_WIDTH:
         raise ValidationError(f"sigma_x {sigma_x!r} gives a kernel half-width ceil(3 * sigma_x) "
                               f"above the cap of {MAX_GLOG_HALF_WIDTH} px")
+    # a kernel's corner is sqrt(2) * half-width from its centre, so below this
+    # sigma_y a capped kernel's v**2 / sigma_y**4 overflows float64
+    min_sigma_y = (2 * MAX_GLOG_HALF_WIDTH**2 / np.finfo(float).max) ** 0.25
+    if sigma_y < min_sigma_y:
+        raise ValidationError(f"sigma_y {sigma_y!r} is below {min_sigma_y:.3g} px, the least "
+                              "sigma_y whose kernels stay finite at every allowed half-width")
     if orientations * bandwidth > MAX_GLOG_KERNELS:
         raise ValidationError(f"orientations * bandwidth is {orientations * bandwidth} kernels, "
                               f"above the cap of {MAX_GLOG_KERNELS}")

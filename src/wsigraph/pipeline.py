@@ -2,11 +2,11 @@
 
 Intermediate artifacts are diffable text: point sets and feature matrices as
 CSV, slide graphs as JSON-lines, reports as JSON plus an aligned text summary.
-Per-slide featurization and the cross-validation folds run in one worker
-pool; everything downstream of a fixed (config, seed) pair is deterministic,
-including worker output order.  `run_experiment` draws its slides with
-`synth.synth_dataset` through this module's namespace, where a wrapper can
-be patched over it.
+Per-slide featurization and the cross-validation folds each run in a worker
+pool of their own, which the stage opens and joins; everything downstream of
+a fixed (config, seed) pair is deterministic, including worker output order.
+`run_experiment` draws its slides with `synth.synth_dataset` through this
+module's namespace, where a wrapper can be patched over it.
 """
 
 from __future__ import annotations
@@ -183,66 +183,39 @@ def _resolve_workers(workers: int) -> int:
     return workers or min(4, usable_cores())
 
 
-class WorkerPool:
-    """A `multiprocessing.Pool` of `workers` processes that forks at first use.
+@contextlib.contextmanager
+def _worker_pool(workers: int, jobs: int, in_process: int = 0):
+    """A new pool if >1 worker and >1 job, else None; it is closed and joined on exit.
 
-    `run_experiment` keeps one open for featurization and the folds.  Its
-    workers fork inside the first `map`, that is inside `featurize_slides`,
-    as a pool of that call's own would: they inherit the module state of
-    that moment, such as a stub patched over `train` or a profiler's
-    wrappers and its open span.  Leaving the `with` block closes the pool
-    (terminates it on an exception) and joins its workers.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._pool = None
-
-    def _started(self):
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(self.workers)
-        return self._pool
-
-    def map(self, fn, jobs) -> list:
-        return self._started().map(fn, jobs, chunksize=1)
-
-    def apply_async(self, fn, args):
-        return self._started().apply_async(fn, args)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *_):
-        if self._pool is not None:
-            if exc_type is None:
-                self._pool.close()
-            else:
-                self._pool.terminate()
-            self._pool.join()
-        return False
-
-
-def _worker_pool(workers: int, jobs: int, pool: WorkerPool | None = None, in_process: int = 0):
-    """The open `pool`, left open; else a new pool if >1 worker and >1 job; else None.
-
-    A new pool has a process per job it is handed, `jobs` less the
+    The pool has a process per job it is handed, `jobs` less the
     `in_process` ones that this process runs itself, and at most `workers`.
+    It forks on entry, inside the calling stage, so its workers inherit the
+    module state of that moment, such as a stub patched over `train` or a
+    profiler's wrappers and its open span.  An exception terminates it.
     """
-    if pool is not None:
-        return contextlib.nullcontext(pool)
     workers = _resolve_workers(workers)
-    if workers > 1 and jobs > 1:
-        return WorkerPool(min(workers, jobs - in_process))
-    return contextlib.nullcontext()
+    if workers <= 1 or jobs <= 1:
+        yield None
+        return
+    pool = multiprocessing.Pool(min(workers, jobs - in_process))
+    try:
+        yield pool
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
 
 
-def featurize_slides(slides, d_p: float, workers: int = 0,
-                     pool: WorkerPool | None = None) -> list:
+def featurize_slides(slides, d_p: float, workers: int = 0) -> list:
     """Fill PatchRecord.features for every patch, in the pool of `_worker_pool`."""
     check_d_p(d_p)
     jobs = [(s, d_p) for s in slides]
-    with _worker_pool(workers, len(jobs), pool) as pool:
-        return pool.map(_featurize_slide, jobs) if pool else [_featurize_slide(j) for j in jobs]
+    with _worker_pool(workers, len(jobs)) as pool:
+        return (pool.map(_featurize_slide, jobs, chunksize=1) if pool
+                else [_featurize_slide(j) for j in jobs])
 
 
 def check_min_nuclei(min_nuclei) -> None:
@@ -495,13 +468,14 @@ SLIDE_GRAPH_FIELDS = ("slides_per_class", "synth", "d_p", "theta", "min_nuclei_p
 
 
 @one_blas_thread()
-def cross_validate(graphs, config: ExperimentConfig, pool: WorkerPool | None = None) -> dict:
+def cross_validate(graphs, config: ExperimentConfig) -> dict:
     """Stratified k-fold cross-validation of labelled slide graphs; returns the report.
 
     `config` must pass `validate`.  Every slide meets `train`'s rules and
-    the fold rule before any fold trains; folds 1..k-1 train in the pool of
-    `_worker_pool`, if any, while this process trains fold 0.  Deterministic
-    given (graphs, config), timings excluded, whatever the worker count.
+    the fold rule before any fold trains; folds 1..k-1 train in a pool that
+    this call opens and joins, if any, while this process trains fold 0.
+    Deterministic given (graphs, config), timings excluded, whatever the
+    worker count.
     """
     t_start = time.time()
     classes = len(config.class_names)
@@ -517,7 +491,7 @@ def cross_validate(graphs, config: ExperimentConfig, pool: WorkerPool | None = N
         jobs.append((fold_idx, [g for i, g in enumerate(graphs) if i not in val_set],
                      [graphs[i] for i in val_idx], fold_cfg))
 
-    with _worker_pool(config.workers, len(jobs), pool, in_process=1) as pool:
+    with _worker_pool(config.workers, len(jobs), in_process=1) as pool:
         pending = {i: pool.apply_async(_run_fold, job)
                    for i, job in enumerate(jobs) if pool is not None and i > 0}
         fold_reports = []
@@ -541,7 +515,9 @@ def cross_validate(graphs, config: ExperimentConfig, pool: WorkerPool | None = N
 
 @one_blas_thread()
 def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict:
-    """synth -> featurize -> slide graphs -> `cross_validate`, in one pool; returns the report.
+    """synth -> featurize -> slide graphs -> `cross_validate`; returns the report.
+
+    Featurization and the folds each open their own pool, one after the other.
 
     With write_outputs, also writes report.json, report.txt and summary.csv to config.output_dir.
     """
@@ -551,15 +527,13 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> dict
     log.info("generating %d synthetic slides", config.slides_per_class * len(config.class_names))
     slides = synth_dataset(config)
 
-    with _worker_pool(config.workers, len(slides)) as pool:
-        t_feat = time.time()
-        # the pool's process count, or 1 in-process: the size a profiler's span reports
-        slides = featurize_slides(slides, config.d_p, workers=pool.workers if pool else 1,
-                                  pool=pool)
-        featurize_seconds = time.time() - t_feat
-        graphs = [build_slide_graph(s, config.theta, config.min_nuclei_per_patch)
-                  for s in slides]
-        report = cross_validate(graphs, config, pool)
+    t_feat = time.time()
+    # the featurize pool's process count, or 1 in-process: the size a profiler's span reports
+    slides = featurize_slides(slides, config.d_p,
+                              workers=min(_resolve_workers(config.workers), len(slides)))
+    featurize_seconds = time.time() - t_feat
+    graphs = [build_slide_graph(s, config.theta, config.min_nuclei_per_patch) for s in slides]
+    report = cross_validate(graphs, config)
 
     report["config"] = asdict(config)
     report["timings"] = {"featurize_seconds": featurize_seconds, **report["timings"],

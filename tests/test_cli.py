@@ -517,6 +517,11 @@ REJECTED_INPUTS = [
      "{d}/vast.csv:2: patch size 1e+200x1e+200 is not positive and at most 2147483647 px"),
     ("detect --images {d}/img.pgm --sigma-x 1e308 --sigma-y 1",
      "sigma_x 1e+308 gives a kernel half-width ceil(3 * sigma_x) above the cap of 256 px"),
+    # sigma_y**2 underflowed to 0 (exit 2); at 1e-80 nine kernels were not finite (exit 0)
+    ("detect --images {d}/img.pgm --sigma-y 1e-200",
+     "sigma_y 1e-200 is below 1.64e-76 px, the least sigma_y whose kernels stay finite"),
+    ("detect --images {d}/img.pgm --sigma-y 1e-80",
+     "sigma_y 1e-80 is below 1.64e-76 px, the least sigma_y whose kernels stay finite"),
     # 3 x 3 kernels, so that without the check the bank builds at once
     ("detect --images {d}/img.pgm --sigma-x 0.3 --sigma-y 0.3 --orientations 129 "
      "--bandwidth 1", "orientations * bandwidth is 129 kernels, above the cap of 128"),

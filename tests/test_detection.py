@@ -77,6 +77,27 @@ class TestBank:
         bank = build_glog_bank(256 / 3, 1.0, 1, 1)
         assert bank.half_width == detection.MAX_GLOG_HALF_WIDTH == 256
 
+    @pytest.mark.parametrize("sigma_y", [1e-200, 1e-80, 1.6e-76])
+    def test_sigma_y_below_the_finite_bound_is_rejected_before_a_kernel_is_built(
+            self, monkeypatch, sigma_y):
+        # at 1e-200 sigma_y**2 is 0 (ZeroDivisionError); at 1e-80 9 of 63 kernels were not finite
+        def no_kernel(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(detection, "_anisotropic_log", no_kernel)
+        with pytest.raises(ValidationError, match=r"sigma_y .* is below 1\.64e-76 px, the "
+                                                  r"least sigma_y whose kernels stay finite"):
+            build_glog_bank(8, sigma_y, 9, 7)
+
+    def test_sigma_y_bound_is_the_least_finite_one_at_the_capped_half_width(self):
+        bank = build_glog_bank(256 / 3, 1.65e-76, 4, 1)
+        assert bank.half_width == 256
+        assert all(np.isfinite(k).all() for k in bank.kernels)
+        # just below the bound, the 45-degree kernel's corners overflow
+        with np.errstate(all="ignore"):
+            below = detection._anisotropic_log(256 / 3, 1.5e-76, np.pi / 4, 256)
+        assert not np.isfinite(below).all()
+
     def test_kernel_count_above_the_cap_is_rejected_before_a_kernel_is_built(self):
         # 3 x 3 kernels: without the check these 129 would take well under 1 MB
         assert len(build_glog_bank(0.3, 0.3, 64, 2).kernels) == detection.MAX_GLOG_KERNELS

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing.pool
 import os
@@ -542,7 +543,23 @@ class TestPooledFolds:
                 run_experiment(small_config(1, workers=2), write_outputs=False)
         else:
             run_experiment(small_config(1, workers=2), write_outputs=False)
-        assert calls == (["terminate", "join"] if fail else ["close", "join"])
+        # the featurize pool, then the fold pool, which a failed fold terminates
+        assert calls == ["close", "join"] + (["terminate", "join"] if fail else ["close", "join"])
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_no_worker_outlives_its_stage(self, monkeypatch, fail):
+        cfg = small_config(1, workers=2)
+        assert multiprocessing.active_children() == []
+        slides = featurize_slides(synth_dataset(cfg), cfg.d_p, workers=2)
+        assert multiprocessing.active_children() == []
+        graphs = [build_slide_graph(s, cfg.theta, cfg.min_nuclei_per_patch) for s in slides]
+        if fail:
+            fail_in_pool_workers(monkeypatch)
+        for stage in (lambda: pipeline.cross_validate(graphs, cfg),
+                      lambda: run_experiment(cfg, write_outputs=False)):
+            with pytest.raises(PooledFoldError) if fail else contextlib.nullcontext():
+                stage()
+            assert multiprocessing.active_children() == []
 
     @staticmethod
     def record_pool_sizes(monkeypatch) -> list:
@@ -590,25 +607,28 @@ class TestPooledFolds:
             **want_cv, "config": {**want_cv["config"], "workers": 64}}
         assert sizes == [3, cfg.folds - 1]
         report = report_without_timings(run_experiment(cfg, write_outputs=False))
-        assert sizes == [3, cfg.folds - 1, len(slides)]
+        assert sizes == [3, cfg.folds - 1, len(slides), cfg.folds - 1]
         assert report["config"].pop("workers") == 64 and want_run["config"].pop("workers") == 1
         assert json.dumps(report, sort_keys=True) == json.dumps(want_run, sort_keys=True)
 
     @pytest.mark.parametrize("cores, told", [(1, 1), (3, 3)])
     def test_featurize_is_told_the_pool_size(self, monkeypatch, cores, told):
         """Under workers=0, `featurize_slides` is passed the process count of
-        run_experiment's pool, or 1 when the slides featurize in-process."""
+        its pool, or 1 when the slides featurize in-process; the fold pool
+        follows it."""
         sizes = self.record_pool_sizes(monkeypatch)
         monkeypatch.setattr(pipeline, "usable_cores", lambda: cores)
         calls, real = [], pipeline.featurize_slides
 
-        def recording(slides, d_p, workers=0, pool=None):
+        def recording(slides, d_p, workers=0):
             calls.append(workers)
-            return real(slides, d_p, workers=workers, pool=pool)
+            return real(slides, d_p, workers=workers)
 
         monkeypatch.setattr(pipeline, "featurize_slides", recording)
-        run_experiment(small_config(1, workers=0), write_outputs=False)
-        assert calls == [told] and sizes == ([told] if told > 1 else [])
+        cfg = small_config(1, workers=0)
+        run_experiment(cfg, write_outputs=False)
+        # 3 cores give [3, 2]: 9 slides featurize on 3 processes, and 2 of the 3 folds pool
+        assert calls == [told] and sizes == ([told, cfg.folds - 1] if told > 1 else [])
 
     def test_a_diverged_fold_raises_and_writes_no_report(self, tmp_path):
         cfg = small_config(1, workers=1)
